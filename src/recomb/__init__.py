@@ -1,18 +1,12 @@
 """Balanced connected partitions under recombination moves."""
 
 from .graphs import (
-    BlockCutDecomposition,
     Graph,
     GraphFormatError,
-    Tree,
-    block_cut,
     connected_components,
-    find_low_degree_block_vertex,
     format_graph,
     is_connected,
     parse_graph,
-    spanning_tree,
-    tree_center,
 )
 from .partitions import (
     SLACK_INF,
@@ -65,21 +59,13 @@ from .ncl import (
     reduce_ncl,
     subdivide_ncl,
 )
-from .sequences import AbstractMove, abstract_of, inverted_abstract, replay, resolve_moves
-from .unbounded import make_singleton_pair, transform_unbounded
+from .sequences import replay
+from .unbounded import transform_unbounded
 from .hamiltonian import (
     CycleOrder,
-    Fragment,
-    FragmentTree,
-    build_fragment_tree,
     canonical_transform,
     canonicalize,
     fragment_count,
-    fragments_of,
-    find_small_adjacent_pair,
-    step_average,
-    step_light,
-    steps_singleton,
     transform_hamiltonian,
 )
 

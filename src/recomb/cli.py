@@ -24,14 +24,11 @@ from .oracle import OracleCapError, build_space, decide_br, recom_walk, space_st
 from .partitions import (
     Partition,
     SlackBound,
-    apply_move,
     format_moves,
     format_partition,
-    parse_moves,
     parse_partition,
     validate,
 )
-from .sequences import replay
 from .unbounded import transform_unbounded
 
 _DOT_COLORS = [
@@ -320,3 +317,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

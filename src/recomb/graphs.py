@@ -6,8 +6,8 @@ immutable once constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 
 class GraphFormatError(ValueError):
@@ -62,28 +62,15 @@ class Graph:
 
 @dataclass(frozen=True)
 class Tree:
-    """A tree on a subset of an ambient graph's vertices.
-
-    parent maps every vertex to its parent (root maps to itself); the root is
-    the smallest vertex id.
-    """
+    """A tree on a subset of an ambient graph's vertices, rooted at its
+    smallest vertex id."""
 
     vertices: frozenset[int]
     root: int
-    parent: dict[int, int] = field(compare=False)
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
         assert len(self.edges) == len(self.vertices) - 1
-
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -93,21 +80,28 @@ class BlockCutDecomposition:
     block_vertices: frozenset[int]
 
 
-def is_connected(g: Graph, s: frozenset[int] | set[int]) -> bool:
-    """True iff the subgraph induced by s is connected.  s must be nonempty."""
-    if not s:
-        raise ValueError("empty subset")
-    s = frozenset(s)
-    start = min(s)
+def reach(adj, start: int, within) -> set[int]:
+    """Vertices reachable from start along adj[u] while staying inside within.
+
+    adj may be a Graph.adj tuple or a dict of neighbor lists; start must be
+    in within.
+    """
     seen = {start}
     stack = [start]
     while stack:
         u = stack.pop()
-        for w in g.adj[u]:
-            if w in s and w not in seen:
+        for w in adj[u]:
+            if w in within and w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(s)
+    return seen
+
+
+def is_connected(g: Graph, s: frozenset[int] | set[int]) -> bool:
+    """True iff the subgraph induced by s is connected.  s must be nonempty."""
+    if not s:
+        raise ValueError("empty subset")
+    return len(reach(g.adj, min(s), s)) == len(s)
 
 
 def connected_components(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
@@ -115,18 +109,40 @@ def connected_components(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
     remaining = set(s)
     comps = []
     while remaining:
-        start = min(remaining)
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in remaining and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(frozenset(seen))
-        remaining -= seen
+        comp = frozenset(reach(g.adj, min(remaining), remaining))
+        comps.append(comp)
+        remaining -= comp
     return sorted(comps, key=min)
+
+
+def find(parent, x: int) -> int:
+    """Union-find root of x with path halving; parent is a list or dict."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def complete_forest(
+    vertices: Iterable[int], forest: Iterable[tuple[int, int]], candidates
+) -> list[tuple[int, int]]:
+    """Kruskal completion of a forest to a spanning tree of `vertices`.
+
+    Returns the candidate edges, in the given order, that each join two
+    components; raises ValueError if the result does not span.
+    """
+    comp = {v: v for v in vertices}
+    for a, b in forest:
+        comp[find(comp, a)] = find(comp, b)
+    added = []
+    for a, b in candidates:
+        ra, rb = find(comp, a), find(comp, b)
+        if ra != rb:
+            comp[ra] = rb
+            added.append((a, b))
+    if len({find(comp, v) for v in comp}) > 1:
+        raise ValueError("induced subgraph not connected")
+    return added
 
 
 def block_cut(g: Graph) -> BlockCutDecomposition:
@@ -214,84 +230,36 @@ def spanning_tree(g: Graph, s: Iterable[int]) -> Tree:
     if not s:
         raise ValueError("empty subset")
     root = min(s)
-    parent = {root: root}
     order = [root]
-    head = 0
+    seen = {root}
     edges = set()
-    while head < len(order):
-        u = order[head]
-        head += 1
+    for u in order:
         for w in g.adj[u]:
-            if w in s and w not in parent:
-                parent[w] = u
+            if w in s and w not in seen:
+                seen.add(w)
                 edges.add((min(u, w), max(u, w)))
                 order.append(w)
-    if len(parent) != len(s):
+    if len(seen) != len(s):
         raise ValueError("induced subgraph not connected")
-    return Tree(s, root, parent, frozenset(edges))
+    return Tree(s, root, frozenset(edges))
 
 
-def _tree_from_edges(vertices: frozenset[int], edges: frozenset[tuple[int, int]]) -> Tree:
+def edge_adjacency(
+    vertices: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> dict[int, list[int]]:
+    """Neighbor lists of the graph with the given vertices and edges."""
     adj: dict[int, list[int]] = {v: [] for v in vertices}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
+    return adj
+
+
+def _tree_from_edges(vertices: frozenset[int], edges: frozenset[tuple[int, int]]) -> Tree:
     root = min(vertices)
-    parent = {root: root}
-    order = [root]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for w in sorted(adj[u]):
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-    if len(parent) != len(vertices):
+    if len(reach(edge_adjacency(vertices, edges), root, vertices)) != len(vertices):
         raise ValueError("edge set does not form a connected tree")
-    return Tree(vertices, root, parent, edges)
-
-
-def augment_forest(g: Graph, forest: Sequence[Tree]) -> Tree:
-    """Augment a spanning forest of g to a spanning tree.
-
-    Adds exactly (#components - 1) cross edges; at each union step the
-    lexicographically smallest connecting edge is chosen.
-    """
-    covered: set[int] = set()
-    edges: set[tuple[int, int]] = set()
-    for t in forest:
-        covered |= t.vertices
-        for e in t.edges:
-            if e not in g.edges:
-                raise ValueError(f"forest edge {e} not in graph")
-            edges.add(e)
-    if covered != set(range(g.n)):
-        raise ValueError("forest does not span the graph")
-
-    comp = list(range(g.n))
-
-    def find(x: int) -> int:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for a, b in edges:
-        comp[find(a)] = find(b)
-    ncomp = len({find(v) for v in range(g.n)})
-    candidates = sorted(g.edges - edges)
-    while ncomp > 1:
-        for a, b in candidates:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                comp[ra] = rb
-                edges.add((a, b))
-                ncomp -= 1
-                break
-        else:
-            raise ValueError("graph not connected")
-    return _tree_from_edges(frozenset(range(g.n)), frozenset(edges))
+    return Tree(vertices, root, edges)
 
 
 def tree_center(t: Tree) -> int:
@@ -302,10 +270,7 @@ def tree_center(t: Tree) -> int:
     nt = len(t.vertices)
     if nt == 1:
         return t.root
-    adj: dict[int, list[int]] = {v: [] for v in t.vertices}
-    for a, b in t.edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = edge_adjacency(t.vertices, t.edges)
     # Subtree sizes from a DFS rooted at t.root.
     order = []
     parent = {t.root: None}

@@ -8,9 +8,17 @@ shifted into each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .graphs import Graph, Tree, tree_center
+from .graphs import (
+    Graph,
+    Tree,
+    _tree_from_edges,
+    complete_forest,
+    edge_adjacency,
+    reach,
+    tree_center,
+)
 from .partitions import Partition, RecombMove, SlackBound, apply_move, canonical_key, validate
 from .sequences import AbstractMove, abstract_of, inverted_abstract, resolve_moves
 
@@ -111,36 +119,16 @@ def _district_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
     # a cycle; drop one edge in that degenerate k=1 case.
     if len(edges) == len(members) and edges:
         edges.discard(max(edges))
-    comp = {v: v for v in members}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for a, b in edges:
-        comp[find(a)] = find(b)
-    chords = []
     candidates = sorted(
         e for e in g.edges if e[0] in members and e[1] in members and e not in edges
     )
-    for a, b in candidates:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            comp[ra] = rb
-            edges.add((a, b))
-            chords.append((a, b))
-    if len({find(v) for v in members}) != 1:
-        raise ValueError(f"district {i} is not connected")
-    return edges, frozenset(chords)
+    chords = complete_forest(members, edges, candidates)
+    return edges.union(chords), frozenset(chords)
 
 
 def build_fragment_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int) -> FragmentTree:
     members = p.districts[i]
     edges, chords = _district_tree(g, cycle, p, i)
-    from .graphs import _tree_from_edges
-
     tree = _tree_from_edges(frozenset(members), frozenset(edges))
     center = tree_center(tree)
     frags = tuple(f for f in fragments_of(cycle, p) if f.district == i)
@@ -183,13 +171,8 @@ def _subtree_vertices(ft: FragmentTree, cycle: CycleOrder, idx: int) -> frozense
     for c, par in ft.parent.items():
         if par is not None:
             children[par].append(c)
-    out: set[int] = set()
-    stack = [idx]
-    while stack:
-        u = stack.pop()
-        out |= ft.fragments[u].vertex_set(cycle)
-        stack.extend(children[u])
-    return frozenset(out)
+    below = reach(children, idx, children)
+    return frozenset().union(*(ft.fragments[u].vertex_set(cycle) for u in below))
 
 
 def _is_large(n: int, k: int, size: int) -> bool:
@@ -270,21 +253,7 @@ def step_average(
     all_chords = sorted(chords_i | chords_j)
     if all_chords:
         e = all_chords[0]
-        edges = (edges_i | edges_j | {bridge}) - {e}
-        adj: dict[int, set[int]] = {v: set() for v in union}
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        start = e[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        part_a = frozenset(seen)
+        part_a = _tree_side(union, (edges_i | edges_j | {bridge}) - {e}, e[0])
         part_b = union - part_a
         assert part_b, "removing a tree edge must split the spanning tree"
         return _resolve_pair(p, i, j, part_a, part_b)
@@ -303,6 +272,11 @@ def step_average(
     part_a = frozenset({v})
     part_b = union - part_a
     return _resolve_pair(p, i, j, part_a, part_b)
+
+
+def _tree_side(vertices: frozenset[int], edges, start: int) -> frozenset[int]:
+    """Vertices joined to start by edges, a tree on vertices less one edge."""
+    return frozenset(reach(edge_adjacency(vertices, edges), start, vertices))
 
 
 def _resolve_pair(p: Partition, i: int, j: int, part_a: frozenset, part_b: frozenset) -> RecombMove:
@@ -360,21 +334,7 @@ def steps_singleton(
     d2 = cur.district_of(succ)
     edges2, chords2 = _district_tree(g, cycle, cur, d2)
     assert chords2, "target district must have a chord"
-    e = sorted(chords2)[0]
-    edges = edges2 - {e}
-    adj: dict[int, set[int]] = {v: set() for v in cur.districts[d2]}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {succ}
-    stack = [succ]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    t_minus = frozenset(seen)
+    t_minus = _tree_side(cur.districts[d2], edges2 - {min(chords2)}, succ)
     t_plus = cur.districts[d2] - t_minus
     part_a = frozenset({w}) | t_minus
     m = _resolve_pair(cur, dw, d2, part_a, t_plus)

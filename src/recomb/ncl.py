@@ -9,7 +9,7 @@ gadgets.  Heavy vertices carry integer weights, realized as leaf stars.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph
@@ -361,30 +361,46 @@ def parse_ncl(text: str) -> tuple[NCLInstance, dict[str, Orientation]]:
     edges: list[Optional[tuple[int, int, str]]] = [None] * ne
     orients: dict[str, Orientation] = {}
     i = 1
-    for _ in range(nv):
+
+    def fields(what: str, count: int) -> list[str]:
+        if i >= len(lines):
+            raise ValueError(f"unexpected end of file: expected {what}")
         parts = lines[i].split()
+        if len(parts) != count:
+            raise ValueError(f"expected {what}, got {lines[i]!r}")
+        return parts
+
+    def ident(raw: str, size: int, what: str) -> int:
+        x = int(raw)
+        if not 0 <= x < size:
+            raise ValueError(f"{what} id {x} out of range")
+        return x
+
+    for _ in range(nv):
+        parts = fields("vertex line", 3)
         if parts[0] != "v":
             raise ValueError(f"expected vertex line, got {lines[i]!r}")
-        kinds[int(parts[1])] = parts[2]
+        kinds[ident(parts[1], nv, "vertex")] = parts[2]
         i += 1
     for _ in range(ne):
-        parts = lines[i].split()
+        parts = fields("edge line", 5)
         if parts[0] != "e":
             raise ValueError(f"expected edge line, got {lines[i]!r}")
-        edges[int(parts[1])] = (int(parts[2]), int(parts[3]), parts[4])
+        u, v = ident(parts[2], nv, "vertex"), ident(parts[3], nv, "vertex")
+        edges[ident(parts[1], ne, "edge")] = (u, v, parts[4])
         i += 1
     while i < len(lines):
-        parts = lines[i].split()
+        parts = fields("orient block", 2)
         if parts[0] != "orient":
             raise ValueError(f"expected orient block, got {lines[i]!r}")
         name = parts[1]
         i += 1
         dirs: list[Optional[str]] = [None] * ne
         for _ in range(ne):
-            eid, d = lines[i].split()
+            eid, d = fields("direction line", 2)
             if d not in ("uv", "vu"):
                 raise ValueError(f"bad direction {d!r}")
-            dirs[int(eid)] = d
+            dirs[ident(eid, ne, "edge")] = d
             i += 1
         orients[name] = Orientation(tuple(dirs))
     if any(kind is None for kind in kinds) or any(e is None for e in edges):

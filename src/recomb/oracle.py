@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, find, is_connected
 from .partitions import (
     Partition,
     PartitionKey,
@@ -18,7 +18,6 @@ from .partitions import (
     SlackBound,
     canonical_key,
     enumerate_moves,
-    partition_from_key,
     validate,
 )
 
@@ -167,18 +166,11 @@ def build_space(g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_V
             if i != j:
                 edges.add((min(i, j), max(i, j)))
     comp = list(range(len(nodes)))
-
-    def find(x: int) -> int:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
     for a, b in edges:
-        comp[find(a)] = find(b)
-    roots = sorted({find(i) for i in range(len(nodes))})
+        comp[find(comp, a)] = find(comp, b)
+    roots = sorted({find(comp, i) for i in range(len(nodes))})
     label = {r: i for i, r in enumerate(roots)}
-    return ConfigGraph(nodes, sorted(edges), [label[find(i)] for i in range(len(nodes))])
+    return ConfigGraph(nodes, sorted(edges), [label[find(comp, i)] for i in range(len(nodes))])
 
 
 def decide_br(

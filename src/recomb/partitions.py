@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, connected_components, is_connected
+from .graphs import Graph, is_connected, reach
 
 
 @dataclass(frozen=True)
@@ -272,16 +272,7 @@ def enumerate_moves(
             if not rest:
                 continue
             # Complement connectivity on the contracted graph.
-            rest_set = set(rest)
-            seen = {rest[0]}
-            stack = [rest[0]]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w in rest_set and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(rest_set):
+            if len(reach(adj, rest[0], set(rest))) != len(rest):
                 continue
             new_a = frozenset().union(*(groups[r] for r in side))
             new_b = union - new_a

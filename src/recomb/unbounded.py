@@ -10,9 +10,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, block_cut, is_connected, spanning_tree
+from .graphs import (
+    Graph,
+    complete_forest,
+    connected_components,
+    find_low_degree_block_vertex,
+    is_connected,
+    spanning_tree,
+)
 from .partitions import SLACK_INF, Partition, RecombMove, canonical_key, validate
-from .sequences import AbstractMove, inverted_abstract, resolve_moves
+from .sequences import AbstractMove, resolve_moves
 
 
 def _spanning_union_edges(g: Graph, active: frozenset[int], districts: Sequence[frozenset[int]]):
@@ -21,77 +28,23 @@ def _spanning_union_edges(g: Graph, active: frozenset[int], districts: Sequence[
     edges: set[tuple[int, int]] = set()
     for d in districts:
         edges |= spanning_tree(g, d).edges
-    comp = {v: v for v in active}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for a, b in edges:
-        comp[find(a)] = find(b)
-    ncomp = len({find(v) for v in active})
     candidates = sorted(
         e for e in g.edges if e[0] in active and e[1] in active and e not in edges
     )
-    added = 0
-    while ncomp > 1:
-        for a, b in candidates:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                comp[ra] = rb
-                edges.add((a, b))
-                added += 1
-                ncomp -= 1
-                break
-        else:
-            raise ValueError("induced subgraph not connected")
-    assert added == len(districts) - 1
-    return edges
+    added = complete_forest(active, edges, candidates)
+    assert len(added) == len(districts) - 1
+    return edges.union(added)
 
 
-def _adjacency(edge_set, active):
-    adj: dict[int, set[int]] = {v: set() for v in active}
-    for a, b in edge_set:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
-def _components(adj, members: set[int]) -> list[frozenset[int]]:
-    remaining = set(members)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in remaining and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(frozenset(seen))
-        remaining -= seen
-    return sorted(comps, key=min)
-
-
-def _block_vertex_min_degree(active: frozenset[int], gp_adj) -> int:
+def _block_vertex_min_degree(active: frozenset[int], gp: Graph) -> int:
     """Minimum-degree block vertex of the (relabeled) union-of-trees graph."""
     ordered = sorted(active)
     to_new = {v: i for i, v in enumerate(ordered)}
-    edges = set()
-    for v in active:
-        for w in gp_adj[v]:
-            edges.add((min(to_new[v], to_new[w]), max(to_new[v], to_new[w])))
-    sub = Graph(len(ordered), edges)
-    dec = block_cut(sub)
-    best = min(dec.block_vertices, key=lambda v: (sub.degree(v), v))
-    return ordered[best]
+    sub = Graph(len(ordered), ((to_new[a], to_new[b]) for a, b in gp.edges))
+    return ordered[find_low_degree_block_vertex(sub)]
 
 
-def _singleton_side(gp_adj, districts: list[frozenset[int]], v: int):
+def _singleton_side(gp: Graph, districts: list[frozenset[int]], v: int):
     """Abstract moves emptying v's district down to {v} by donating the
     components of the union-tree restricted to the district minus v.
 
@@ -100,7 +53,7 @@ def _singleton_side(gp_adj, districts: list[frozenset[int]], v: int):
     """
     ds = list(districts)
     own = next(i for i, d in enumerate(ds) if v in d)
-    comps = _components(gp_adj, set(ds[own]) - {v})
+    comps = connected_components(gp, ds[own] - {v})
     forward: list[AbstractMove] = []
     backward: list[AbstractMove] = []
     assert len(comps) <= 3
@@ -109,7 +62,7 @@ def _singleton_side(gp_adj, districts: list[frozenset[int]], v: int):
         for t in range(len(ds)):
             if t == own:
                 continue
-            if any(w in ds[t] for u in comp for w in gp_adj[u]):
+            if any(w in ds[t] for u in comp for w in gp.adj[u]):
                 target = t
                 break
         assert target is not None, "component not adjacent to any other district"
@@ -124,21 +77,16 @@ def _singleton_side(gp_adj, districts: list[frozenset[int]], v: int):
 
 
 def _make_singleton(g: Graph, active: frozenset[int], d1, d2):
-    gp_edges = _spanning_union_edges(g, active, d1) | _spanning_union_edges(g, active, d2)
-    gp_adj = _adjacency(gp_edges, active)
-    v = _block_vertex_min_degree(active, gp_adj)
-    assert len(gp_adj[v]) <= 3, "union of two forests must contain a degree-<=3 block vertex"
-    f1, b1, nd1 = _singleton_side(gp_adj, list(d1), v)
-    f2, b2, nd2 = _singleton_side(gp_adj, list(d2), v)
+    gp = Graph(g.n, _spanning_union_edges(g, active, d1) | _spanning_union_edges(g, active, d2))
+    v = _block_vertex_min_degree(active, gp)
+    assert gp.degree(v) <= 3, "union of two forests must contain a degree-<=3 block vertex"
+    f1, b1, nd1 = _singleton_side(gp, list(d1), v)
+    f2, b2, nd2 = _singleton_side(gp, list(d2), v)
     return v, (f1, b1, nd1), (f2, b2, nd2)
 
 
-def _key(districts) -> tuple:
-    return tuple(sorted(tuple(sorted(d)) for d in districts))
-
-
 def _rec(g: Graph, active: frozenset[int], d1, d2) -> list[AbstractMove]:
-    if _key(d1) == _key(d2):
+    if canonical_key(Partition(tuple(d1))) == canonical_key(Partition(tuple(d2))):
         return []
     v, (f1, _, nd1), (_, b2, nd2) = _make_singleton(g, active, d1, d2)
     sub_active = active - {v}

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import recomb
 from recomb.cli import dot_export, format_cycle, run
 from recomb.graphs import Graph, format_graph, parse_graph
 from recomb.hamiltonian import CycleOrder
@@ -159,6 +162,26 @@ def test_gen_ncl_files(tmp_path):
     pa = parse_partition(read(prefix + ".a.part"))
     assert validate(g, pa, 14, SlackBound(0)).ok
     assert read(prefix + ".map.jsonl").count("\n") > 0
+
+
+@pytest.mark.parametrize(
+    "text", ["ncl 3 2\nv 0 OR\n", "ncl 1 0\nv 5 OR\n"], ids=["truncated", "id-out-of-range"]
+)
+def test_gen_ncl_bad_input_exit_1(tmp_path, capsys, text):
+    nclfile = tmp_path / "bad.ncl"
+    write(nclfile, text)
+    assert run(["gen", "--family", "ncl", "--ncl", str(nclfile), "--s", "0",
+                "--out", str(tmp_path / "red")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_module_entry_point(tmp_path):
+    src = os.path.dirname(os.path.dirname(recomb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "recomb.cli", "--help"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: recomb")
 
 
 def test_sample_deterministic(c8, tmp_path, capsys):

@@ -7,11 +7,13 @@ from recomb.graphs import (
     Graph,
     GraphFormatError,
     block_cut,
+    complete_forest,
     connected_components,
     find_low_degree_block_vertex,
     format_graph,
     is_connected,
     parse_graph,
+    reach,
     spanning_tree,
     tree_center,
 )
@@ -61,6 +63,19 @@ def test_connectivity():
     two = Graph(4, {(0, 1), (2, 3)})
     comps = connected_components(two, {0, 1, 2, 3})
     assert comps == [frozenset({0, 1}), frozenset({2, 3})]
+
+
+def test_reach_stays_inside_within():
+    adj = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
+    assert reach(adj, 0, {0, 1, 3}) == {0, 1}
+    assert reach(path(5).adj, 2, set(range(5))) == set(range(5))
+
+
+def test_complete_forest_kruskal():
+    # (1, 2) closes a cycle once (0, 2) is in, so it is skipped.
+    assert complete_forest(range(4), [(0, 1)], [(0, 2), (1, 2), (2, 3)]) == [(0, 2), (2, 3)]
+    with pytest.raises(ValueError):
+        complete_forest(range(5), [(0, 1)], [(0, 2), (2, 3)])
 
 
 def test_block_cut_path():
