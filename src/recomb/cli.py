@@ -166,7 +166,21 @@ def cmd_decide(args) -> int:
     return 0
 
 
+# The options each generator family reads; argparse leaves them unset.
+_GEN_OPTIONS = {
+    "cycle": ("n",),
+    "path": ("n",),
+    "grid": ("width", "height"),
+    "random": ("n", "m"),
+    "negative": ("k", "s"),
+    "ncl": ("ncl", "s"),
+}
+
+
 def cmd_gen(args) -> int:
+    missing = [f"--{name}" for name in _GEN_OPTIONS[args.family] if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"--family {args.family} requires {' and '.join(missing)}")
     prefix = args.out
     if args.family == "cycle":
         g = gen_cycle(args.n)

@@ -10,12 +10,13 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, find, is_connected
+from .graphs import Graph, find
 from .partitions import (
     Partition,
     PartitionKey,
     RecombMove,
     SlackBound,
+    _connected_parts,
     canonical_key,
     enumerate_moves,
     validate,
@@ -81,8 +82,8 @@ def enumerate_partitions(
 ) -> list[Partition]:
     """All (k,s)-BCPs of g, one per unordered partition, sorted by key.
 
-    Backtracking over vertices in id order with size-feasibility and
-    connectability pruning.
+    Districts are ordered by their smallest vertex.  The search is
+    partitions._connected_parts.
     """
     n = g.n
     if n > vertex_cap:
@@ -93,60 +94,7 @@ def enumerate_partitions(
     m_max = slack.max_size(n, k)
     if m_min > m_max:
         return []
-    out: list[Partition] = []
-    assign = [-1] * n
-    sizes = [0] * k
-
-    def connectable(used: int, next_v: int) -> bool:
-        # Every currently-disconnected piece of a district must still be able
-        # to attach through an unassigned vertex.
-        for d in range(used):
-            members = [v for v in range(next_v) if assign[v] == d]
-            remaining = set(members)
-            comps = []
-            while remaining:
-                start = min(remaining)
-                seen = {start}
-                stack = [start]
-                while stack:
-                    u = stack.pop()
-                    for w in g.adj[u]:
-                        if w in remaining and w not in seen:
-                            seen.add(w)
-                            stack.append(w)
-                comps.append(seen)
-                remaining -= seen
-            if len(comps) > 1:
-                for comp in comps:
-                    if not any(w >= next_v for u in comp for w in g.adj[u]):
-                        return False
-        return True
-
-    def rec(v: int, used: int):
-        if v == n:
-            if used != k:
-                return
-            if any(sizes[d] < m_min for d in range(k)):
-                return
-            districts = [frozenset(x for x in range(n) if assign[x] == d) for d in range(k)]
-            if all(is_connected(g, d) for d in districts):
-                out.append(Partition(tuple(districts)))
-            return
-        remaining = n - v
-        for d in range(min(used + 1, k)):
-            if d < used and sizes[d] >= m_max:
-                continue
-            new_used = max(used, d + 1)
-            sizes[d] += 1
-            assign[v] = d
-            deficit = sum(max(0, m_min - sizes[x]) for x in range(new_used))
-            deficit += (k - new_used) * m_min
-            if deficit <= remaining - 1 and connectable(new_used, v + 1):
-                rec(v + 1, new_used)
-            sizes[d] -= 1
-            assign[v] = -1
-
-    rec(0, 0)
+    out = [Partition(tuple(ds)) for ds in _connected_parts(g, g.vertices(), k, m_min, m_max)]
     out.sort(key=canonical_key)
     return out
 

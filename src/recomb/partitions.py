@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, is_connected, reach
+from .graphs import Graph, connected_components, is_connected, reach
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def _contracted_union(g: Graph, union: frozenset[int], m_min: int):
     return groups, weight, adj
 
 
-def _connected_subsets(nodes, adj, v0, max_weight, weight):
+def _connected_subsets(adj, v0, max_weight, weight):
     """All connected subsets of the contracted graph that contain v0 and whose
     total weight is at most max_weight.  Each subset is yielded exactly once.
     """
@@ -227,6 +227,42 @@ def _connected_subsets(nodes, adj, v0, max_weight, weight):
     start_ext = sorted(adj[v0])
     rec({v0}, weight[v0], start_ext, set())
     return out
+
+
+def _connected_parts(g: Graph, vertices: frozenset[int], parts: int, m_min: int, m_max: int):
+    """Every partition of G[vertices] into `parts` connected parts with sizes
+    in [m_min, m_max], each yielded exactly once as a list of vertex sets.
+
+    The first part holds min(vertices); it is grown as a connected subset of
+    the pendant-contracted graph and kept only if every component of the
+    remainder can hold a whole number of parts, and the remainder recurses.
+    """
+    size = len(vertices)
+    if parts == 1:
+        if m_min <= size <= m_max and is_connected(g, vertices):
+            yield [vertices]
+        return
+    lo = max(m_min, size - (parts - 1) * m_max)
+    hi = min(m_max, size - (parts - 1) * m_min)
+    groups, weight, adj = _contracted_union(g, vertices, m_min)
+    v = min(vertices)
+    v0 = next(r for r, members in groups.items() if v in members)
+    for side in _connected_subsets(adj, v0, hi, weight):
+        # The start group is emitted even when it alone exceeds hi.
+        if not lo <= sum(weight[r] for r in side) <= hi:
+            continue
+        rest = [r for r in groups if r not in side]
+        joined = len(reach(adj, rest[0], set(rest))) == len(rest)
+        if parts == 2 and not joined:
+            continue
+        first = frozenset().union(*(groups[r] for r in side))
+        if parts == 2:
+            yield [first, vertices - first]
+        elif joined or all(
+            -(-len(c) // m_max) <= len(c) // m_min for c in connected_components(g, vertices - first)
+        ):
+            for tail in _connected_parts(g, vertices - first, parts - 1, m_min, m_max):
+                yield [first, *tail]
 
 
 def enumerate_moves(
@@ -254,28 +290,8 @@ def enumerate_moves(
         union = vi | vj
         if not is_connected(g, union):
             continue
-        groups, weight, adj = _contracted_union(g, union, m_min)
-        rep_of = {}
-        for r, members in groups.items():
-            for v in members:
-                rep_of[v] = r
-        v0 = rep_of[min(union)]
-        usize = len(union)
-        hi = min(m_max, usize - m_min)
-        lo = max(m_min, usize - m_max)
         results = []
-        for side in _connected_subsets(sorted(groups), adj, v0, hi, weight):
-            w_side = sum(weight[r] for r in side)
-            if w_side < lo or w_side > hi:
-                continue
-            rest = [r for r in groups if r not in side]
-            if not rest:
-                continue
-            # Complement connectivity on the contracted graph.
-            if len(reach(adj, rest[0], set(rest))) != len(rest):
-                continue
-            new_a = frozenset().union(*(groups[r] for r in side))
-            new_b = union - new_a
+        for new_a, new_b in _connected_parts(g, union, 2, m_min, m_max):
             if {new_a, new_b} == {vi, vj}:
                 continue
             results.append((tuple(sorted(new_a)), new_a, new_b))

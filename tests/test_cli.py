@@ -120,6 +120,15 @@ def test_decide(c8, tmp_path, capsys):
     assert canonical_key(end) == canonical_key(pb)
 
 
+def test_decide_unreachable_exit_0(tmp_path, capsys):
+    prefix = str(tmp_path / "neg")
+    assert run(["gen", "--family", "negative", "--k", "4", "--s", "1", "--out", prefix]) == 0
+    capsys.readouterr()
+    assert run(["decide", "--graph", prefix + ".graph", "--from", prefix + ".a.part",
+                "--to", prefix + ".b.part", "--k", "4", "--slack", "0"]) == 0
+    assert capsys.readouterr().out == "UNREACHABLE\n"
+
+
 def test_gen_families(tmp_path, capsys):
     for family, extra in [
         ("cycle", ["--n", "8"]),
@@ -132,6 +141,24 @@ def test_gen_families(tmp_path, capsys):
         g = parse_graph(read(prefix + ".graph"))
         assert g.n > 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "family, missing",
+    [
+        ("grid", "--width and --height"),
+        ("cycle", "--n"),
+        ("path", "--n"),
+        ("random", "--n and --m"),
+        ("negative", "--k and --s"),
+        ("ncl", "--ncl and --s"),
+    ],
+)
+def test_gen_missing_family_options_exit_1(tmp_path, capsys, family, missing):
+    assert run(["gen", "--family", family, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --family {family} requires {missing}\n"
+    assert not os.listdir(tmp_path)
 
 
 def test_gen_negative_files(tmp_path):

@@ -2,6 +2,9 @@ import itertools
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_partitions import brute_moves
 
 from recomb.graphs import Graph, is_connected
 from recomb.oracle import (
@@ -17,6 +20,7 @@ from recomb.partitions import (
     SLACK_INF,
     SlackBound,
     canonical_key,
+    enumerate_moves,
     validate,
 )
 
@@ -27,6 +31,11 @@ def cycle(n):
 
 def path(n):
     return Graph(n, {(i, i + 1) for i in range(n - 1)})
+
+
+def grid(w, h):
+    return Graph(w * h, {(v, v + 1) for v in range(w * h) if v % w < w - 1}
+                 | {(v, v + w) for v in range(w * (h - 1))})
 
 
 def brute_partitions(g, k, slack):
@@ -51,11 +60,38 @@ def test_enumerate_matches_brute_force():
         (path(6), 2, SlackBound(0)),
         (path(5), 3, SLACK_INF),
         (Graph(5, {(0, 1), (0, 2), (0, 3), (0, 4)}), 2, SLACK_INF),
+        # Finite slack with k >= 3: remainder-fit pruning and per-level
+        # pendant contraction.  In the star every leaf part is too small.
+        (Graph(7, {(0, v) for v in range(1, 7)}), 3, SlackBound(1)),
+        (grid(3, 3), 3, SlackBound(0)),
+        (Graph(7, {(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)}), 3, SlackBound(1)),
     ]
     for g, k, slack in cases:
         got = [canonical_key(p) for p in enumerate_partitions(g, k, slack)]
         assert got == sorted(brute_partitions(g, k, slack))
         assert len(got) == len(set(got))
+
+
+@st.composite
+def small_instances(draw):
+    n = draw(st.integers(1, 7))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5))
+    g = Graph(n, tree | {(a, b) for a, b in extra if a != b})
+    k = draw(st.integers(1, min(4, n)))
+    return g, k, SlackBound(draw(st.sampled_from([0, 1, None])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_instances(), st.data())
+def test_enumerate_partitions_and_moves_match_brute_force(instance, data):
+    g, k, slack = instance
+    parts = enumerate_partitions(g, k, slack)
+    assert [canonical_key(p) for p in parts] == sorted(brute_partitions(g, k, slack))
+    if parts:
+        p = data.draw(st.sampled_from(parts))
+        got = {(m.i, m.j, m.new_i, m.new_j) for m in enumerate_moves(g, p, slack)}
+        assert got == brute_moves(g, p, slack)
 
 
 def test_enumerate_known_counts():
