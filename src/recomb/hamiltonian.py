@@ -317,19 +317,26 @@ def steps_singleton(
     moves: list[RecombMove] = []
     cur = p
     # Shift the chain contents so the singleton ends next to the target.
-    for idx in range(len(chain_districts) - 1):
-        da, db = chain_districts[idx], chain_districts[idx + 1]
-        run = sorted(cur.districts[da] | cur.districts[db], key=lambda v: ((pos[v] - pos[u]) % n))
+    walker = chain_districts[0]
+    for db in chain_districts[1:]:
+        if len(cur.districts[db]) == 1:
+            # A singleton at the end of its own arc: shifting it would be an
+            # identity move, so it walks on in place of the first one.
+            walker = db
+            continue
+        run = sorted(cur.districts[walker] | cur.districts[db], key=lambda v: ((pos[v] - pos[u]) % n))
         cut = len(cur.districts[db])
         part_a = frozenset(run[:cut])
         part_b = frozenset(run[cut:])
-        m = _resolve_pair(cur, da, db, part_a, part_b)
+        m = _resolve_pair(cur, walker, db, part_a, part_b)
         cur = apply_move(g, cur, m, slack)
         moves.append(m)
+        # The label rule may give the walking singleton either label.
+        walker = m.i if m.new_i == part_b else m.j
     # Case 1: absorb one side of a chord split of the multi-fragment district.
     w = cycle.order[chain_positions[-1]]
-    dw = cur.district_of(w)
-    assert len(cur.districts[dw]) == 1
+    dw = walker
+    assert cur.districts[dw] == frozenset({w})
     succ = cycle.order[(chain_positions[-1] + 1) % n]
     d2 = cur.district_of(succ)
     edges2, chords2 = _district_tree(g, cycle, cur, d2)

@@ -14,6 +14,7 @@ from recomb.hamiltonian import (
     step_light,
     transform_hamiltonian,
 )
+from recomb.instances import gen_grid
 from recomb.partitions import Partition, SlackBound, canonical_key, validate
 from recomb.sequences import replay
 
@@ -26,6 +27,17 @@ def cycle_graph(n, chords=()):
 
 def identity_cycle(n):
     return CycleOrder(tuple(range(n)))
+
+
+def serpentine(w, h):
+    """Hamilton cycle of the w x h grid (vertex y*w+x, h even): boustrophedon
+    over columns 1..w-1, back along column 0."""
+    order = []
+    for y in range(h):
+        xs = range(1, w) if y % 2 == 0 else range(w - 1, 0, -1)
+        order.extend(y * w + x for x in xs)
+    order.extend(y * w for y in range(h - 1, -1, -1))
+    return CycleOrder(tuple(order))
 
 
 def random_partition(rng, g, k, slack, tries=400):
@@ -173,6 +185,34 @@ def test_transform_hamiltonian_end_to_end():
             cur = cur.replace(m.i, m.j, m.new_i, m.new_j)
             assert validate(g, cur, k, slack).ok
         assert canonical_key(cur) == canonical_key(p2)
+
+
+def test_singleton_walk_regressions():
+    # Each chain shift labels its pair by the min-vertex rule, so the walking
+    # singleton can end under either label (first input: a shift of the wrong
+    # pair left a part disconnected); a chain district that is already a
+    # singleton walks on itself (second and third: shifting it was an
+    # identity move).
+    g = gen_grid(4, 4)
+    c = serpentine(4, 4)
+    slack = SlackBound(2)
+    for parts, count in [
+        ([[1, 2], [0, 4, 5, 6], [3, 7], [8], [11, 15], [10, 14], [12], [9, 13]], 10),
+        ([[0, 1, 2, 6], [3, 7], [4, 5], [8, 9], [10], [11, 15], [12, 13], [14]], 8),
+        ([[0, 1], [2, 6], [3, 7], [4, 8, 12], [5, 9, 10, 14], [11], [13], [15]], 5),
+    ]:
+        p = Partition.of(parts)
+        moves, canon = canonicalize(g, c, p, slack)
+        assert len(moves) == count
+        assert fragment_count(c, canon) == 8
+        assert replay(g, p, moves, slack).districts == canon.districts
+    # Column strips to row strips on the 8x8 grid, k=8.
+    g = gen_grid(8, 8)
+    cols = Partition.of([[8 * y + x for y in range(8)] for x in range(8)])
+    rows = Partition.of([[8 * y + x for x in range(8)] for y in range(8)])
+    moves = transform_hamiltonian(g, serpentine(8, 8), cols, rows, SlackBound(8))
+    assert len(moves) == 71
+    assert canonical_key(replay(g, cols, moves, SlackBound(8))) == canonical_key(rows)
 
 
 def test_preconditions_enforced():
