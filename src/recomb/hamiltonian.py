@@ -12,7 +12,6 @@ from typing import Optional
 
 from .graphs import (
     Graph,
-    Tree,
     _tree_from_edges,
     complete_forest,
     edge_adjacency,
@@ -20,7 +19,7 @@ from .graphs import (
     tree_center,
 )
 from .partitions import Partition, RecombMove, SlackBound, apply_move, canonical_key, validate
-from .sequences import AbstractMove, abstract_of, inverted_abstract, resolve_moves
+from .sequences import AbstractMove, inverted_abstract, labelled_move, resolve_moves
 
 
 @dataclass(frozen=True)
@@ -60,12 +59,8 @@ class Fragment:
 
 @dataclass(frozen=True)
 class FragmentTree:
-    """Minimum-chord spanning tree of one district plus its fragment structure."""
+    """Fragment structure of one district under its minimum-chord spanning tree."""
 
-    district: int
-    tree: Tree
-    chords: frozenset[tuple[int, int]]
-    center: int
     fragments: tuple[Fragment, ...]  # this district's fragments, cyclic order
     heavy: int  # index into fragments
     parent: dict[int, Optional[int]]  # fragment index -> parent fragment index
@@ -129,8 +124,7 @@ def _district_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
 def build_fragment_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int) -> FragmentTree:
     members = p.districts[i]
     edges, chords = _district_tree(g, cycle, p, i)
-    tree = _tree_from_edges(frozenset(members), frozenset(edges))
-    center = tree_center(tree)
+    center = tree_center(_tree_from_edges(frozenset(members), frozenset(edges)))
     frags = tuple(f for f in fragments_of(cycle, p) if f.district == i)
     frag_sets = [f.vertex_set(cycle) for f in frags]
 
@@ -162,7 +156,7 @@ def build_fragment_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int) -> Fr
     for u in reversed(order):
         if parent[u] is not None:
             weight[parent[u]] += weight[u]
-    return FragmentTree(i, tree, chords, center, frags, heavy, parent, weight)
+    return FragmentTree(frags, heavy, parent, weight)
 
 
 def _subtree_vertices(ft: FragmentTree, cycle: CycleOrder, idx: int) -> frozenset[int]:
@@ -177,12 +171,6 @@ def _subtree_vertices(ft: FragmentTree, cycle: CycleOrder, idx: int) -> frozense
 
 def _is_large(n: int, k: int, size: int) -> bool:
     return k * size > n
-
-
-def _move_for(p: Partition, da: int, db: int, part_a: frozenset, part_b: frozenset) -> RecombMove:
-    if da < db:
-        return RecombMove(da, db, part_a, part_b)
-    return RecombMove(db, da, part_b, part_a)
 
 
 def step_light(g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound) -> Optional[RecombMove]:
@@ -212,7 +200,7 @@ def step_light(g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound) -> 
             shed = _subtree_vertices(ft, cycle, idx)
             part_donor = p.districts[donor_d] - shed
             part_recv = p.districts[recv_d] | shed
-            return _move_for(p, donor_d, recv_d, part_donor, part_recv)
+            return labelled_move(donor_d, recv_d, part_donor, part_recv)
     return None
 
 
@@ -256,7 +244,7 @@ def step_average(
         part_a = _tree_side(union, (edges_i | edges_j | {bridge}) - {e}, e[0])
         part_b = union - part_a
         assert part_b, "removing a tree edge must split the spanning tree"
-        return _resolve_pair(p, i, j, part_a, part_b)
+        return labelled_move(i, j, part_a, part_b)
     # Both districts are single arcs: the union is a chain along C.
     positions = sorted(pos[v] for v in union)
     start_pos = None
@@ -271,7 +259,7 @@ def step_average(
     v = cycle.order[start_pos]
     part_a = frozenset({v})
     part_b = union - part_a
-    return _resolve_pair(p, i, j, part_a, part_b)
+    return labelled_move(i, j, part_a, part_b)
 
 
 def _tree_side(vertices: frozenset[int], edges, start: int) -> frozenset[int]:
@@ -279,17 +267,12 @@ def _tree_side(vertices: frozenset[int], edges, start: int) -> frozenset[int]:
     return frozenset(reach(edge_adjacency(vertices, edges), start, vertices))
 
 
-def _resolve_pair(p: Partition, i: int, j: int, part_a: frozenset, part_b: frozenset) -> RecombMove:
-    """Assign the two new parts to labels i<j deterministically."""
-    a, b = (part_a, part_b) if min(part_a) < min(part_b) else (part_b, part_a)
-    return RecombMove(min(i, j), max(i, j), a, b)
-
-
 def steps_singleton(
     g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound
-) -> list[RecombMove]:
+) -> tuple[list[RecombMove], Partition]:
     """At most k-1 moves that walk a singleton district along single-fragment
-    districts and absorb one side of a chord split, decreasing fragments."""
+    districts and absorb one side of a chord split, decreasing fragments;
+    returns them with the partition they lead to."""
     n = cycle.n
     singles = sorted(v for d in p.districts if len(d) == 1 for v in d)
     if not singles:
@@ -303,15 +286,11 @@ def steps_singleton(
     u = singles[0]
     # Walk clockwise to the first district with two or more fragments.
     t = 1
-    while True:
-        d = p.district_of(cycle.order[(pos[u] + t) % n])
-        if frag_counts[d] >= 2:
-            break
+    while frag_counts[p.district_of(cycle.order[(pos[u] + t) % n])] < 2:
         t += 1
-    chain_positions = [(pos[u] + x) % n for x in range(t)]
     chain_districts: list[int] = []
-    for cp in chain_positions:
-        d = p.district_of(cycle.order[cp])
+    for x in range(t):
+        d = p.district_of(cycle.order[(pos[u] + x) % n])
         if not chain_districts or chain_districts[-1] != d:
             chain_districts.append(d)
     moves: list[RecombMove] = []
@@ -328,26 +307,25 @@ def steps_singleton(
         cut = len(cur.districts[db])
         part_a = frozenset(run[:cut])
         part_b = frozenset(run[cut:])
-        m = _resolve_pair(cur, walker, db, part_a, part_b)
+        m = labelled_move(walker, db, part_a, part_b)
         cur = apply_move(g, cur, m, slack)
         moves.append(m)
         # The label rule may give the walking singleton either label.
         walker = m.i if m.new_i == part_b else m.j
     # Case 1: absorb one side of a chord split of the multi-fragment district.
-    w = cycle.order[chain_positions[-1]]
-    dw = walker
-    assert cur.districts[dw] == frozenset({w})
-    succ = cycle.order[(chain_positions[-1] + 1) % n]
+    w = cycle.order[(pos[u] + t - 1) % n]
+    assert cur.districts[walker] == frozenset({w})
+    succ = cycle.order[(pos[u] + t) % n]
     d2 = cur.district_of(succ)
     edges2, chords2 = _district_tree(g, cycle, cur, d2)
     assert chords2, "target district must have a chord"
     t_minus = _tree_side(cur.districts[d2], edges2 - {min(chords2)}, succ)
     t_plus = cur.districts[d2] - t_minus
     part_a = frozenset({w}) | t_minus
-    m = _resolve_pair(cur, dw, d2, part_a, t_plus)
+    m = labelled_move(walker, d2, part_a, t_plus)
     cur = apply_move(g, cur, m, slack)
     moves.append(m)
-    return moves
+    return moves, cur
 
 
 def _check_preconditions(g: Graph, cycle: CycleOrder, k: int, slack: SlackBound):
@@ -377,18 +355,16 @@ def canonicalize(
             cur = apply_move(g, cur, m, slack)
             moves.append(m)
         elif any(len(d) == 1 for d in cur.districts):
-            for m in steps_singleton(g, cycle, cur, slack):
-                cur = apply_move(g, cur, m, slack)
-                moves.append(m)
+            walk, cur = steps_singleton(g, cycle, cur, slack)
+            moves += walk
         else:
             i, j = find_small_adjacent_pair(cycle, cur)
             m = step_average(g, cycle, cur, i, j, slack)
             cur = apply_move(g, cur, m, slack)
             moves.append(m)
             if fragment_count(cycle, cur) == frags:
-                for m in steps_singleton(g, cycle, cur, slack):
-                    cur = apply_move(g, cur, m, slack)
-                    moves.append(m)
+                walk, cur = steps_singleton(g, cycle, cur, slack)
+                moves += walk
         new_frags = fragment_count(cycle, cur)
         assert new_frags < frags, "fragment count must strictly decrease"
         frags = new_frags
@@ -406,14 +382,18 @@ def _arcs_in_cycle_order(cycle: CycleOrder, p: Partition) -> list[list[int]]:
     ]
 
 
-def _balance_abstract(arcs: list[list[int]], target: int) -> list[AbstractMove]:
+def _balance_abstract(
+    arcs: list[list[int]], target: int
+) -> tuple[list[AbstractMove], list[AbstractMove]]:
     """Bring all cyclically-ordered arcs to the target size, paper-style:
     repeatedly fix the first unbalanced arc by propagating from the first
-    below/above sign change."""
+    below/above sign change. Returns the moves and the moves undoing them."""
     k = len(arcs)
     out: list[AbstractMove] = []
+    undo: list[AbstractMove] = []
 
     def recombine(a: int, b: int, new_len_a: int):
+        undo.append((frozenset(arcs[a]), frozenset(arcs[b])))
         combined = arcs[a] + arcs[b]
         arcs[a] = combined[:new_len_a]
         arcs[b] = combined[new_len_a:]
@@ -433,7 +413,7 @@ def _balance_abstract(arcs: list[list[int]], target: int) -> list[AbstractMove]:
         for i in range(j - 1, m - 1, -1):
             recombine(i, i + 1, target)
         m += 1
-    return out
+    return out, undo[::-1]
 
 
 def _shift_abstract(arcs: list[list[int]], delta: int) -> list[AbstractMove]:
@@ -472,8 +452,8 @@ def canonical_transform(
     target = cycle.n // k
     arcs1 = _arcs_in_cycle_order(cycle, pc1)
     arcs2 = _arcs_in_cycle_order(cycle, pc2)
-    bal1 = _balance_abstract(arcs1, target)
-    bal2 = _balance_abstract(arcs2, target)
+    bal1, _ = _balance_abstract(arcs1, target)
+    _, unbal2 = _balance_abstract(arcs2, target)
     pos = cycle.positions()
     c1 = min(pos[arc[0]] for arc in arcs1) % target
     c2 = min(pos[arc[0]] for arc in arcs2) % target
@@ -481,10 +461,7 @@ def canonical_transform(
     # Rotate bookkeeping so arcs1[0] starts the shift.
     shift = _shift_abstract(arcs1, delta)
     # Undo pc2's balancing at the end.
-    moves2, end2 = resolve_moves(g, pc2, bal2, slack)
-    back2 = inverted_abstract(g, pc2, moves2, slack)
-    abstract = bal1 + shift + back2
-    moves, final = resolve_moves(g, pc1, abstract, slack)
+    moves, final = resolve_moves(g, pc1, bal1 + shift + unbal2, slack)
     assert canonical_key(final) == canonical_key(pc2)
     assert len(moves) <= k * k + 1
     return moves
@@ -502,9 +479,13 @@ def transform_hamiltonian(
     m1, c1 = canonicalize(g, cycle, p1, slack)
     m2, c2 = canonicalize(g, cycle, p2, slack)
     mid = canonical_transform(g, cycle, c1, c2, slack)
-    back = inverted_abstract(g, p2, m2, slack)
-    abstract = abstract_of(m1) + abstract_of(mid) + back
-    moves, final = resolve_moves(g, p1, abstract, slack)
+    # m1 and mid already carry the labels resolve_moves would give them;
+    # only the reverse of m2 is resolved, from where mid ends.
+    cur = c1
+    for m in mid:
+        cur = cur.replace(m.i, m.j, m.new_i, m.new_j)
+    back, final = resolve_moves(g, cur, inverted_abstract(g, p2, m2, slack), slack)
     assert canonical_key(final) == canonical_key(p2)
+    moves = m1 + mid + back
     assert len(moves) <= 2 * k * (n - k) + k * k + 1
     return moves

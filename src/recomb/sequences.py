@@ -1,8 +1,9 @@
 """Move-sequence plumbing shared by the transformation algorithms.
 
-Internally the algorithms produce "abstract" moves, i.e. unlabeled pairs of
-new districts; labels are resolved against a concrete labeled partition when
-a sequence is emitted or replayed.
+`labelled_move` is the one label rule: of two new districts, the one holding
+the smaller vertex takes the smaller label. Sequences built without labels
+("abstract" moves, unlabelled pairs of new districts) are resolved against a
+labelled partition by `resolve_moves`, which applies the same rule.
 """
 
 from __future__ import annotations
@@ -13,6 +14,12 @@ from .graphs import Graph
 from .partitions import Partition, RecombMove, SlackBound, apply_move
 
 AbstractMove = tuple[frozenset, frozenset]
+
+
+def labelled_move(i: int, j: int, part_a: frozenset, part_b: frozenset) -> RecombMove:
+    """The move recombining districts i and j into part_a and part_b."""
+    a, b = (part_a, part_b) if min(part_a) < min(part_b) else (part_b, part_a)
+    return RecombMove(min(i, j), max(i, j), a, b)
 
 
 def resolve_moves(
@@ -30,9 +37,7 @@ def resolve_moves(
         b = cur.district_of(min(rest))
         if cur.districts[a] | cur.districts[b] != union:
             raise ValueError("abstract move union does not match two districts")
-        i, j = min(a, b), max(a, b)
-        new_i, new_j = (part_a, part_b) if min(part_a) < min(part_b) else (part_b, part_a)
-        m = RecombMove(i, j, new_i, new_j)
+        m = labelled_move(a, b, part_a, part_b)
         cur = apply_move(g, cur, m, slack)
         out.append(m)
     return out, cur
@@ -58,6 +63,3 @@ def inverted_abstract(
         cur = apply_move(g, cur, m, slack)
     return [(a, b) for a, b in reversed(states)]
 
-
-def abstract_of(moves: Sequence[RecombMove]) -> list[AbstractMove]:
-    return [(m.new_i, m.new_j) for m in moves]

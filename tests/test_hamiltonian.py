@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recomb.graphs import Graph
 from recomb.hamiltonian import (
@@ -16,7 +18,7 @@ from recomb.hamiltonian import (
 )
 from recomb.instances import gen_grid
 from recomb.partitions import Partition, SlackBound, canonical_key, validate
-from recomb.sequences import replay
+from recomb.sequences import replay, resolve_moves
 
 
 def cycle_graph(n, chords=()):
@@ -148,6 +150,23 @@ def test_canonicalize_reaches_canonical_form():
         assert len(moves) <= k * (n - k)
 
 
+def test_canonicalize_moves_carry_resolved_labels():
+    # canonicalize labels its moves by the rule resolve_moves applies, so
+    # transform_hamiltonian emits them without resolving them again.
+    rng = random.Random(34)
+    for _ in range(60):
+        if rng.random() < 0.5:
+            w, h = rng.choice([(4, 2), (3, 4), (4, 4), (6, 4)])
+            g, c = gen_grid(w, h), serpentine(w, h)
+        else:
+            g, c = random_cycle_with_chords(rng, rng.choice([8, 12, 16]), rng.randint(0, 4))
+        k = rng.choice([d for d in (2, 3, 4, 8) if g.n % d == 0 and d < g.n])
+        slack = SlackBound(g.n // k + rng.randint(0, 1))
+        p = random_partition(rng, g, k, slack)
+        moves, _ = canonicalize(g, c, p, slack)
+        assert resolve_moves(g, p, [(m.new_i, m.new_j) for m in moves], slack)[0] == moves
+
+
 def test_canonical_transform_stays_canonical():
     rng = random.Random(32)
     for _ in range(40):
@@ -185,6 +204,32 @@ def test_transform_hamiltonian_end_to_end():
             cur = cur.replace(m.i, m.j, m.new_i, m.new_j)
             assert validate(g, cur, k, slack).ok
         assert canonical_key(cur) == canonical_key(p2)
+
+
+@st.composite
+def hamiltonian_instances(draw):
+    """An even grid with its serpentine cycle or a cycle with chords (n <= 16),
+    k | n with 2 <= k <= n/2, s in {n/k, n/k + 1}, and two partitions."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        w, h = draw(st.sampled_from([(w, h) for h in (2, 4) for w in range(2, 9) if w * h <= 16]))
+        g, c = gen_grid(w, h), serpentine(w, h)
+    else:
+        n = draw(st.sampled_from([4, 6, 8, 9, 10, 12, 14, 15, 16]))
+        g, c = random_cycle_with_chords(rng, n, draw(st.integers(0, 4)))
+    k = draw(st.sampled_from([d for d in range(2, g.n // 2 + 1) if g.n % d == 0]))
+    slack = SlackBound(g.n // k + draw(st.integers(0, 1)))
+    return g, c, random_partition(rng, g, k, slack), random_partition(rng, g, k, slack), slack
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hamiltonian_instances())
+def test_transform_hamiltonian_property(instance):
+    g, c, p1, p2, slack = instance
+    k, n = p1.k, g.n
+    moves = transform_hamiltonian(g, c, p1, p2, slack)
+    assert len(moves) <= 2 * k * (n - k) + k * k + 1
+    assert canonical_key(replay(g, p1, moves, slack)) == canonical_key(p2)
 
 
 def test_singleton_walk_regressions():

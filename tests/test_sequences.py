@@ -8,7 +8,7 @@ from recomb.partitions import (
     SlackBound,
     canonical_key,
 )
-from recomb.sequences import abstract_of, inverted_abstract, replay, resolve_moves
+from recomb.sequences import inverted_abstract, replay, resolve_moves
 
 
 def cycle(n):
@@ -58,7 +58,3 @@ def test_replay_and_inversion_roundtrip():
     assert len(undone) == len(moves)
     assert canonical_key(final) == canonical_key(p)
 
-
-def test_abstract_of():
-    m = RecombMove(0, 2, frozenset({0}), frozenset({1, 2}))
-    assert abstract_of([m]) == [(frozenset({0}), frozenset({1, 2}))]
