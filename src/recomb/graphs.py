@@ -21,7 +21,7 @@ class GraphFormatError(ValueError):
 class Graph:
     """Undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "adj", "_nbr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -40,6 +40,14 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self._nbr = None
+
+    @property
+    def nbr(self) -> tuple[int, ...]:
+        """Neighbour bit mask of each vertex, built on first use."""
+        if self._nbr is None:
+            self._nbr = tuple(sum(1 << w for w in a) for a in self.adj)
+        return self._nbr
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

@@ -17,6 +17,7 @@ from .partitions import (
     RecombMove,
     SlackBound,
     _connected_parts,
+    _vertex_set,
     canonical_key,
     enumerate_moves,
     validate,
@@ -92,11 +93,10 @@ def enumerate_partitions(
         return []
     m_min = slack.min_size(n, k)
     m_max = slack.max_size(n, k)
-    if m_min > m_max:
-        return []
-    out = [Partition(tuple(ds)) for ds in _connected_parts(g, g.vertices(), k, m_min, m_max)]
-    out.sort(key=canonical_key)
-    return out
+    shared: dict = {}
+    found = _connected_parts(g, (1 << n) - 1, k, m_min, m_max)
+    parts = (Partition(tuple(_vertex_set(d, shared) for d in ds)) for ds in found)
+    return sorted(parts, key=canonical_key)
 
 
 def build_space(g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_VERTEX_CAP) -> ConfigGraph:
@@ -107,8 +107,9 @@ def build_space(g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_V
     nodes = [canonical_key(p) for p in parts]
     index = {key: i for i, key in enumerate(nodes)}
     edges = set()
+    splits: dict = {}
     for i, p in enumerate(parts):
-        for m in enumerate_moves(g, p, slack):
+        for m in enumerate_moves(g, p, slack, _splits=splits):
             q = p.replace(m.i, m.j, m.new_i, m.new_j)
             j = index[canonical_key(q)]
             if i != j:
@@ -154,12 +155,13 @@ def decide_br(
     # Carry labeled partitions through the search: canonical keys reorder
     # districts, which would break label-based `pairs` restrictions.
     frontier: list[tuple[PartitionKey, Partition]] = [(start, pa)]
+    splits: dict = {}
     while frontier:
         next_frontier = []
         for key, p in frontier:
             if max_depth is not None and depth[key] >= max_depth:
                 continue
-            for m in enumerate_moves(g, p, slack, pairs=pairs):
+            for m in enumerate_moves(g, p, slack, pairs=pairs, _splits=splits):
                 q = p.replace(m.i, m.j, m.new_i, m.new_j)
                 qkey = canonical_key(q)
                 if qkey in depth:
@@ -232,8 +234,9 @@ def recom_walk(
     cur = start
     trace: list[tuple[int, PartitionKey]] = []
     halted = False
+    splits: dict = {}
     for _ in range(steps):
-        moves = enumerate_moves(g, cur, slack)
+        moves = enumerate_moves(g, cur, slack, _splits=splits)
         if not moves:
             halted = True
             break

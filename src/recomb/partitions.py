@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, connected_components, is_connected, reach
+from .graphs import Graph, is_connected
 
 
 @dataclass(frozen=True)
@@ -178,90 +178,92 @@ def apply_move(g: Graph, p: Partition, m: RecombMove, slack: SlackBound) -> Part
     return p.replace(m.i, m.j, m.new_i, m.new_j)
 
 
-def _contracted_union(g: Graph, union: frozenset[int], m_min: int):
-    """Contract forced pendants inside G[union].
+def _vertex_set(mask: int, shared: dict) -> frozenset[int]:
+    """The frozenset of a vertex mask, made once per `shared` dict.  Copied
+    from a set, its table fits its size: 472 bytes for 5-7 vertices, not 728."""
+    if mask not in shared:
+        shared[mask] = frozenset({v for v in range(mask.bit_length()) if mask >> v & 1})
+    return shared[mask]
 
-    A vertex whose induced degree is 1 and whose accumulated weight is below
-    the minimum admissible district size can never be separated from its
-    neighbor, so it is merged into it.  Returns (groups, weight, adj) where
-    groups maps a representative to its merged vertex set.
+
+def _spread(adj, seed: int, within: int) -> int:
+    """Mask of the vertices reachable from the vertices of `seed` inside
+    `within`; adj[v] is the neighbour mask of vertex v."""
+    seen = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        new = adj[low.bit_length() - 1] & within & ~seen
+        seen |= new
+        frontier ^= low | new
+    return seen
+
+
+def _contracted_union(g: Graph, union: int, m_min: int):
+    """Merge every forced pendant of G[union] into its neighbour: a vertex of
+    induced degree 1 whose group is lighter than m_min can never be cut off.
+    Returns (group, adj, start): the vertex mask merged into each vertex, its
+    neighbour mask among the vertices left, and the one that holds min(union)."""
+    adj = [m & union for m in g.nbr]
+    group = [1 << v for v in range(g.n)]
+    start = (union & -union).bit_length() - 1
+    stack = [v for v in range(g.n) if union >> v & 1 and adj[v].bit_count() == 1]
+    while stack:
+        v = stack.pop()
+        if adj[v].bit_count() == 1 and group[v].bit_count() < m_min:
+            u = adj[v].bit_length() - 1
+            group[u] |= group[v]
+            adj[u] ^= 1 << v
+            adj[v] = 0
+            start = u if start == v else start
+            stack.append(u)
+    return group, adj, start
+
+
+def _connected_parts(g: Graph, vertices: int, parts: int, m_min: int, m_max: int):
+    """Every partition of G[vertices] (a vertex mask) into `parts` connected
+    parts with sizes in [m_min, m_max], each yielded once as a list of masks.
+
+    The first part holds min(vertices).  It is grown ESU-style (Wernicke
+    2006) on the pendant-contracted graph and kept only if every component of
+    the rest can hold a whole number of parts, and the rest recurses.
     """
-    groups: dict[int, set[int]] = {v: {v} for v in union}
-    weight = {v: 1 for v in union}
-    adj: dict[int, set[int]] = {v: {w for w in g.adj[v] if w in union} for v in union}
-    changed = True
-    while changed and m_min > 1:
-        changed = False
-        for v in sorted(groups):
-            if v in groups and len(adj[v]) == 1 and weight[v] < m_min:
-                (u,) = adj[v]
-                groups[u] |= groups.pop(v)
-                weight[u] += weight.pop(v)
-                adj[u].discard(v)
-                del adj[v]
-                changed = True
-    return groups, weight, adj
-
-
-def _connected_subsets(adj, v0, max_weight, weight):
-    """All connected subsets of the contracted graph that contain v0 and whose
-    total weight is at most max_weight.  Each subset is yielded exactly once.
-    """
-    out = []
-
-    def rec(current: set, w: int, extension: list, forbidden: set):
-        out.append(frozenset(current))
-        for idx, v in enumerate(extension):
-            nw = w + weight[v]
-            if nw > max_weight:
-                continue
-            new_forbidden = forbidden | set(extension[:idx])
-            new_ext = [x for x in extension[idx + 1 :]]
-            for nb in sorted(adj[v]):
-                if nb not in current and nb not in new_forbidden and nb != v and nb not in new_ext:
-                    new_ext.append(nb)
-            current.add(v)
-            rec(current, nw, new_ext, new_forbidden)
-            current.remove(v)
-
-    start_ext = sorted(adj[v0])
-    rec({v0}, weight[v0], start_ext, set())
-    return out
-
-
-def _connected_parts(g: Graph, vertices: frozenset[int], parts: int, m_min: int, m_max: int):
-    """Every partition of G[vertices] into `parts` connected parts with sizes
-    in [m_min, m_max], each yielded exactly once as a list of vertex sets.
-
-    The first part holds min(vertices); it is grown as a connected subset of
-    the pendant-contracted graph and kept only if every component of the
-    remainder can hold a whole number of parts, and the remainder recurses.
-    """
-    size = len(vertices)
-    if parts == 1:
-        if m_min <= size <= m_max and is_connected(g, vertices):
-            yield [vertices]
-        return
+    size, nbr = vertices.bit_count(), g.nbr
     lo = max(m_min, size - (parts - 1) * m_max)
     hi = min(m_max, size - (parts - 1) * m_min)
-    groups, weight, adj = _contracted_union(g, vertices, m_min)
-    v = min(vertices)
-    v0 = next(r for r, members in groups.items() if v in members)
-    for side in _connected_subsets(adj, v0, hi, weight):
-        # The start group is emitted even when it alone exceeds hi.
-        if not lo <= sum(weight[r] for r in side) <= hi:
-            continue
-        rest = [r for r in groups if r not in side]
-        joined = len(reach(adj, rest[0], set(rest))) == len(rest)
-        if parts == 2 and not joined:
-            continue
-        first = frozenset().union(*(groups[r] for r in side))
+    if parts == 1:
+        if lo <= size <= hi and _spread(nbr, vertices & -vertices, vertices) == vertices:
+            yield [vertices]
+        return
+    group, adj, start = _contracted_union(g, vertices, m_min)
+    firsts = []
+
+    def grow(first: int, ext: int, excl: int):
+        # first: vertices taken; ext: groups to try next; excl: groups taken or passed.
+        if first.bit_count() >= lo:
+            firsts.append(first)
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            excl |= low
+            r = low.bit_length() - 1
+            if (first | group[r]).bit_count() <= hi:
+                grow(first | group[r], (ext | adj[r]) & ~excl, excl)
+
+    if group[start].bit_count() <= hi:
+        grow(group[start], adj[start], 1 << start)
+    for first in firsts:
+        rest = left = vertices ^ first
         if parts == 2:
-            yield [first, vertices - first]
-        elif joined or all(
-            -(-len(c) // m_max) <= len(c) // m_min for c in connected_components(g, vertices - first)
-        ):
-            for tail in _connected_parts(g, vertices - first, parts - 1, m_min, m_max):
+            if _spread(nbr, rest & -rest, rest) == rest:
+                yield [first, rest]
+            continue
+        while left:  # every component of the rest must hold a whole number of parts
+            comp = _spread(nbr, left & -left, left)
+            if -(-comp.bit_count() // m_max) > comp.bit_count() // m_min:
+                break
+            left ^= comp
+        else:
+            for tail in _connected_parts(g, rest, parts - 1, m_min, m_max):
                 yield [first, *tail]
 
 
@@ -270,6 +272,8 @@ def enumerate_moves(
     p: Partition,
     slack: SlackBound,
     pairs: Optional[Sequence[tuple[int, int]]] = None,
+    *,
+    _splits: Optional[dict] = None,
 ) -> list[RecombMove]:
     """All recombination moves applicable to p, deduplicated up to unordered
     equality of the resulting partition, in deterministic order.
@@ -277,27 +281,28 @@ def enumerate_moves(
     Only district pairs whose union induces a connected subgraph are
     considered: a union with two components admits only the identity
     repartition.  The optional `pairs` argument restricts the district pairs
-    scanned (used for locality-restricted searches).
+    scanned (used for locality-restricted searches).  `_splits` is the split
+    table of one search over fixed (g, k, slack): a dict from a union mask to
+    its splits (mask, part, rest), sorted by the part that holds min(union),
+    filled and read here; its key 0 (no union) holds one frozenset per part.
     """
-    n, k = g.n, p.k
-    m_min = slack.min_size(n, k)
-    m_max = slack.max_size(n, k)
+    m_min, m_max = slack.min_size(g.n, p.k), slack.max_size(g.n, p.k)
+    table = {} if _splits is None else _splits
+    shared = table.setdefault(0, {})
+    masks = [sum(1 << v for v in d) for d in p.districts]
     moves: list[RecombMove] = []
     if pairs is None:
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        pairs = [(i, j) for i in range(p.k) for j in range(i + 1, p.k)]
     for i, j in sorted(set((min(a, b), max(a, b)) for a, b in pairs)):
-        vi, vj = p.districts[i], p.districts[j]
-        union = vi | vj
-        if not is_connected(g, union):
-            continue
-        results = []
-        for new_a, new_b in _connected_parts(g, union, 2, m_min, m_max):
-            if {new_a, new_b} == {vi, vj}:
-                continue
-            results.append((tuple(sorted(new_a)), new_a, new_b))
-        results.sort()
-        for _, new_a, new_b in results:
-            moves.append(RecombMove(i, j, new_a, new_b))
+        union = masks[i] | masks[j]
+        if union not in table:
+            connected = _spread(g.nbr, union & -union, union) == union
+            found = _connected_parts(g, union, 2, m_min, m_max) if connected else ()
+            splits = [(a, _vertex_set(a, shared), _vertex_set(b, shared)) for a, b in found]
+            table[union] = sorted(splits, key=lambda split: sorted(split[1]))
+        # A part equal to district i or j makes the identity split.
+        old = (masks[i], masks[j])
+        moves += [RecombMove(i, j, a, b) for mask, a, b in table[union] if mask not in old]
     return moves
 
 
@@ -311,6 +316,8 @@ def parse_partition(text: str) -> Partition:
         raise ValueError("first line must be 'k <k>'")
     k = int(head[1])
     labels = [int(x) for x in lines[1].split()]
+    if not 1 <= k <= len(labels):  # before the districts are allocated
+        raise ValueError(f"k must be between 1 and the label count {len(labels)}")
     if any(not (0 <= lab < k) for lab in labels):
         raise ValueError("district label out of range")
     districts: list[set[int]] = [set() for _ in range(k)]

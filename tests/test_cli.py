@@ -60,6 +60,17 @@ def test_validate_failure_exit_2(c8, capsys, tmp_path):
     assert "size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("head", ["k 99999999999", "k 9", "k 0"])
+def test_validate_k_outside_labels_exit_1(c8, capsys, tmp_path, head):
+    # k above the label count can only describe empty districts; a huge k
+    # must be refused before its districts are allocated.
+    _, gp, _, _, _ = c8
+    bad = tmp_path / "bad.part"
+    write(bad, head + "\n0 0 0 0 1 1 1 1\n")
+    assert run(["validate", "--graph", gp, "--partition", str(bad), "--k", "2", "--slack", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_usage_error_exit_1(capsys):
     assert run(["validate", "--graph", "/nonexistent", "--partition", "/x", "--k", "2", "--slack", "1"]) == 1
     assert run(["frobnicate"]) == 1

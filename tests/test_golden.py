@@ -1,9 +1,12 @@
-"""Byte-level pins of transform output and of one explore run.
+"""Byte-level pins of transform output, of one explore run and of the
+enumeration layers.
 
 The move sequences are deterministic functions of the inputs; these hashes
 catch any change in which moves the transforms choose or in their order.
 The explore pin covers the component labelling of `build_space`, which
-fixes the order of the `diameters` line.
+fixes the order of the `diameters` line.  The enumeration pins cover every
+partition of a 20-vertex grid and the ordered move lists along a walk on
+the 8x8 grid, past the oracle's vertex cap.
 """
 
 import hashlib
@@ -13,7 +16,8 @@ import pytest
 from recomb.cli import run
 from recomb.hamiltonian import CycleOrder, transform_hamiltonian
 from recomb.instances import gen_grid
-from recomb.partitions import Partition, SlackBound, format_moves
+from recomb.oracle import enumerate_partitions, recom_walk
+from recomb.partitions import Partition, SlackBound, canonical_key, enumerate_moves, format_moves
 from recomb.unbounded import transform_unbounded
 
 GRID = gen_grid(6, 4)
@@ -74,3 +78,33 @@ def test_explore_negative_golden(tmp_path, capsys):
     capsys.readouterr()
     assert run(["explore", "--graph", prefix + ".graph", "--k", "4", "--slack", "0"]) == 0
     assert capsys.readouterr().out == "nodes 58\nedges 186\ncomponents 2\ndiameters 5 2\n"
+
+
+def test_enumerate_partitions_grid5x4_golden():
+    parts = enumerate_partitions(gen_grid(5, 4), 4, SlackBound(1))
+    lines = (" | ".join(" ".join(map(str, d)) for d in canonical_key(p)) for p in parts)
+    assert len(parts) == 9459
+    assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == (
+        "e00e62e872636081bffec5694f39befb034abcbfb48fea7598c1101aad6b3d75"
+    )
+
+
+def test_walk_move_lists_golden():
+    # The move lists of ten states of a seeded walk on the 8x8 grid, k=8,
+    # s=1, from its 4x2 blocks: each list in order, concatenated.
+    g = gen_grid(8, 8)
+    slack = SlackBound(1)
+    cur = Partition.of([[v for v in range(64) if (v // 16) * 2 + v % 8 // 4 == d] for d in range(8)])
+    trace = recom_walk(g, 8, slack, cur, 9, 2024)
+    moves = enumerate_moves(g, cur, slack)
+    texts = [format_moves(moves)]
+    for idx, key in trace.steps:
+        m = moves[idx]
+        cur = cur.replace(m.i, m.j, m.new_i, m.new_j)
+        assert canonical_key(cur) == key
+        moves = enumerate_moves(g, cur, slack)
+        texts.append(format_moves(moves))
+    assert [t.count("\n") for t in texts[:3]] == [1322, 1089, 692]
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "f6b6fdbd5d9e13aead506ea0b1f0205a36b9fd32ae8322ffdafc1dc1a96473f6"
+    )

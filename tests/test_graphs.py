@@ -46,6 +46,7 @@ def test_graph_basics():
     assert g.degree(0) == 1 and g.degree(1) == 2
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert not g.has_edge(0, 3)
+    assert g.nbr == (0b0010, 0b0101, 0b1010, 0b0100)
 
 
 def test_graph_rejects_bad_edges():

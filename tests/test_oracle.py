@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_partitions import brute_moves
 
+from recomb import oracle
 from recomb.graphs import Graph, is_connected
 from recomb.oracle import (
     OracleCapError,
@@ -65,6 +68,9 @@ def test_enumerate_matches_brute_force():
         (Graph(7, {(0, v) for v in range(1, 7)}), 3, SlackBound(1)),
         (grid(3, 3), 3, SlackBound(0)),
         (Graph(7, {(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)}), 3, SlackBound(1)),
+        # Pendant contraction folds this whole tree into one group of 6
+        # vertices, heavier than a district of 3: there is no partition.
+        (Graph(6, {(0, 1), (0, 5), (1, 2), (1, 4), (2, 3)}), 2, SlackBound(0)),
     ]
     for g, k, slack in cases:
         got = [canonical_key(p) for p in enumerate_partitions(g, k, slack)]
@@ -74,12 +80,24 @@ def test_enumerate_matches_brute_force():
 
 @st.composite
 def small_instances(draw):
-    n = draw(st.integers(1, 7))
-    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    extra = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5))
-    g = Graph(n, tree | {(a, b) for a, b in extra if a != b})
-    k = draw(st.integers(1, min(4, n)))
-    return g, k, SlackBound(draw(st.sampled_from([0, 1, None])))
+    """Connected graphs with n <= 7 and k <= 4, or bare trees and caterpillars
+    with n <= 8 and k <= 3, whose pendant chains the search contracts."""
+    shape = draw(st.sampled_from(["graph", "tree", "caterpillar"]))
+    n = draw(st.integers(1, 7 if shape == "graph" else 8))
+    if shape == "caterpillar":
+        spine = draw(st.integers(1, n))
+        edges = {(v - 1, v) for v in range(1, spine)}
+        edges |= {(draw(st.integers(0, spine - 1)), v) for v in range(spine, n)}
+    else:
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if shape == "graph":
+        extra = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5))
+        edges |= {(a, b) for a, b in extra if a != b}
+    else:
+        perm = draw(st.permutations(range(n)))
+        edges = {(perm[a], perm[b]) for a, b in edges}
+    k = draw(st.integers(1, min(4 if shape == "graph" else 3, n)))
+    return Graph(n, edges), k, SlackBound(draw(st.sampled_from([0, 1, None])))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -243,3 +261,52 @@ def test_recom_walk_halts_without_moves():
     start = Partition.of([[0, 1], [2, 3]])
     t = recom_walk(g, 2, SlackBound(0), start, 5, seed=1)
     assert t.halted_early and len(t.steps) == 0
+
+
+def blocks8x8(seed):
+    """The 8x8 grid's eight 4x2 blocks, labelled in a seeded order."""
+    labels = list(range(8))
+    random.Random(seed).shuffle(labels)
+    return Partition.of(
+        [[v for v in range(64) if labels[(v // 16) * 2 + v % 8 // 4] == d] for d in range(8)]
+    )
+
+
+def test_split_table_changes_no_moves(monkeypatch):
+    # Every enumerate_moves call of a search reads and fills that search's
+    # one split table; what it returns must equal a call without the table.
+    tables = []
+
+    def checked(g, p, slack, pairs=None, **table):
+        got = enumerate_moves(g, p, slack, pairs, **table)
+        assert got == enumerate_moves(g, p, slack, pairs)
+        tables.append(table["_splits"])
+        return got
+
+    monkeypatch.setattr(oracle, "enumerate_moves", checked)
+    g = grid(8, 8)
+    for seed in range(3):
+        tables.clear()
+        trace = recom_walk(g, 8, SlackBound(1), blocks8x8(seed), 6, seed)
+        assert len(trace.steps) == 6
+        assert len(tables) == 6 and all(t is tables[0] for t in tables)
+    g = grid(6, 5)
+    pa = Partition.of([[v for v in range(30) if v % 6 == c] for c in range(6)])
+    # Columns 0-1 and 3-4 re-split into top and bottom halves: two moves.
+    pb = Partition.of([[0, 1, 6, 7, 12], [13, 18, 19, 24, 25], [2, 8, 14, 20, 26],
+                       [3, 4, 9, 10, 15], [16, 21, 22, 27, 28], [5, 11, 17, 23, 29]])
+    tables.clear()
+    ok, path_ = decide_br(g, 6, SlackBound(0), pa, pb, pairs=[(0, 1), (1, 2), (3, 4)])
+    assert ok and len(path_) == 2
+    assert len(tables) > 1 and all(t is tables[0] for t in tables)
+
+
+def test_build_space_grid4x4_pinned():
+    # Nodes, edges and the sha256 of the edge list, computed with the
+    # frozenset search that the mask search and its split tables replace.
+    cg = build_space(grid(4, 4), 4, SlackBound(1))
+    assert (len(cg.nodes), len(cg.edges)) == (1953, 19858)
+    text = "\n".join(f"{a} {b}" for a, b in cg.edges)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a87f49b7de8a7af28eee4006f0c2dcbed15265a486cfc1eeb336ad9804be67c0"
+    )
