@@ -73,7 +73,8 @@ class FragmentTree:
 def fragments_of(cycle: CycleOrder, p: Partition) -> list[Fragment]:
     """All fragments of all districts, in cyclic order along C."""
     n = cycle.n
-    dist_at = [p.district_of(v) for v in cycle.order]
+    label = {v: i for i, d in enumerate(p.districts) for v in d}
+    dist_at = [label[v] for v in cycle.order]
     start = None
     for t in range(n):
         if dist_at[t] != dist_at[t - 1]:

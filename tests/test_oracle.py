@@ -10,8 +10,11 @@ from test_partitions import brute_moves
 
 from recomb import oracle
 from recomb.graphs import Graph, is_connected
+from recomb.instances import gen_negative
 from recomb.oracle import (
+    ConfigGraph,
     OracleCapError,
+    SpaceStats,
     build_space,
     decide_br,
     enumerate_partitions,
@@ -151,7 +154,68 @@ def test_build_space_cycle():
     st = space_stats(cg)
     assert st.node_count == 3
     assert st.component_count == 1
-    assert st.diameters and all(d >= 1 for d in st.diameters)
+    assert st.diameters == (1,)
+
+
+def reference_space_stats(cg):
+    """One BFS per node: the referee for the multi-source BFS in space_stats."""
+    diam = [0] * cg.component_count
+    for src in range(len(cg.nodes)):
+        dist = {src: 0}
+        frontier = [src]
+        far = 0
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in cg.neighbors(u):
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        far = max(far, dist[w])
+                        nxt.append(w)
+            frontier = nxt
+        c = cg.component[src]
+        diam[c] = max(diam[c], far)
+    return SpaceStats(len(cg.nodes), len(cg.edges), cg.component_count, tuple(diam))
+
+
+def assert_stats_match_reference(cg, batches=(1, 3, 7)):
+    # Narrow batches split a space into several, so the maximum over a
+    # component's batches is checked as well.
+    want = reference_space_stats(cg)
+    assert space_stats(cg) == want
+    for batch in batches:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_BATCH", batch)
+            assert space_stats(cg) == want
+    return want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_instances())
+def test_space_stats_matches_reference(instance):
+    assert_stats_match_reference(build_space(*instance))
+
+
+@pytest.mark.parametrize("g, k, s, want, batches", [
+    # k > n: no partition, so no component.
+    (cycle(4), 5, None, SpaceStats(0, 0, 0, ()), (1, 3, 7)),
+    # C6 cut into three pairs at s=0: two partitions, neither has a move.
+    (cycle(6), 3, 0, SpaceStats(2, 0, 2, (0, 0)), (1, 3, 7)),
+    (gen_negative(4, 1)[0], 4, 0, SpaceStats(58, 186, 2, (5, 2)), (1, 3, 7)),
+    (grid(4, 4), 4, 0, SpaceStats(117, 372, 1, (6,)), (1, 3, 7)),
+    (gen_negative(4, 1)[0], 4, 1, SpaceStats(1115, 10510, 1, (10,)), (100,)),
+], ids=["k-above-n", "isolated", "negative-s0", "grid4x4-s0", "negative-s1"])
+def test_space_stats_fixed_spaces(g, k, s, want, batches):
+    assert assert_stats_match_reference(build_space(g, k, SlackBound(s)), batches) == want
+
+
+def test_space_stats_rejects_edges_that_are_not_the_moves():
+    # space_stats groups the edges into cliques by the districts their ends
+    # share; with a move missing, a group is no clique and the graph is
+    # refused instead of measured wrongly.
+    cg = build_space(cycle(6), 2, SlackBound(0))
+    with pytest.raises(ValueError):
+        space_stats(ConfigGraph(cg.nodes, cg.edges[:-1], cg.component))
 
 
 def test_decide_br_path_and_validation():
@@ -310,3 +374,5 @@ def test_build_space_grid4x4_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a87f49b7de8a7af28eee4006f0c2dcbed15265a486cfc1eeb336ad9804be67c0"
     )
+    # Diameter 5 from the per-node BFS (reference_space_stats), 1,953 runs.
+    assert space_stats(cg) == SpaceStats(1953, 19858, 1, (5,))
