@@ -69,11 +69,7 @@ def format_cycle(cycle: CycleOrder) -> str:
 
 def dot_export(g: Graph, p: Partition | None = None) -> str:
     lines = ["graph G {", "  node [style=filled];"]
-    label = {}
-    if p is not None:
-        for i, d in enumerate(p.districts):
-            for v in d:
-                label[v] = i
+    label = p.labels if p is not None else {}
     for v in range(g.n):
         if v in label:
             color = _DOT_COLORS[label[v] % len(_DOT_COLORS)]

@@ -52,29 +52,12 @@ class Fragment:
     start: int
     length: int
 
-    def vertex_set(self, cycle: CycleOrder) -> frozenset[int]:
-        n = cycle.n
-        return frozenset(cycle.order[(self.start + i) % n] for i in range(self.length))
-
-
-@dataclass(frozen=True)
-class FragmentTree:
-    """Fragment structure of one district under its minimum-chord spanning tree."""
-
-    fragments: tuple[Fragment, ...]  # this district's fragments, cyclic order
-    heavy: int  # index into fragments
-    parent: dict[int, Optional[int]]  # fragment index -> parent fragment index
-    subtree_weight: dict[int, int]  # fragment index -> vertices in its subtree
-
-    def is_light(self, idx: int) -> bool:
-        return idx != self.heavy
-
 
 def fragments_of(cycle: CycleOrder, p: Partition) -> list[Fragment]:
     """All fragments of all districts, in cyclic order along C."""
     n = cycle.n
-    label = {v: i for i, d in enumerate(p.districts) for v in d}
-    dist_at = [label[v] for v in cycle.order]
+    labels = p.labels
+    dist_at = [labels[v] for v in cycle.order]
     start = None
     for t in range(n):
         if dist_at[t] != dist_at[t - 1]:
@@ -122,52 +105,42 @@ def _district_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
     return edges.union(chords), frozenset(chords)
 
 
-def build_fragment_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int) -> FragmentTree:
+def _center_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
+    """District i's minimum-chord tree as (edges, chords, up): up[v] is the
+    next vertex on v's tree path to the tree's centre, None at the centre."""
     members = p.districts[i]
     edges, chords = _district_tree(g, cycle, p, i)
-    center = tree_center(_tree_from_edges(frozenset(members), frozenset(edges)))
-    frags = tuple(f for f in fragments_of(cycle, p) if f.district == i)
-    frag_sets = [f.vertex_set(cycle) for f in frags]
-
-    def frag_of(v: int) -> int:
-        for idx, s in enumerate(frag_sets):
-            if v in s:
-                return idx
-        raise KeyError(v)
-
-    heavy = frag_of(center)
-    # Fragment-level tree induced by the chosen chords.
-    fadj: dict[int, set[int]] = {idx: set() for idx in range(len(frags))}
-    for a, b in chords:
-        fa, fb = frag_of(a), frag_of(b)
-        fadj[fa].add(fb)
-        fadj[fb].add(fa)
-    parent: dict[int, Optional[int]] = {heavy: None}
-    order = [heavy]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for w in sorted(fadj[u]):
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-    assert len(parent) == len(frags)
-    weight = {idx: frags[idx].length for idx in range(len(frags))}
-    for u in reversed(order):
-        if parent[u] is not None:
-            weight[parent[u]] += weight[u]
-    return FragmentTree(frags, heavy, parent, weight)
+    adj = edge_adjacency(members, edges)
+    center = tree_center(_tree_from_edges(members, frozenset(edges)))
+    up: dict[int, Optional[int]] = {center: None}
+    stack = [center]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in up:
+                up[w] = u
+                stack.append(w)
+    return edges, chords, up
 
 
-def _subtree_vertices(ft: FragmentTree, cycle: CycleOrder, idx: int) -> frozenset[int]:
-    """Vertices of a fragment and all its descendants."""
-    children: dict[int, list[int]] = {i: [] for i in range(len(ft.fragments))}
-    for c, par in ft.parent.items():
-        if par is not None:
-            children[par].append(c)
-    below = reach(children, idx, children)
-    return frozenset().union(*(ft.fragments[u].vertex_set(cycle) for u in below))
+def _light_subtree(tree, members: frozenset[int], v: int) -> Optional[frozenset[int]]:
+    """The light subtree holding v, or None when v lies in the heavy fragment.
+
+    The fragment holding the centre of the district's minimum-chord tree is
+    the heavy one.  Root the fragment tree (fragments joined by the tree's
+    chords) at it: the light subtree of v's fragment is that fragment plus
+    the fragments below it.  The first chord on the tree path from v to the
+    centre joins v's fragment to its parent fragment, so v's side of that
+    chord is exactly this subtree.
+    """
+    edges, chords, up = tree
+    x = v
+    while up[x] is not None:
+        e = (min(x, up[x]), max(x, up[x]))
+        if e in chords:
+            return _tree_side(members, edges - {e}, v)
+        x = up[x]
+    return None
 
 
 def _is_large(n: int, k: int, size: int) -> bool:
@@ -178,11 +151,12 @@ def step_light(g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound) -> 
     """A move shedding a light fragment of a large district into an adjacent
     small district, when one exists; scans cycle positions ascending."""
     n, k = cycle.n, p.k
-    trees: dict[int, FragmentTree] = {}
+    labels = p.labels
+    trees: dict[int, tuple] = {}
     for pos in range(n):
         u = cycle.order[pos]
         w = cycle.order[(pos + 1) % n]
-        du, dw = p.district_of(u), p.district_of(w)
+        du, dw = labels[u], labels[w]
         if du == dw:
             continue
         for donor_v, donor_d, recv_d in ((u, du, dw), (w, dw, du)):
@@ -191,14 +165,10 @@ def step_light(g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound) -> 
             if _is_large(n, k, len(p.districts[recv_d])):
                 continue
             if donor_d not in trees:
-                trees[donor_d] = build_fragment_tree(g, cycle, p, donor_d)
-            ft = trees[donor_d]
-            idx = next(
-                i for i, f in enumerate(ft.fragments) if donor_v in f.vertex_set(cycle)
-            )
-            if not ft.is_light(idx):
+                trees[donor_d] = _center_tree(g, cycle, p, donor_d)
+            shed = _light_subtree(trees[donor_d], p.districts[donor_d], donor_v)
+            if shed is None:
                 continue
-            shed = _subtree_vertices(ft, cycle, idx)
             part_donor = p.districts[donor_d] - shed
             part_recv = p.districts[recv_d] | shed
             return labelled_move(donor_d, recv_d, part_donor, part_recv)
@@ -208,10 +178,11 @@ def step_light(g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound) -> 
 def find_small_adjacent_pair(cycle: CycleOrder, p: Partition) -> tuple[int, int]:
     """First pair of districts adjacent along C with combined size <= 2n/k."""
     n, k = cycle.n, p.k
+    labels = p.labels
     for pos in range(n):
         u = cycle.order[pos]
         w = cycle.order[(pos + 1) % n]
-        du, dw = p.district_of(u), p.district_of(w)
+        du, dw = labels[u], labels[w]
         if du != dw and k * (len(p.districts[du]) + len(p.districts[dw])) <= 2 * n:
             return du, dw
     raise ValueError("no pair found")
@@ -287,11 +258,11 @@ def steps_singleton(
     u = singles[0]
     # Walk clockwise to the first district with two or more fragments.
     t = 1
-    while frag_counts[p.district_of(cycle.order[(pos[u] + t) % n])] < 2:
+    while frag_counts[p.labels[cycle.order[(pos[u] + t) % n]]] < 2:
         t += 1
     chain_districts: list[int] = []
     for x in range(t):
-        d = p.district_of(cycle.order[(pos[u] + x) % n])
+        d = p.labels[cycle.order[(pos[u] + x) % n]]
         if not chain_districts or chain_districts[-1] != d:
             chain_districts.append(d)
     moves: list[RecombMove] = []
@@ -485,7 +456,7 @@ def transform_hamiltonian(
     cur = c1
     for m in mid:
         cur = cur.replace(m.i, m.j, m.new_i, m.new_j)
-    back, final = resolve_moves(g, cur, inverted_abstract(g, p2, m2, slack), slack)
+    back, final = resolve_moves(g, cur, inverted_abstract(p2, m2), slack)
     assert canonical_key(final) == canonical_key(p2)
     moves = m1 + mid + back
     assert len(moves) <= 2 * k * (n - k) + k * k + 1

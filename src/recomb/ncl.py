@@ -134,10 +134,6 @@ class ReductionOutput:
     heavy: dict[int, tuple[int, tuple[int, ...]]]  # base id -> (weight, leaves)
     district_index: dict[tuple[str, int], int]  # ("v", x) / ("vp", x) -> label
 
-    def heavy_group(self, base: int) -> frozenset[int]:
-        w, leaves = self.heavy[base]
-        return frozenset((base,) + leaves)
-
 
 class _Builder:
     def __init__(self):
@@ -160,10 +156,6 @@ class _Builder:
 
     def add(self, a: int, b: int) -> None:
         self.edges.add((min(a, b), max(a, b)))
-
-
-def _sorted_incident(ncl: NCLInstance, v: int) -> list[int]:
-    return sorted(ncl.incident(v))
 
 
 def reduce_ncl(
@@ -196,7 +188,7 @@ def reduce_ncl(
         edge_map[e] = (ep, em)
     gadget_vertices: dict[int, dict[str, int]] = {}
     for v, kind in enumerate(sub.kinds):
-        inc = _sorted_incident(sub, v)
+        inc = sub.incident(v)
         roles: dict[str, int] = {}
         if kind == AND:
             reds = [e for e in inc if sub.edges[e][2] == RED]
@@ -262,7 +254,7 @@ def reduce_ncl(
         districts: list[set[int]] = []
         index: dict[tuple[str, int], int] = {}
         for v, kind in enumerate(sub.kinds):
-            inc = _sorted_incident(sub, v)
+            inc = sub.incident(v)
             roles = gadget_vertices[v]
             own_lights = {
                 edge_map[e][0] if x.toward(sub, e, v) else edge_map[e][1] for e in inc
@@ -291,9 +283,8 @@ def reduce_ncl(
     pi_a, index = partition_for(a)
     pi_b, index_b = partition_for(b)
     assert index_b == index
-    heavy = {base: (w, leaves) for base, (w, leaves) in bld.heavy.items()}
     return ReductionOutput(
-        g, k, s, alpha, pi_a, pi_b, sub, edge_map, gadget_vertices, heavy, index
+        g, k, s, alpha, pi_a, pi_b, sub, edge_map, gadget_vertices, bld.heavy, index
     )
 
 
@@ -302,10 +293,7 @@ def partition_to_orientation(r: ReductionOutput, p: Partition) -> Orientation:
     district of v's gadget.  Raises ReductionShapeError when p does not
     respect the heavy-vertex groupings."""
     sub = r.ncl
-    district_of: dict[int, int] = {}
-    for i, d in enumerate(p.districts):
-        for v in d:
-            district_of[v] = i
+    district_of = p.labels
     gadget_district: dict[int, int] = {}
     for v, kind in enumerate(sub.kinds):
         roles = r.gadget_vertices[v]
@@ -318,7 +306,7 @@ def partition_to_orientation(r: ReductionOutput, p: Partition) -> Orientation:
         gadget_district[v] = homes.pop()
         if kind == OR:
             vp_home = district_of[roles["vp"]]
-            prime_homes = {district_of[roles[f"p{e}"]] for e in _sorted_incident(sub, v)}
+            prime_homes = {district_of[roles[f"p{e}"]] for e in sub.incident(v)}
             if not prime_homes <= {gadget_district[v], vp_home}:
                 raise ReductionShapeError(
                     f"OR gadget at vertex {v}: connector vertices outside the gadget districts"

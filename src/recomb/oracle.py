@@ -57,13 +57,6 @@ class ConfigGraph:
 
     def __post_init__(self):
         self._index = {key: i for i, key in enumerate(self.nodes)}
-        self._adj: list[list[int]] = [[] for _ in self.nodes]
-        for a, b in self.edges:
-            self._adj[a].append(b)
-            self._adj[b].append(a)
-
-    def neighbors(self, i: int) -> list[int]:
-        return self._adj[i]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, is_connected
@@ -72,14 +73,13 @@ class Partition:
     def k(self) -> int:
         return len(self.districts)
 
-    def district_of(self, v: int) -> int:
-        for i, d in enumerate(self.districts):
-            if v in d:
-                return i
-        raise KeyError(v)
+    @cached_property
+    def labels(self) -> dict[int, int]:
+        """The district label of each vertex, built once per partition."""
+        return {v: i for i, d in enumerate(self.districts) for v in d}
 
-    def key(self) -> PartitionKey:
-        return canonical_key(self)
+    def district_of(self, v: int) -> int:
+        return self.labels[v]
 
     def replace(self, i: int, j: int, new_i: frozenset[int], new_j: frozenset[int]) -> "Partition":
         ds = list(self.districts)
@@ -327,13 +327,10 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(p: Partition, n: int) -> str:
-    labels = [-1] * n
-    for i, d in enumerate(p.districts):
-        for v in d:
-            labels[v] = i
-    if any(lab < 0 for lab in labels):
+    labels = p.labels
+    if labels.keys() != set(range(n)):
         raise ValueError("partition does not cover 0..n-1")
-    return f"k {p.k}\n" + " ".join(str(x) for x in labels) + "\n"
+    return f"k {p.k}\n" + " ".join(str(labels[v]) for v in range(n)) + "\n"
 
 
 def format_moves(moves: Sequence[RecombMove]) -> str:

@@ -51,15 +51,14 @@ def replay(g: Graph, p: Partition, moves: Sequence[RecombMove], slack: SlackBoun
     return cur
 
 
-def inverted_abstract(
-    g: Graph, p: Partition, moves: Sequence[RecombMove], slack: SlackBound
-) -> list[AbstractMove]:
+def inverted_abstract(p: Partition, moves: Sequence[RecombMove]) -> list[AbstractMove]:
     """The reverse sequence, as abstract moves, undoing `moves` (valid from the
-    sequence's endpoint back to p; recombination is symmetric)."""
+    sequence's endpoint back to p; recombination is symmetric).  The moves
+    must already be checked from p: they are replayed without checks."""
     cur = p
-    states: list[tuple[frozenset, frozenset]] = []
+    states: list[AbstractMove] = []
     for m in moves:
         states.append((cur.districts[m.i], cur.districts[m.j]))
-        cur = apply_move(g, cur, m, slack)
-    return [(a, b) for a, b in reversed(states)]
+        cur = cur.replace(m.i, m.j, m.new_i, m.new_j)
+    return states[::-1]
 

@@ -10,14 +10,23 @@ the 8x8 grid, past the oracle's vertex cap.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from recomb.cli import run
+from recomb.graphs import Graph
 from recomb.hamiltonian import CycleOrder, transform_hamiltonian
 from recomb.instances import gen_grid
 from recomb.oracle import enumerate_partitions, recom_walk
-from recomb.partitions import Partition, SlackBound, canonical_key, enumerate_moves, format_moves
+from recomb.partitions import (
+    Partition,
+    SlackBound,
+    canonical_key,
+    enumerate_moves,
+    format_moves,
+    validate,
+)
 from recomb.unbounded import transform_unbounded
 
 GRID = gen_grid(6, 4)
@@ -107,4 +116,54 @@ def test_walk_move_lists_golden():
     assert [t.count("\n") for t in texts[:3]] == [1322, 1089, 692]
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
         "f6b6fdbd5d9e13aead506ea0b1f0205a36b9fd32ae8322ffdafc1dc1a96473f6"
+    )
+
+
+def _serpentine(w: int, h: int) -> CycleOrder:
+    """Boustrophedon over columns 1..w-1, back along column 0 (h even)."""
+    order = [y * w + x for y in range(h) for x in (range(1, w) if y % 2 == 0 else range(w - 1, 0, -1))]
+    return CycleOrder(tuple(order + [y * w for y in range(h - 1, -1, -1)]))
+
+
+def _chorded_cycle(rng, n: int, chords: int):
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)}
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(chords)}
+    return Graph(n, edges), CycleOrder(tuple(order))
+
+
+def _grown_partition(rng, g, k: int, slack: SlackBound) -> Partition:
+    """Region growth from k random seeds, redrawn until its sizes fit slack."""
+    while True:
+        label = dict.fromkeys(rng.sample(range(g.n), k))
+        for i, v in enumerate(label):
+            label[v] = i
+        while len(label) < g.n:
+            v, w = rng.choice([(v, w) for v in label for w in g.adj[v] if w not in label])
+            label[w] = label[v]
+        p = Partition.of([[v for v in label if label[v] == i] for i in range(k)])
+        if validate(g, p, k, slack).ok:
+            return p
+
+
+def test_transform_hamiltonian_seeded_golden():
+    # 150 seeded pairs on serpentine grids and chorded cycles (n <= 30), with
+    # k | n and slack n/k or n/k + 1: one hash over every move sequence.
+    rng = random.Random(2024)
+    grids = [(4, 2), (6, 2), (3, 4), (4, 4), (5, 4), (6, 4), (7, 4), (4, 6), (5, 6)]
+    texts = []
+    for case in range(150):
+        if case % 2 == 0:
+            w, h = rng.choice(grids)
+            g, cycle = gen_grid(w, h), _serpentine(w, h)
+        else:
+            g, cycle = _chorded_cycle(rng, rng.choice([8, 12, 15, 16, 18, 20, 24, 30]), rng.randint(0, 5))
+        k = rng.choice([d for d in range(2, g.n // 2 + 1) if g.n % d == 0])
+        slack = SlackBound(g.n // k + rng.randint(0, 1))
+        p1, p2 = _grown_partition(rng, g, k, slack), _grown_partition(rng, g, k, slack)
+        texts.append(format_moves(transform_hamiltonian(g, cycle, p1, p2, slack)))
+    assert sum(t.count("\n") for t in texts) == 1962
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "1b0811067acbeab30cfc87ae064aeb4c37e1a75fbcc6827d2d2209c1b3c4f626"
     )

@@ -8,7 +8,8 @@ from recomb.graphs import Graph
 from recomb.hamiltonian import (
     CycleOrder,
     Fragment,
-    build_fragment_tree,
+    _center_tree,
+    _light_subtree,
     canonical_transform,
     canonicalize,
     fragment_count,
@@ -29,6 +30,10 @@ def cycle_graph(n, chords=()):
 
 def identity_cycle(n):
     return CycleOrder(tuple(range(n)))
+
+
+def fragment_vertices(c, f):
+    return frozenset(c.order[(f.start + x) % c.n] for x in range(f.length))
 
 
 def serpentine(w, h):
@@ -92,7 +97,7 @@ def test_fragments_of_contiguous():
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
     frags = fragments_of(c, p)
     assert len(frags) == 2
-    assert {f.vertex_set(c) for f in frags} == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
+    assert {fragment_vertices(c, f) for f in frags} == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
 
 
 def test_fragments_of_wraparound():
@@ -101,7 +106,7 @@ def test_fragments_of_wraparound():
     frags = fragments_of(c, p)
     assert len(frags) == 2
     assert Fragment(0, 5, 3) in frags or any(
-        f.vertex_set(c) == frozenset({5, 0, 1}) for f in frags
+        fragment_vertices(c, f) == frozenset({5, 0, 1}) for f in frags
     )
 
 
@@ -115,13 +120,16 @@ def test_fragment_tree_weights():
     g = cycle_graph(8, chords=[(1, 4)])
     c = identity_cycle(8)
     p = Partition.of([[0, 1, 4, 5], [2, 3], [6, 7]])
-    ft = build_fragment_tree(g, c, p, 0)
-    assert len(ft.fragments) == 2
-    assert ft.subtree_weight[ft.heavy] == 4
-    light = 1 - ft.heavy
-    assert ft.is_light(light)
+    members = p.districts[0]
+    tree = _center_tree(g, c, p, 0)
+    subtrees = {v: _light_subtree(tree, members, v) for v in members}
+    # The centre's fragment is heavy; the cut sheds the other one, whole.
+    heavy = frozenset(v for v, sub in subtrees.items() if sub is None)
+    assert heavy in (frozenset({0, 1}), frozenset({4, 5}))
+    light = members - heavy
+    assert all(subtrees[v] == light for v in light)
     # The light subtree holds at most half the district.
-    assert ft.subtree_weight[light] <= len(p.districts[0]) // 2
+    assert len(light) <= len(members) // 2
 
 
 def test_step_light_reduces_fragments():

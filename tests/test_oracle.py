@@ -160,6 +160,10 @@ def test_build_space_cycle():
 def reference_space_stats(cg):
     """One BFS per node: the referee for the multi-source BFS in space_stats."""
     diam = [0] * cg.component_count
+    adj = [[] for _ in cg.nodes]
+    for a, b in cg.edges:
+        adj[a].append(b)
+        adj[b].append(a)
     for src in range(len(cg.nodes)):
         dist = {src: 0}
         frontier = [src]
@@ -167,7 +171,7 @@ def reference_space_stats(cg):
         while frontier:
             nxt = []
             for u in frontier:
-                for w in cg.neighbors(u):
+                for w in adj[u]:
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         far = max(far, dist[w])

@@ -53,7 +53,7 @@ def test_replay_and_inversion_roundtrip():
         RecombMove(0, 1, frozenset({0, 1, 2, 7}), frozenset({3, 4, 5, 6})),
     ]
     end = replay(g, p, moves, slack)
-    back = inverted_abstract(g, p, moves, slack)
+    back = inverted_abstract(p, moves)
     undone, final = resolve_moves(g, end, back, slack)
     assert len(undone) == len(moves)
     assert canonical_key(final) == canonical_key(p)

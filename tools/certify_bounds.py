@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Certificate: both transforms meet the paper's move bounds on every pair of
+balanced 4-partitions of the 4x4 grid.
+
+The 4x4 grid has 117 balanced connected 4-partitions.  For every ordered
+pair (p1, p2) this runs transform_unbounded and transform_hamiltonian (along
+the Hamilton cycle below, at slack 4 = n/k), replays each sequence through
+apply_move, and checks that it ends at p2 and has at most 6(k-1) = 18
+(unbounded) or 2k(n-k)+k^2+1 = 113 (Hamiltonian) moves.
+
+Run from the repository root (about 30 s):
+
+    python3 tools/certify_bounds.py
+
+Prints, per transform, the longest sequence and a sha256 over all sequences
+in pair order, and exits 0 iff no pair fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from recomb.hamiltonian import CycleOrder, transform_hamiltonian  # noqa: E402
+from recomb.instances import gen_grid  # noqa: E402
+from recomb.oracle import enumerate_partitions  # noqa: E402
+from recomb.partitions import SLACK_INF, SlackBound, canonical_key, format_moves  # noqa: E402
+from recomb.sequences import replay  # noqa: E402
+from recomb.unbounded import transform_unbounded  # noqa: E402
+
+K = 4
+CYCLE = CycleOrder((0, 1, 2, 3, 7, 6, 5, 9, 10, 11, 15, 14, 13, 12, 8, 4))
+
+
+def certify(name, transform, g, parts, slack, bound) -> bool:
+    digest = hashlib.sha256()
+    failures = 0
+    longest = (-1, None)
+    for a, p1 in enumerate(parts):
+        for b, p2 in enumerate(parts):
+            try:
+                moves = transform(p1, p2)
+                if canonical_key(replay(g, p1, moves, slack)) != canonical_key(p2):
+                    raise AssertionError("sequence does not end at p2")
+                if len(moves) > bound:
+                    raise AssertionError(f"{len(moves)} moves exceed the bound {bound}")
+            except (AssertionError, ValueError) as exc:
+                failures += 1
+                print(f"{name}: pair ({a}, {b}) failed: {type(exc).__name__}: {exc}")
+                continue
+            digest.update(format_moves(moves).encode() + b"\n")
+            longest = max(longest, (len(moves), (a, b)))
+    pairs = len(parts) ** 2
+    print(f"{name}: {pairs} pairs, {failures} failed, longest {longest[0]} moves "
+          f"(pair {longest[1]}), bound {bound}, sha256 {digest.hexdigest()}")
+    return failures == 0
+
+
+def main() -> int:
+    g = gen_grid(4, 4)
+    CYCLE.check(g)
+    parts = enumerate_partitions(g, K, SlackBound(0))
+    print(f"grid 4x4, k={K}: {len(parts)} balanced partitions")
+    hslack = SlackBound(g.n // K)
+    ok = certify("unbounded", lambda p1, p2: transform_unbounded(g, p1, p2),
+                 g, parts, SLACK_INF, 6 * (K - 1))
+    ok &= certify("hamiltonian", lambda p1, p2: transform_hamiltonian(g, CYCLE, p1, p2, hslack),
+                  g, parts, hslack, 2 * K * (g.n - K) + K * K + 1)
+    return 0 if ok and len(parts) == 117 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
