@@ -58,25 +58,11 @@ def fragments_of(cycle: CycleOrder, p: Partition) -> list[Fragment]:
     n = cycle.n
     labels = p.labels
     dist_at = [labels[v] for v in cycle.order]
-    start = None
-    for t in range(n):
-        if dist_at[t] != dist_at[t - 1]:
-            start = t
-            break
-    if start is None:
+    starts = [t for t in range(n) if dist_at[t] != dist_at[t - 1]]
+    if not starts:
         return [Fragment(dist_at[0], 0, n)]
-    frags = []
-    t = start
-    while True:
-        d = dist_at[t]
-        length = 1
-        while dist_at[(t + length) % n] == d and length < n:
-            length += 1
-        frags.append(Fragment(d, t, length))
-        t = (t + length) % n
-        if t == start:
-            break
-    return frags
+    ends = starts[1:] + [starts[0] + n]
+    return [Fragment(dist_at[t], t, end - t) for t, end in zip(starts, ends)]
 
 
 def fragment_count(cycle: CycleOrder, p: Partition) -> int:

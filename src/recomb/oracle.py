@@ -10,7 +10,7 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import or_
 from typing import Optional
 
@@ -97,26 +97,33 @@ def enumerate_partitions(
 
 
 def build_space(g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_VERTEX_CAP) -> ConfigGraph:
-    """The full configuration space with components labeled by union-find."""
+    """The configuration space R_s(G,k), built from its move cliques.
+
+    Partitions that keep the same k-2 districts are pairwise one move apart
+    (their other two districts split one union), and no two share k-2
+    districts in two ways, so each such group is a clique and each edge is in
+    one.  Component ids follow the order of each component's first node.
+    """
     parts = enumerate_partitions(g, k, slack, vertex_cap)
     if len(parts) > _node_cap():
         raise OracleCapError("instance too large: node cap exceeded")
     nodes = [canonical_key(p) for p in parts]
-    index = {key: i for i, key in enumerate(nodes)}
-    edges = set()
-    splits: dict = {}
+    # Districts are ordered by their smallest vertex: the kept tuples are canonical.
+    groups: defaultdict[tuple, list[int]] = defaultdict(list)
     for i, p in enumerate(parts):
-        for m in enumerate_moves(g, p, slack, _splits=splits):
-            q = p.replace(m.i, m.j, m.new_i, m.new_j)
-            j = index[canonical_key(q)]
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
+        ds = p.districts
+        for a, b in combinations(range(k), 2):
+            groups[ds[:a] + ds[a + 1 : b] + ds[b + 1 :]].append(i)
+    cliques = [c for c in groups.values() if len(c) > 1]
     comp = list(range(len(nodes)))
-    for a, b in edges:
-        comp[find(comp, a)] = find(comp, b)
-    roots = sorted({find(comp, i) for i in range(len(nodes))})
-    label = {r: i for i, r in enumerate(roots)}
-    return ConfigGraph(nodes, sorted(edges), [label[find(comp, i)] for i in range(len(nodes))])
+    for c in cliques:
+        root = find(comp, c[0])
+        for v in c[1:]:
+            comp[find(comp, v)] = root
+    label: dict[int, int] = {}
+    component = [label.setdefault(find(comp, i), len(label)) for i in range(len(nodes))]
+    edges = sorted(pair for c in cliques for pair in combinations(c, 2))
+    return ConfigGraph(nodes, edges, component)
 
 
 def decide_br(
@@ -140,18 +147,18 @@ def decide_br(
         rep = validate(g, p, k, slack)
         if not rep.ok:
             raise ValueError(f"invalid '{name}' partition: {'; '.join(rep.violations)}")
-    target = canonical_key(pb)
-    start = canonical_key(pa)
+    target = frozenset(pb.districts)
+    start = frozenset(pa.districts)
     if visit_hook:
         visit_hook(pa)
     if start == target:
         return True, []
     cap = _node_cap()
-    parent: dict[PartitionKey, tuple[PartitionKey, RecombMove]] = {}
+    parent: dict[frozenset, tuple[frozenset, RecombMove]] = {}
     depth = {start: 0}
-    # Carry labeled partitions through the search: canonical keys reorder
-    # districts, which would break label-based `pairs` restrictions.
-    frontier: list[tuple[PartitionKey, Partition]] = [(start, pa)]
+    # Keyed by the set of districts, equal iff the canonical keys are.  The
+    # keys drop labels, so the search carries the labeled partitions `pairs` needs.
+    frontier: list[tuple[frozenset, Partition]] = [(start, pa)]
     splits: dict = {}
     while frontier:
         next_frontier = []
@@ -160,7 +167,7 @@ def decide_br(
                 continue
             for m in enumerate_moves(g, p, slack, pairs=pairs, _splits=splits):
                 q = p.replace(m.i, m.j, m.new_i, m.new_j)
-                qkey = canonical_key(q)
+                qkey = frozenset(q.districts)
                 if qkey in depth:
                     continue
                 if len(depth) >= cap:

@@ -30,11 +30,14 @@ def resolve_moves(
     out: list[RecombMove] = []
     for part_a, part_b in abstract:
         union = part_a | part_b
-        a = cur.district_of(min(union))
+        # O(k) scans: a fresh partition's O(n) labels map would serve one lookup.
+        lo = min(union)
+        a = next(i for i, d in enumerate(cur.districts) if lo in d)
         rest = union - cur.districts[a]
         if not rest:
             raise ValueError("abstract move does not touch two districts")
-        b = cur.district_of(min(rest))
+        lo = min(rest)
+        b = next(i for i, d in enumerate(cur.districts) if lo in d)
         if cur.districts[a] | cur.districts[b] != union:
             raise ValueError("abstract move union does not match two districts")
         m = labelled_move(a, b, part_a, part_b)

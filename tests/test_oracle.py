@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from test_partitions import brute_moves
 
 from recomb import oracle
-from recomb.graphs import Graph, is_connected
+from recomb.graphs import Graph, find, is_connected
 from recomb.instances import gen_negative
 from recomb.oracle import (
     ConfigGraph,
@@ -155,6 +155,47 @@ def test_build_space_cycle():
     assert st.node_count == 3
     assert st.component_count == 1
     assert st.diameters == (1,)
+
+
+def assert_space_matches_move_enumeration(g, k, slack):
+    """The referee for build_space derives the space the direct way:
+    enumerate_moves at every node, each successor looked up by its canonical
+    key, and components by union-find over those edges."""
+    cg = build_space(g, k, slack)
+    parts = enumerate_partitions(g, k, slack)
+    assert cg.nodes == [canonical_key(p) for p in parts]
+    edges = set()
+    for i, p in enumerate(parts):
+        for m in enumerate_moves(g, p, slack):
+            j = cg.index(canonical_key(p.replace(m.i, m.j, m.new_i, m.new_j)))
+            assert j != i
+            edges.add((min(i, j), max(i, j)))
+    assert cg.edges == sorted(edges)
+    comp = list(range(len(parts)))
+    for a, b in edges:
+        comp[find(comp, a)] = find(comp, b)
+    roots = [find(comp, i) for i in range(len(parts))]
+    # Same grouping: root and component id determine each other.
+    assert len(set(zip(roots, cg.component))) == len(set(roots)) == cg.component_count
+    # Ids are numbered in the order of each component's first node.
+    assert list(dict.fromkeys(cg.component)) == list(range(cg.component_count))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_instances())
+def test_build_space_matches_move_enumeration(instance):
+    assert_space_matches_move_enumeration(*instance)
+
+
+@pytest.mark.parametrize("g, k, s", [
+    (gen_negative(4, 1)[0], 4, 0),
+    # Chorded cycles whose components the union-find roots would number
+    # out of first-node order.
+    (Graph(8, {(i, (i + 1) % 8) for i in range(8)} | {(1, 6)}), 4, 0),
+    (Graph(9, {(i, (i + 1) % 9) for i in range(9)} | {(0, 7), (2, 8)}), 3, 0),
+], ids=["negative-s0", "cycle8-chord", "cycle9-chords"])
+def test_build_space_matches_move_enumeration_on_several_components(g, k, s):
+    assert_space_matches_move_enumeration(g, k, SlackBound(s))
 
 
 def reference_space_stats(cg):

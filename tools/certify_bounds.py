@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """Certificate: both transforms meet the paper's move bounds on every pair of
-balanced 4-partitions of the 4x4 grid.
+balanced partitions of three small grids.
 
-The 4x4 grid has 117 balanced connected 4-partitions.  For every ordered
-pair (p1, p2) this runs transform_unbounded and transform_hamiltonian (along
-the Hamilton cycle below, at slack 4 = n/k), replays each sequence through
-apply_move, and checks that it ends at p2 and has at most 6(k-1) = 18
-(unbounded) or 2k(n-k)+k^2+1 = 113 (Hamiltonian) moves.
+The grids are 4x4 with k=4 (117 balanced connected partitions), 4x3 with
+k=3 (23) and 6x2 with k=4 (11).  For every ordered pair (p1, p2) of each
+this runs transform_unbounded and transform_hamiltonian (along the grid's
+Hamilton cycle below, at slack n/k), replays each sequence through
+apply_move, and checks that it ends at p2 and has at most 6(k-1)
+(unbounded) or 2k(n-k)+k^2+1 (Hamiltonian) moves: 18 and 113 on the 4x4
+grid.
 
-Run from the repository root (about 30 s):
+Run from the repository root (about 36 s):
 
     python3 tools/certify_bounds.py
 
-Prints, per transform, the longest sequence and a sha256 over all sequences
-in pair order, and exits 0 iff no pair fails.
+Prints, per grid and transform, the longest sequence and a sha256 over all
+sequences in pair order, and exits 0 iff no pair fails and every grid has
+its expected number of balanced partitions.
 """
 
 from __future__ import annotations
@@ -31,8 +34,12 @@ from recomb.partitions import SLACK_INF, SlackBound, canonical_key, format_moves
 from recomb.sequences import replay  # noqa: E402
 from recomb.unbounded import transform_unbounded  # noqa: E402
 
-K = 4
-CYCLE = CycleOrder((0, 1, 2, 3, 7, 6, 5, 9, 10, 11, 15, 14, 13, 12, 8, 4))
+# (width, height, k, Hamilton cycle, balanced partitions)
+GRIDS = (
+    (4, 4, 4, (0, 1, 2, 3, 7, 6, 5, 9, 10, 11, 15, 14, 13, 12, 8, 4), 117),
+    (4, 3, 3, (0, 1, 2, 3, 7, 11, 10, 6, 5, 9, 8, 4), 23),
+    (6, 2, 4, (0, 1, 2, 3, 4, 5, 11, 10, 9, 8, 7, 6), 11),
+)
 
 
 def certify(name, transform, g, parts, slack, bound) -> bool:
@@ -60,16 +67,21 @@ def certify(name, transform, g, parts, slack, bound) -> bool:
 
 
 def main() -> int:
-    g = gen_grid(4, 4)
-    CYCLE.check(g)
-    parts = enumerate_partitions(g, K, SlackBound(0))
-    print(f"grid 4x4, k={K}: {len(parts)} balanced partitions")
-    hslack = SlackBound(g.n // K)
-    ok = certify("unbounded", lambda p1, p2: transform_unbounded(g, p1, p2),
-                 g, parts, SLACK_INF, 6 * (K - 1))
-    ok &= certify("hamiltonian", lambda p1, p2: transform_hamiltonian(g, CYCLE, p1, p2, hslack),
-                  g, parts, hslack, 2 * K * (g.n - K) + K * K + 1)
-    return 0 if ok and len(parts) == 117 else 1
+    ok = True
+    for w, h, k, order, count in GRIDS:
+        g = gen_grid(w, h)
+        cycle = CycleOrder(order)
+        cycle.check(g)
+        parts = enumerate_partitions(g, k, SlackBound(0))
+        print(f"grid {w}x{h}, k={k}: {len(parts)} balanced partitions")
+        hslack = SlackBound(g.n // k)
+        ok &= certify("unbounded", lambda p1, p2: transform_unbounded(g, p1, p2),
+                      g, parts, SLACK_INF, 6 * (k - 1))
+        ok &= certify("hamiltonian",
+                      lambda p1, p2: transform_hamiltonian(g, cycle, p1, p2, hslack),
+                      g, parts, hslack, 2 * k * (g.n - k) + k * k + 1)
+        ok &= len(parts) == count
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
