@@ -112,12 +112,14 @@ def is_connected(g: Graph, s: frozenset[int] | set[int]) -> bool:
     return len(reach(g.adj, min(s), s)) == len(s)
 
 
-def connected_components(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
-    """Maximal connected pieces of G[s], sorted by their minimum element."""
+def connected_components(g, s: Iterable[int]) -> list[frozenset[int]]:
+    """Maximal connected pieces of G[s], sorted by their minimum element; g is
+    a Graph or neighbour lists as for reach."""
+    adj = g.adj if isinstance(g, Graph) else g
     remaining = set(s)
     comps = []
     while remaining:
-        comp = frozenset(reach(g.adj, min(remaining), remaining))
+        comp = frozenset(reach(adj, min(remaining), remaining))
         comps.append(comp)
         remaining -= comp
     return sorted(comps, key=min)
@@ -131,105 +133,88 @@ def find(parent, x: int) -> int:
     return x
 
 
-def complete_forest(
-    vertices: Iterable[int], forest: Iterable[tuple[int, int]], candidates
-) -> list[tuple[int, int]]:
-    """Kruskal completion of a forest to a spanning tree of `vertices`.
+def complete_forest(label, forest: Iterable[tuple[int, int]], candidates) -> list[tuple[int, int]]:
+    """Kruskal completion of a forest to a spanning tree.
 
+    label maps each vertex to the component it starts in (itself, or a label
+    it shares with vertices already joined); forest edges are joined next.
     Returns the candidate edges, in the given order, that each join two
     components; raises ValueError if the result does not span.
     """
-    comp = {v: v for v in vertices}
-    for a, b in forest:
-        comp[find(comp, a)] = find(comp, b)
-    added = []
-    for a, b in candidates:
-        ra, rb = find(comp, a), find(comp, b)
-        if ra != rb:
-            comp[ra] = rb
-            added.append((a, b))
-    if len({find(comp, v) for v in comp}) > 1:
+    comp = {c: c for c in label.values()}
+
+    def join(a: int, b: int) -> bool:
+        ra, rb = find(comp, label[a]), find(comp, label[b])
+        comp[ra] = rb
+        return ra != rb
+
+    parts = len(comp) - sum(join(a, b) for a, b in forest)
+    added = [(a, b) for a, b in candidates if join(a, b)]
+    if parts - len(added) > 1:
         raise ValueError("induced subgraph not connected")
     return added
 
 
-def block_cut(g: Graph) -> BlockCutDecomposition:
-    """Blocks (maximal biconnected components) and cut vertices of a connected graph.
+def block_cut(g) -> BlockCutDecomposition:
+    """Blocks (maximal biconnected components) and cut vertices of a connected
+    graph: a Graph, or neighbour lists adj[v] keyed by vertex.
 
-    Iterative DFS lowpoint computation; blocks are reported sorted by their
-    minimum vertex.
+    Iterative DFS lowpoint computation from the smallest vertex; blocks are
+    reported sorted by their minimum vertex.
     """
-    if g.n == 0:
-        raise ValueError("graph not connected")
-    if not is_connected(g, g.vertices()):
-        raise ValueError("graph not connected")
-    if g.n == 1:
-        return BlockCutDecomposition((frozenset({0}),), frozenset(), frozenset({0}))
-
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
+    adj = g
+    if isinstance(g, Graph):
+        if g.n == 0 or not is_connected(g, g.vertices()):
+            raise ValueError("graph not connected")
+        adj = dict(enumerate(g.adj))
+    root = min(adj)
+    disc = {root: 0}
+    low = {root: 0}
     cut = set()
-    blocks: list[frozenset[int]] = []
-    edge_stack: list[tuple[int, int]] = []
-    timer = 0
-
-    # Explicit stack: (vertex, iterator index into adjacency).
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while stack:
-            u, i = stack.pop()
-            if i < len(g.adj[u]):
-                stack.append((u, i + 1))
-                w = g.adj[u][i]
-                if disc[w] == -1:
-                    parent[w] = u
-                    edge_stack.append((u, w))
-                    if u == root:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, 0))
-                elif w != parent[u] and disc[w] < disc[u]:
-                    edge_stack.append((u, w))
-                    low[u] = min(low[u], disc[w])
-            else:
-                p = parent[u]
-                if p != -1:
-                    low[p] = min(low[p], low[u])
-                    if low[u] >= disc[p]:
-                        # Pop the block containing tree edge (p, u): everything
-                        # pushed after it belongs to u's subtree.
-                        blk = set()
-                        while True:
-                            a, b = edge_stack.pop()
-                            blk.add(a)
-                            blk.add(b)
-                            if (a, b) == (p, u):
-                                break
-                        blocks.append(frozenset(blk))
-                        if p != root:
-                            cut.add(p)
-        if root_children >= 2:
-            cut.add(root)
-
+    blocks = [] if len(adj) > 1 else [frozenset(adj)]
+    # Discovered vertices not yet assigned to a block, in discovery order.
+    pending = [root]
+    # DFS path: (vertex, parent, unscanned neighbours, its index in pending).
+    stack = [(root, -1, iter(adj[root]), 0)]
+    root_children = 0
+    while stack:
+        u, p, nbrs, at = stack[-1]
+        for w in nbrs:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, u, iter(adj[w]), len(pending)))
+                pending.append(w)
+                break
+            if w != p and disc[w] < low[u]:
+                low[u] = disc[w]
+        else:
+            stack.pop()
+            if p == -1:
+                continue
+            if low[u] < low[p]:
+                low[p] = low[u]
+            if low[u] >= disc[p]:
+                # p and u's pending subtree form one block.
+                blocks.append(frozenset(pending[at:]).union((p,)))
+                del pending[at:]
+                if p == root:
+                    root_children += 1
+                else:
+                    cut.add(p)
+    if root_children >= 2:
+        cut.add(root)
     blocks.sort(key=min)
-    block_vs = frozenset(range(g.n)) - frozenset(cut)
-    return BlockCutDecomposition(tuple(blocks), frozenset(cut), block_vs)
+    return BlockCutDecomposition(tuple(blocks), frozenset(cut), frozenset(adj) - cut)
 
 
-def find_low_degree_block_vertex(g: Graph) -> int:
-    """The block vertex of minimum degree (smallest id on ties).
+def find_low_degree_block_vertex(g) -> int:
+    """The block vertex of minimum degree (smallest id on ties) of a Graph or
+    of neighbour lists keyed by vertex.
 
     When g is the union of two forests this degree is at most 3.
     """
-    dec = block_cut(g)
-    return min(dec.block_vertices, key=lambda v: (g.degree(v), v))
+    adj = g.adj if isinstance(g, Graph) else g
+    return min(block_cut(g).block_vertices, key=lambda v: (len(adj[v]), v))
 
 
 def spanning_tree(g: Graph, s: Iterable[int]) -> Tree:

@@ -8,6 +8,7 @@ shifted into each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .graphs import (
@@ -32,7 +33,9 @@ class CycleOrder:
     def n(self) -> int:
         return len(self.order)
 
+    @cached_property
     def positions(self) -> dict[int, int]:
+        """The position of each vertex along the cycle, built once per order."""
         return {v: i for i, v in enumerate(self.order)}
 
     def check(self, g: Graph) -> None:
@@ -74,7 +77,7 @@ def _district_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
     plus the minimum number of chords (lexicographically chosen)."""
     members = p.districts[i]
     n = cycle.n
-    pos = cycle.positions()
+    pos = cycle.positions
     edges: set[tuple[int, int]] = set()
     for v in members:
         w = cycle.order[(pos[v] + 1) % n]
@@ -85,9 +88,9 @@ def _district_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
     if len(edges) == len(members) and edges:
         edges.discard(max(edges))
     candidates = sorted(
-        e for e in g.edges if e[0] in members and e[1] in members and e not in edges
+        (v, w) for v in members for w in g.adj[v] if v < w and w in members and (v, w) not in edges
     )
-    chords = complete_forest(members, edges, candidates)
+    chords = complete_forest({v: v for v in members}, edges, candidates)
     return edges.union(chords), frozenset(chords)
 
 
@@ -133,12 +136,17 @@ def _is_large(n: int, k: int, size: int) -> bool:
     return k * size > n
 
 
-def step_light(g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound) -> Optional[RecombMove]:
+def step_light(
+    g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound, *, _trees: Optional[dict] = None
+) -> Optional[RecombMove]:
     """A move shedding a light fragment of a large district into an adjacent
-    small district, when one exists; scans cycle positions ascending."""
+    small district, when one exists; scans cycle positions ascending.
+
+    _trees caches _center_tree by district across the steps of one caller.
+    """
     n, k = cycle.n, p.k
     labels = p.labels
-    trees: dict[int, tuple] = {}
+    trees = {} if _trees is None else _trees
     for pos in range(n):
         u = cycle.order[pos]
         w = cycle.order[(pos + 1) % n]
@@ -150,12 +158,13 @@ def step_light(g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound) -> 
                 continue
             if _is_large(n, k, len(p.districts[recv_d])):
                 continue
-            if donor_d not in trees:
-                trees[donor_d] = _center_tree(g, cycle, p, donor_d)
-            shed = _light_subtree(trees[donor_d], p.districts[donor_d], donor_v)
+            donor = p.districts[donor_d]
+            if donor not in trees:
+                trees[donor] = _center_tree(g, cycle, p, donor_d)
+            shed = _light_subtree(trees[donor], donor, donor_v)
             if shed is None:
                 continue
-            part_donor = p.districts[donor_d] - shed
+            part_donor = donor - shed
             part_recv = p.districts[recv_d] | shed
             return labelled_move(donor_d, recv_d, part_donor, part_recv)
     return None
@@ -186,7 +195,7 @@ def step_average(
         raise ValueError("combined district size exceeds n/k + s")
     edges_i, chords_i = _district_tree(g, cycle, p, i)
     edges_j, chords_j = _district_tree(g, cycle, p, j)
-    pos = cycle.positions()
+    pos = cycle.positions
     bridge = None
     for t in range(n):
         u = cycle.order[t]
@@ -240,7 +249,7 @@ def steps_singleton(
         frag_counts[f.district] = frag_counts.get(f.district, 0) + 1
     if all(c == 1 for c in frag_counts.values()):
         raise ValueError("partition already canonical")
-    pos = cycle.positions()
+    pos = cycle.positions
     u = singles[0]
     # Walk clockwise to the first district with two or more fragments.
     t = 1
@@ -307,8 +316,9 @@ def canonicalize(
     moves: list[RecombMove] = []
     cur = p
     frags = fragment_count(cycle, cur)
+    trees: dict[frozenset[int], tuple] = {}
     while frags > k:
-        m = step_light(g, cycle, cur, slack)
+        m = step_light(g, cycle, cur, slack, _trees=trees)
         if m is not None:
             cur = apply_move(g, cur, m, slack)
             moves.append(m)
@@ -412,7 +422,7 @@ def canonical_transform(
     arcs2 = _arcs_in_cycle_order(cycle, pc2)
     bal1, _ = _balance_abstract(arcs1, target)
     _, unbal2 = _balance_abstract(arcs2, target)
-    pos = cycle.positions()
+    pos = cycle.positions
     c1 = min(pos[arc[0]] for arc in arcs1) % target
     c2 = min(pos[arc[0]] for arc in arcs2) % target
     delta = (c2 - c1) % target

@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, repeat
-from operator import or_
+from operator import itemgetter, or_
 from typing import Optional
 
 from .graphs import Graph, find
@@ -76,12 +76,13 @@ class WalkTrace:
 
 
 def enumerate_partitions(
-    g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_VERTEX_CAP
+    g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_VERTEX_CAP, *, _keys=None
 ) -> list[Partition]:
     """All (k,s)-BCPs of g, one per unordered partition, sorted by key.
 
     Districts are ordered by their smallest vertex.  The search is
-    partitions._connected_parts.
+    partitions._connected_parts.  A list passed as _keys receives the sort
+    keys, in the same order.
     """
     n = g.n
     if n > vertex_cap:
@@ -93,7 +94,10 @@ def enumerate_partitions(
     shared: dict = {}
     found = _connected_parts(g, (1 << n) - 1, k, m_min, m_max)
     parts = (Partition(tuple(_vertex_set(d, shared) for d in ds)) for ds in found)
-    return sorted(parts, key=canonical_key)
+    keyed = sorted(((canonical_key(p), p) for p in parts), key=itemgetter(0))
+    if _keys is not None:
+        _keys += [key for key, _ in keyed]
+    return [p for _, p in keyed]
 
 
 def build_space(g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_VERTEX_CAP) -> ConfigGraph:
@@ -104,10 +108,10 @@ def build_space(g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_V
     districts in two ways, so each such group is a clique and each edge is in
     one.  Component ids follow the order of each component's first node.
     """
-    parts = enumerate_partitions(g, k, slack, vertex_cap)
+    nodes: list[PartitionKey] = []
+    parts = enumerate_partitions(g, k, slack, vertex_cap, _keys=nodes)
     if len(parts) > _node_cap():
         raise OracleCapError("instance too large: node cap exceeded")
-    nodes = [canonical_key(p) for p in parts]
     # Districts are ordered by their smallest vertex: the kept tuples are canonical.
     groups: defaultdict[tuple, list[int]] = defaultdict(list)
     for i, p in enumerate(parts):

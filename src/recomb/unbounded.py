@@ -2,18 +2,17 @@
 6(k-1) recombinations when district sizes are unrestricted.
 
 The driver creates a shared singleton district in both partitions (at most
-three moves on each side), removes its vertex, and recurses on the rest of
+three moves on each side), removes its vertex, and repeats on the rest of
 the graph with k-1 districts.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .graphs import (
     Graph,
     complete_forest,
     connected_components,
+    edge_adjacency,
     find_low_degree_block_vertex,
     is_connected,
     spanning_tree,
@@ -22,49 +21,38 @@ from .partitions import SLACK_INF, Partition, RecombMove, canonical_key, validat
 from .sequences import AbstractMove, resolve_moves
 
 
-def _spanning_union_edges(g: Graph, active: frozenset[int], districts: Sequence[frozenset[int]]):
-    """Edges of a spanning tree of G[active] containing a BFS tree of every
-    district; exactly len(districts)-1 cross edges, chosen lexicographically."""
-    edges: set[tuple[int, int]] = set()
+def _spanning_union_edges(g: Graph, districts: list[frozenset[int]], trees: dict, edges):
+    """Edges of a spanning tree of the districts' union containing a BFS tree
+    of every district (cached in trees), completed by the first of the sorted
+    edges that join two districts: exactly len(districts)-1 of them."""
+    label = {v: i for i, d in enumerate(districts) for v in d}
+    union: set[tuple[int, int]] = set()
     for d in districts:
-        edges |= spanning_tree(g, d).edges
-    candidates = sorted(
-        e for e in g.edges if e[0] in active and e[1] in active and e not in edges
-    )
-    added = complete_forest(active, edges, candidates)
+        if d not in trees:
+            trees[d] = spanning_tree(g, d).edges
+        union |= trees[d]
+    added = complete_forest(label, (), [e for e in edges if label[e[0]] != label[e[1]]])
     assert len(added) == len(districts) - 1
-    return edges.union(added)
+    return union.union(added)
 
 
-def _block_vertex_min_degree(active: frozenset[int], gp: Graph) -> int:
-    """Minimum-degree block vertex of the (relabeled) union-of-trees graph."""
-    ordered = sorted(active)
-    to_new = {v: i for i, v in enumerate(ordered)}
-    sub = Graph(len(ordered), ((to_new[a], to_new[b]) for a, b in gp.edges))
-    return ordered[find_low_degree_block_vertex(sub)]
-
-
-def _singleton_side(gp: Graph, districts: list[frozenset[int]], v: int):
+def _singleton_side(adj: dict[int, list[int]], districts: list[frozenset[int]], v: int):
     """Abstract moves emptying v's district down to {v} by donating the
-    components of the union-tree restricted to the district minus v.
+    components of the union-tree (neighbour lists adj) restricted to the
+    district minus v.
 
     Returns (forward abstract moves, inverse abstract moves in undo order,
     resulting district list).
     """
     ds = list(districts)
     own = next(i for i, d in enumerate(ds) if v in d)
-    comps = connected_components(gp, ds[own] - {v})
+    comps = connected_components(adj, ds[own] - {v})
     forward: list[AbstractMove] = []
     backward: list[AbstractMove] = []
     assert len(comps) <= 3
     for comp in comps:
-        target = None
-        for t in range(len(ds)):
-            if t == own:
-                continue
-            if any(w in ds[t] for u in comp for w in gp.adj[u]):
-                target = t
-                break
+        nbrs = {w for u in comp for w in adj[u]}
+        target = next((t for t, d in enumerate(ds) if t != own and not nbrs.isdisjoint(d)), None)
         assert target is not None, "component not adjacent to any other district"
         backward.append((ds[own], ds[target]))
         new_own = ds[own] - comp
@@ -76,24 +64,18 @@ def _singleton_side(gp: Graph, districts: list[frozenset[int]], v: int):
     return forward, backward, ds
 
 
-def _make_singleton(g: Graph, active: frozenset[int], d1, d2):
-    gp = Graph(g.n, _spanning_union_edges(g, active, d1) | _spanning_union_edges(g, active, d2))
-    v = _block_vertex_min_degree(active, gp)
-    assert gp.degree(v) <= 3, "union of two forests must contain a degree-<=3 block vertex"
-    f1, b1, nd1 = _singleton_side(gp, list(d1), v)
-    f2, b2, nd2 = _singleton_side(gp, list(d2), v)
+def _make_singleton(g: Graph, active: frozenset[int], d1, d2, trees: dict, edges):
+    """The shared singleton vertex v and each side's moves isolating it.
+
+    edges are the sorted edges of G[active]; trees caches BFS trees of districts.
+    """
+    union = _spanning_union_edges(g, d1, trees, edges) | _spanning_union_edges(g, d2, trees, edges)
+    adj = edge_adjacency(active, union)
+    v = find_low_degree_block_vertex(adj)
+    assert len(adj[v]) <= 3, "union of two forests must contain a degree-<=3 block vertex"
+    f1, b1, nd1 = _singleton_side(adj, list(d1), v)
+    f2, b2, nd2 = _singleton_side(adj, list(d2), v)
     return v, (f1, b1, nd1), (f2, b2, nd2)
-
-
-def _rec(g: Graph, active: frozenset[int], d1, d2) -> list[AbstractMove]:
-    if canonical_key(Partition(tuple(d1))) == canonical_key(Partition(tuple(d2))):
-        return []
-    v, (f1, _, nd1), (_, b2, nd2) = _make_singleton(g, active, d1, d2)
-    sub_active = active - {v}
-    sub1 = [d for d in nd1 if d != frozenset({v})]
-    sub2 = [d for d in nd2 if d != frozenset({v})]
-    mid = _rec(g, sub_active, sub1, sub2)
-    return f1 + mid + b2
 
 
 def make_singleton_pair(g: Graph, p1: Partition, p2: Partition):
@@ -104,7 +86,7 @@ def make_singleton_pair(g: Graph, p1: Partition, p2: Partition):
     if p1.k < 2:
         raise ValueError("k must be at least 2")
     v, (f1, _, _), (f2, _, _) = _make_singleton(
-        g, frozenset(range(g.n)), list(p1.districts), list(p2.districts)
+        g, g.vertices(), list(p1.districts), list(p2.districts), {}, sorted(g.edges)
     )
     moves1, _ = resolve_moves(g, p1, f1, SLACK_INF)
     moves2, _ = resolve_moves(g, p2, f2, SLACK_INF)
@@ -112,9 +94,25 @@ def make_singleton_pair(g: Graph, p1: Partition, p2: Partition):
 
 
 def transform_unbounded(g: Graph, p1: Partition, p2: Partition) -> list[RecombMove]:
-    """A sequence of at most 6(k-1) recombinations carrying p1 to p2."""
+    """A sequence of at most 6(k-1) recombinations carrying p1 to p2.
+
+    Each round isolates a shared singleton {v} on both sides and drops v; the
+    rounds' p1 sides run in order, then their undone p2 sides in reverse.
+    """
     _check_inputs(g, p1, p2)
-    abstract = _rec(g, frozenset(range(g.n)), list(p1.districts), list(p2.districts))
+    active, d1, d2 = g.vertices(), list(p1.districts), list(p2.districts)
+    edges, trees = sorted(g.edges), {}
+    forward: list[AbstractMove] = []
+    backward: list[list[AbstractMove]] = []
+    while set(d1) != set(d2):
+        v, (f1, _, nd1), (_, b2, nd2) = _make_singleton(g, active, d1, d2, trees, edges)
+        forward += f1
+        backward.append(b2)
+        active = active - {v}
+        edges = [e for e in edges if v not in e]
+        d1 = [d for d in nd1 if d != {v}]
+        d2 = [d for d in nd2 if d != {v}]
+    abstract = forward + [m for b2 in reversed(backward) for m in b2]
     moves, final = resolve_moves(g, p1, abstract, SLACK_INF)
     assert canonical_key(final) == canonical_key(p2)
     assert len(moves) <= 6 * (p1.k - 1)

@@ -17,9 +17,10 @@ import pytest
 from recomb.cli import run
 from recomb.graphs import Graph
 from recomb.hamiltonian import CycleOrder, transform_hamiltonian
-from recomb.instances import gen_grid
+from recomb.instances import gen_grid, gen_random_connected
 from recomb.oracle import enumerate_partitions, recom_walk
 from recomb.partitions import (
+    SLACK_INF,
     Partition,
     SlackBound,
     canonical_key,
@@ -166,4 +167,25 @@ def test_transform_hamiltonian_seeded_golden():
     assert sum(t.count("\n") for t in texts) == 1962
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
         "1b0811067acbeab30cfc87ae064aeb4c37e1a75fbcc6827d2d2209c1b3c4f626"
+    )
+
+
+def test_transform_unbounded_seeded_golden():
+    # 150 seeded pairs on grids and random connected graphs (n <= 40), k from
+    # 2 up to n: one hash over every move sequence.
+    rng = random.Random(2025)
+    grids = [(3, 2), (4, 3), (5, 4), (6, 4), (8, 5), (6, 6), (10, 4)]
+    texts = []
+    for case in range(150):
+        if case % 2 == 0:
+            g = gen_grid(*rng.choice(grids))
+        else:
+            n = rng.randint(4, 40)
+            g = gen_random_connected(n, rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n)), rng.randrange(1 << 30))
+        k = rng.randint(2, g.n)
+        p1, p2 = _grown_partition(rng, g, k, SLACK_INF), _grown_partition(rng, g, k, SLACK_INF)
+        texts.append(format_moves(transform_unbounded(g, p1, p2)))
+    assert sum(t.count("\n") for t in texts) == 1916
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "f5b33631f29bff0741c9097c007f77422cd7f0a2183f06825ca908268d317b92"
     )

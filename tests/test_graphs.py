@@ -74,9 +74,9 @@ def test_reach_stays_inside_within():
 
 def test_complete_forest_kruskal():
     # (1, 2) closes a cycle once (0, 2) is in, so it is skipped.
-    assert complete_forest(range(4), [(0, 1)], [(0, 2), (1, 2), (2, 3)]) == [(0, 2), (2, 3)]
+    assert complete_forest({v: v for v in range(4)}, [(0, 1)], [(0, 2), (1, 2), (2, 3)]) == [(0, 2), (2, 3)]
     with pytest.raises(ValueError):
-        complete_forest(range(5), [(0, 1)], [(0, 2), (2, 3)])
+        complete_forest({v: v for v in range(5)}, [(0, 1)], [(0, 2), (2, 3)])
 
 
 def test_block_cut_path():

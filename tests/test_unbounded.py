@@ -1,8 +1,19 @@
+import inspect
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from recomb.graphs import Graph, is_connected
+from recomb.graphs import (
+    Graph,
+    complete_forest,
+    edge_adjacency,
+    find_low_degree_block_vertex,
+    is_connected,
+)
+from recomb.instances import gen_path, gen_random_connected
 from recomb.partitions import (
     Partition,
     SLACK_INF,
@@ -10,7 +21,7 @@ from recomb.partitions import (
     validate,
 )
 from recomb.sequences import replay
-from recomb.unbounded import make_singleton_pair, transform_unbounded
+from recomb.unbounded import _spanning_union_edges, make_singleton_pair, transform_unbounded
 
 
 def cycle(n):
@@ -116,3 +127,61 @@ def test_rejects_bad_inputs():
         transform_unbounded(
             disconnected, Partition.of([[0, 1], [2, 3]]), Partition.of([[0, 1], [2, 3]])
         )
+
+
+def test_many_districts_do_not_recurse():
+    # The pair {0,1} becomes the pair {199,200} across 198 singletons: the
+    # driver peels one district per round, and must not spend a stack frame
+    # on each.
+    g = gen_path(201)
+    p1 = Partition.of([[0, 1]] + [[v] for v in range(2, 201)])
+    p2 = Partition.of([[v] for v in range(199)] + [[199, 200]])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        moves = transform_unbounded(g, p1, p2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert canonical_key(replay(g, p1, moves, SLACK_INF)) == canonical_key(p2)
+    assert len(moves) <= 6 * 199
+
+
+@st.composite
+def embedded_partitions(draw):
+    """A random connected graph on n of N = 2n vertex ids (the rest isolated)
+    with two connected k-partitions of its n vertices."""
+    n = draw(st.integers(2, 14))
+    m = draw(st.integers(n - 1, min(n * (n - 1) // 2, 2 * n)))
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    g = gen_random_connected(n, m, rng.randrange(1 << 30))
+    k = draw(st.integers(1, n))
+    ids = rng.sample(range(2 * n), n)
+    big = Graph(2 * n, ((ids[a], ids[b]) for a, b in g.edges))
+    parts = [[frozenset(ids[v] for v in d) for d in random_partition(rng, g, k).districts]
+             for _ in range(2)]
+    return big, frozenset(ids), parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(embedded_partitions())
+def test_district_label_kruskal_matches_vertex_kruskal(case):
+    g, active, (districts, _) = case
+    trees = {}
+    got = _spanning_union_edges(g, districts, trees, sorted(g.edges))
+    forest = set().union(*trees.values())
+    candidates = sorted(g.edges - forest)
+    assert got == forest.union(complete_forest({v: v for v in active}, forest, candidates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(embedded_partitions())
+def test_block_vertex_choice_matches_relabelled_union_graph(case):
+    g, active, (d1, d2) = case
+    edges = sorted(g.edges)
+    union = _spanning_union_edges(g, d1, {}, edges) | _spanning_union_edges(g, d2, {}, edges)
+    ordered = sorted(active)
+    to_new = {v: i for i, v in enumerate(ordered)}
+    relabelled = Graph(len(ordered), ((to_new[a], to_new[b]) for a, b in union))
+    assert find_low_degree_block_vertex(edge_adjacency(active, union)) == (
+        ordered[find_low_degree_block_vertex(relabelled)]
+    )
