@@ -248,26 +248,18 @@ def edge_adjacency(
     return adj
 
 
-def _tree_from_edges(vertices: frozenset[int], edges: frozenset[tuple[int, int]]) -> Tree:
-    root = min(vertices)
-    if len(reach(edge_adjacency(vertices, edges), root, vertices)) != len(vertices):
-        raise ValueError("edge set does not form a connected tree")
-    return Tree(vertices, root, edges)
-
-
-def tree_center(t: Tree) -> int:
-    """A center of t: every component of T-v has at most |V(T)|/2 vertices.
+def tree_center(t) -> int:
+    """A center of a tree t, given as a Tree or as neighbour lists keyed by
+    vertex: every component of T-v has at most |V(T)|/2 vertices.
 
     Smallest id when several centers exist.
     """
-    nt = len(t.vertices)
-    if nt == 1:
-        return t.root
-    adj = edge_adjacency(t.vertices, t.edges)
-    # Subtree sizes from a DFS rooted at t.root.
+    adj = edge_adjacency(t.vertices, t.edges) if isinstance(t, Tree) else t
+    nt, root = len(adj), min(adj)
+    # Subtree sizes from a DFS rooted at the smallest vertex.
     order = []
-    parent = {t.root: None}
-    stack = [t.root]
+    parent = {root: None}
+    stack = [root]
     while stack:
         u = stack.pop()
         order.append(u)
@@ -275,12 +267,12 @@ def tree_center(t: Tree) -> int:
             if w not in parent:
                 parent[w] = u
                 stack.append(w)
-    size = {v: 1 for v in t.vertices}
+    size = dict.fromkeys(adj, 1)
     for u in reversed(order):
         if parent[u] is not None:
             size[parent[u]] += size[u]
     best = None
-    for v in sorted(t.vertices):
+    for v in sorted(adj):
         worst = 0
         for w in adj[v]:
             c = size[w] if parent[w] == v else nt - size[v]

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .graphs import (
-    Graph,
-    _tree_from_edges,
-    complete_forest,
-    edge_adjacency,
-    reach,
-    tree_center,
-)
+from .graphs import Graph, complete_forest, edge_adjacency, reach, tree_center
 from .partitions import Partition, RecombMove, SlackBound, apply_move, canonical_key, validate
 from .sequences import AbstractMove, inverted_abstract, labelled_move, resolve_moves
 
@@ -74,33 +67,42 @@ def fragment_count(cycle: CycleOrder, p: Partition) -> int:
 
 def _district_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
     """Spanning tree edges of district i using cycle edges inside fragments
-    plus the minimum number of chords (lexicographically chosen)."""
+    plus the minimum number of chords (lexicographically chosen).
+
+    Kruskal starts from the district's fragments, each labelled by its first
+    vertex along the cycle and walked once for its cycle edges.
+    """
     members = p.districts[i]
-    n = cycle.n
-    pos = cycle.positions
+    order, n, pos = cycle.order, cycle.n, cycle.positions
+    starts = [v for v in members if order[pos[v] - 1] not in members]
     edges: set[tuple[int, int]] = set()
-    for v in members:
-        w = cycle.order[(pos[v] + 1) % n]
-        if w in members and n > 1:
-            edges.add((min(v, w), max(v, w)))
-    # Cycle edges inside a single district covering the whole cycle would form
-    # a cycle; drop one edge in that degenerate k=1 case.
-    if len(edges) == len(members) and edges:
-        edges.discard(max(edges))
+    label: dict[int, int] = {}
+    for v in starts:
+        label[v] = u = v
+        t = pos[v] + 1
+        while (w := order[t % n]) in members:
+            edges.add((min(u, w), max(u, w)))
+            label[w] = v
+            u, t = w, t + 1
+    if not starts:
+        # One district covers the whole cycle (k = 1): drop its largest edge.
+        edges = {(min(u, w), max(u, w)) for u, w in zip(order, order[1:] + order[:1]) if u != w}
+        if len(edges) == n:
+            edges.discard(max(edges))
+        label = dict.fromkeys(members, order[0])
     candidates = sorted(
         (v, w) for v in members for w in g.adj[v] if v < w and w in members and (v, w) not in edges
     )
-    chords = complete_forest({v: v for v in members}, edges, candidates)
+    chords = complete_forest(label, (), candidates)
     return edges.union(chords), frozenset(chords)
 
 
 def _center_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
     """District i's minimum-chord tree as (edges, chords, up): up[v] is the
     next vertex on v's tree path to the tree's centre, None at the centre."""
-    members = p.districts[i]
     edges, chords = _district_tree(g, cycle, p, i)
-    adj = edge_adjacency(members, edges)
-    center = tree_center(_tree_from_edges(members, frozenset(edges)))
+    adj = edge_adjacency(p.districts[i], edges)
+    center = tree_center(adj)
     up: dict[int, Optional[int]] = {center: None}
     stack = [center]
     while stack:

@@ -10,7 +10,7 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from operator import itemgetter, or_
 from typing import Optional
 
@@ -42,21 +42,24 @@ def _node_cap() -> int:
 
 @dataclass
 class ConfigGraph:
-    """The configuration space R_s(G,k) on partition keys."""
+    """The configuration space R_s(G,k) on partition keys.
+
+    Its edges are held as move cliques: lists of ascending node indices,
+    pairwise one move apart, with each edge in exactly one clique.
+    """
 
     nodes: list[PartitionKey]
-    edges: list[tuple[int, int]]
+    cliques: list[list[int]]
     component: list[int]
 
     @property
     def component_count(self) -> int:
         return len(set(self.component)) if self.component else 0
 
-    def index(self, key: PartitionKey) -> int:
-        return self._index[key]
-
-    def __post_init__(self):
-        self._index = {key: i for i, key in enumerate(self.nodes)}
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges as sorted index pairs, listed afresh on each read."""
+        return sorted(pair for c in self.cliques for pair in combinations(c, 2))
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,9 @@ def enumerate_partitions(
     """All (k,s)-BCPs of g, one per unordered partition, sorted by key.
 
     Districts are ordered by their smallest vertex.  The search is
-    partitions._connected_parts.  A list passed as _keys receives the sort
-    keys, in the same order.
+    partitions._connected_parts; it stops and raises OracleCapError at the
+    first partition past the node cap.  A list passed as _keys receives the
+    sort keys, in the same order.
     """
     n = g.n
     if n > vertex_cap:
@@ -92,9 +96,12 @@ def enumerate_partitions(
     m_min = slack.min_size(n, k)
     m_max = slack.max_size(n, k)
     shared: dict = {}
-    found = _connected_parts(g, (1 << n) - 1, k, m_min, m_max)
+    cap = _node_cap()
+    found = islice(_connected_parts(g, (1 << n) - 1, k, m_min, m_max), cap + 1)
     parts = (Partition(tuple(_vertex_set(d, shared) for d in ds)) for ds in found)
     keyed = sorted(((canonical_key(p), p) for p in parts), key=itemgetter(0))
+    if len(keyed) > cap:
+        raise OracleCapError("instance too large: node cap exceeded")
     if _keys is not None:
         _keys += [key for key, _ in keyed]
     return [p for _, p in keyed]
@@ -110,8 +117,6 @@ def build_space(g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_V
     """
     nodes: list[PartitionKey] = []
     parts = enumerate_partitions(g, k, slack, vertex_cap, _keys=nodes)
-    if len(parts) > _node_cap():
-        raise OracleCapError("instance too large: node cap exceeded")
     # Districts are ordered by their smallest vertex: the kept tuples are canonical.
     groups: defaultdict[tuple, list[int]] = defaultdict(list)
     for i, p in enumerate(parts):
@@ -126,8 +131,7 @@ def build_space(g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_V
             comp[find(comp, v)] = root
     label: dict[int, int] = {}
     component = [label.setdefault(find(comp, i), len(label)) for i in range(len(nodes))]
-    edges = sorted(pair for c in cliques for pair in combinations(c, 2))
-    return ConfigGraph(nodes, edges, component)
+    return ConfigGraph(nodes, cliques, component)
 
 
 def decide_br(
@@ -208,7 +212,6 @@ def space_stats(cg: ConfigGraph) -> SpaceStats:
     A component's diameter is the largest eccentricity among its nodes,
     found by a bit-parallel multi-source BFS (Then et al., "The More the
     Merrier", PVLDB 2014) from batches of up to _BATCH of its nodes.
-    Raises ValueError if the edges are not the moves between the nodes.
     """
     members: list[list[int]] = [[] for _ in range(cg.component_count)]
     for v, c in enumerate(cg.component):
@@ -216,7 +219,7 @@ def space_stats(cg: ConfigGraph) -> SpaceStats:
     # Each component's cliques, and each node's positions in that list.
     cliques: list[list[list[int]]] = [[] for _ in members]
     member_of: list[list[int]] = [[] for _ in cg.nodes]
-    for clique in _move_cliques(cg):
+    for clique in cg.cliques:
         own = cliques[cg.component[clique[0]]]
         for v in clique:
             member_of[v].append(len(own))
@@ -226,28 +229,8 @@ def space_stats(cg: ConfigGraph) -> SpaceStats:
             for lo in range(0, len(nodes), _BATCH))
         for nodes, own in zip(members, cliques)
     )
-    return SpaceStats(len(cg.nodes), len(cg.edges), len(members), diam)
-
-
-def _move_cliques(cg: ConfigGraph) -> list[list[int]]:
-    """The edges of R_s(G,k) as cliques of node indices.
-
-    A move rewrites two districts, so the ends of an edge share the other
-    k-2, and all partitions that share a given k-2 districts are pairwise one
-    move apart.  Grouping the edges by the districts their ends share thus
-    gives cliques that hold every edge once; a group that is not a clique
-    means the edges are not the moves between the nodes.
-    """
-    ids: dict[tuple[int, ...], int] = {}
-    districts = [frozenset(ids.setdefault(d, len(ids)) for d in key) for key in cg.nodes]
-    groups: defaultdict[frozenset[int], set[int]] = defaultdict(set)
-    for a, b in cg.edges:
-        groups[districts[a] & districts[b]].update((a, b))
-    # Each group holds its own edges only, so it is a clique exactly when
-    # its edge count reaches n(n-1)/2, and all groups are when the sums agree.
-    if sum(len(g) * (len(g) - 1) // 2 for g in groups.values()) != len(cg.edges):
-        raise ValueError("edges are not the recombination moves between the nodes")
-    return [list(g) for g in groups.values()]
+    edge_count = sum(len(c) * (len(c) - 1) // 2 for c in cg.cliques)
+    return SpaceStats(len(cg.nodes), edge_count, len(members), diam)
 
 
 def _eccentricity(

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_partitions import brute_moves
 
-from recomb import oracle
+from recomb import oracle, partitions
 from recomb.graphs import Graph, find, is_connected
 from recomb.instances import gen_negative
 from recomb.oracle import (
-    ConfigGraph,
     OracleCapError,
     SpaceStats,
     build_space,
@@ -138,11 +137,29 @@ def test_vertex_cap():
 
 
 def test_node_cap_env(monkeypatch):
+    found = []
+
+    def counted(*args):
+        for ds in partitions._connected_parts(*args):
+            found.append(ds)
+            yield ds
+
+    monkeypatch.setattr(oracle, "_connected_parts", counted)
     monkeypatch.setenv("BCP_NODE_CAP", "3")
-    with pytest.raises(OracleCapError):
+    with pytest.raises(OracleCapError, match="node cap exceeded"):
         build_space(cycle(8), 2, SLACK_INF)
+    # C8 has C(8,2) = 28 two-partitions; the search stops at the fourth.
+    assert len(found) == 4
+    monkeypatch.setenv("BCP_NODE_CAP", "28")
+    assert len(enumerate_partitions(cycle(8), 2, SLACK_INF)) == 28
     monkeypatch.delenv("BCP_NODE_CAP")
     build_space(cycle(8), 2, SlackBound(1))
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 10), (4, 117), (5, 4006)])
+def test_enumerate_partitions_oeis_a172477(n, count):
+    # OEIS A172477: the n x n grid cut into n connected parts of n cells each.
+    assert len(enumerate_partitions(grid(n, n), n, SlackBound(0), vertex_cap=25)) == count
 
 
 def test_build_space_cycle():
@@ -164,10 +181,11 @@ def assert_space_matches_move_enumeration(g, k, slack):
     cg = build_space(g, k, slack)
     parts = enumerate_partitions(g, k, slack)
     assert cg.nodes == [canonical_key(p) for p in parts]
+    index = {key: i for i, key in enumerate(cg.nodes)}
     edges = set()
     for i, p in enumerate(parts):
         for m in enumerate_moves(g, p, slack):
-            j = cg.index(canonical_key(p.replace(m.i, m.j, m.new_i, m.new_j)))
+            j = index[canonical_key(p.replace(m.i, m.j, m.new_i, m.new_j))]
             assert j != i
             edges.add((min(i, j), max(i, j)))
     assert cg.edges == sorted(edges)
@@ -187,13 +205,16 @@ def test_build_space_matches_move_enumeration(instance):
     assert_space_matches_move_enumeration(*instance)
 
 
-@pytest.mark.parametrize("g, k, s", [
-    (gen_negative(4, 1)[0], 4, 0),
+SEVERAL_COMPONENTS = {
+    "negative-s0": (gen_negative(4, 1)[0], 4, 0),
     # Chorded cycles whose components the union-find roots would number
     # out of first-node order.
-    (Graph(8, {(i, (i + 1) % 8) for i in range(8)} | {(1, 6)}), 4, 0),
-    (Graph(9, {(i, (i + 1) % 9) for i in range(9)} | {(0, 7), (2, 8)}), 3, 0),
-], ids=["negative-s0", "cycle8-chord", "cycle9-chords"])
+    "cycle8-chord": (Graph(8, {(i, (i + 1) % 8) for i in range(8)} | {(1, 6)}), 4, 0),
+    "cycle9-chords": (Graph(9, {(i, (i + 1) % 9) for i in range(9)} | {(0, 7), (2, 8)}), 3, 0),
+}
+
+
+@pytest.mark.parametrize("g, k, s", SEVERAL_COMPONENTS.values(), ids=SEVERAL_COMPONENTS.keys())
 def test_build_space_matches_move_enumeration_on_several_components(g, k, s):
     assert_space_matches_move_enumeration(g, k, SlackBound(s))
 
@@ -254,13 +275,17 @@ def test_space_stats_fixed_spaces(g, k, s, want, batches):
     assert assert_stats_match_reference(build_space(g, k, SlackBound(s)), batches) == want
 
 
-def test_space_stats_rejects_edges_that_are_not_the_moves():
-    # space_stats groups the edges into cliques by the districts their ends
-    # share; with a move missing, a group is no clique and the graph is
-    # refused instead of measured wrongly.
-    cg = build_space(cycle(6), 2, SlackBound(0))
-    with pytest.raises(ValueError):
-        space_stats(ConfigGraph(cg.nodes, cg.edges[:-1], cg.component))
+def test_space_stats_counts_each_clique_edge_once():
+    # space_stats counts the edges clique by clique, so the cliques must be
+    # edge-disjoint, and each must join partitions that share k-2 districts.
+    for g, k, s in SEVERAL_COMPONENTS.values():
+        cg = build_space(g, k, SlackBound(s))
+        edges = cg.edges
+        assert len(edges) == len(set(edges)) == sum(len(c) * (len(c) - 1) // 2 for c in cg.cliques)
+        for c in cg.cliques:
+            for a, b in itertools.combinations(c, 2):
+                assert len(set(cg.nodes[a]) & set(cg.nodes[b])) == k - 2
+        assert space_stats(cg).edge_count == len(edges)
 
 
 def test_decide_br_path_and_validation():
@@ -301,9 +326,8 @@ def test_decide_br_unreachable():
         ok, _ = decide_br(g, 2, slack, pa, pb)
         # reachability here is whatever the space says; just check consistency
         cg = build_space(g, 2, slack)
-        same = cg.component[cg.index(canonical_key(pa))] == cg.component[
-            cg.index(canonical_key(pb))
-        ]
+        index = {key: i for i, key in enumerate(cg.nodes)}
+        same = cg.component[index[canonical_key(pa)]] == cg.component[index[canonical_key(pb)]]
         assert ok == same
 
 
@@ -312,11 +336,12 @@ def test_decide_br_agrees_with_space_components():
     slack = SlackBound(1)
     cg = build_space(g, 2, slack)
     parts = enumerate_partitions(g, 2, slack)
+    index = {key: i for i, key in enumerate(cg.nodes)}
     pa = parts[0]
-    ca = cg.component[cg.index(canonical_key(pa))]
+    ca = cg.component[index[canonical_key(pa)]]
     for pb in parts[1:6]:
         ok, moves = decide_br(g, 2, slack, pa, pb)
-        assert ok == (cg.component[cg.index(canonical_key(pb))] == ca)
+        assert ok == (cg.component[index[canonical_key(pb)]] == ca)
         if ok:
             assert moves is not None
 
