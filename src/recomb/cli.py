@@ -7,6 +7,7 @@ input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .graphs import Graph, GraphFormatError, format_graph, parse_graph
@@ -239,7 +240,9 @@ def cmd_sample(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="recomb",
         description="Balanced connected partitions under recombination moves.",
@@ -258,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--partition", required=True)
     add_common(p, k=True, slack=True)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("transform", help="compute a recombination sequence")
     p.add_argument("--mode", choices=["unbounded", "hamiltonian"], required=True)
@@ -268,12 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", help="Hamilton cycle file (hamiltonian mode)")
     p.add_argument("--out", required=True)
     add_common(p, slack=True)
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("explore", help="enumerate the configuration space")
     p.add_argument("--graph", required=True)
     add_common(p, k=True, slack=True)
-    p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("decide", help="reachability between two partitions")
     p.add_argument("--graph", required=True)
@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True)
     p.add_argument("--out", help="write the move sequence here when reachable")
     add_common(p, k=True, slack=True)
-    p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("gen", help="generate instance files")
     p.add_argument(
@@ -299,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ncl", help="NCL instance file (ncl family)")
     p.add_argument("--out", required=True, help="output path prefix")
     add_common(p)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sample", help="seeded random recombination walk")
     p.add_argument("--graph", required=True)
@@ -308,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     add_common(p, k=True, slack=True)
-    p.set_defaults(func=cmd_sample)
     return ap
 
 
@@ -319,7 +316,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # Looked up on each call, so a replaced cmd_* (a tracer's wrapper) is seen.
+        return globals()[f"cmd_{args.command}"](args)
     except (GraphFormatError, OracleCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -347,10 +347,11 @@ def parse_moves(text: str) -> list[RecombMove]:
     for ln in text.split("\n"):
         if not ln.strip():
             continue
-        if not ln.startswith("m "):
+        fields = ln.split("|")
+        parts = fields[0].split()
+        if not ln.startswith("m ") or len(fields) != 3 or len(parts) != 3:
             raise ValueError(f"bad move line: {ln!r}")
-        head, a, b = ln.split("|")
-        parts = head.split()
+        _, a, b = fields
         i, j = int(parts[1]), int(parts[2])
         moves.append(
             RecombMove(i, j, frozenset(int(x) for x in a.split()), frozenset(int(x) for x in b.split()))

@@ -3,8 +3,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recomb
+from recomb import cli
 from recomb.cli import dot_export, format_cycle, run
 from recomb.graphs import Graph, format_graph, parse_graph
 from recomb.hamiltonian import CycleOrder
@@ -258,3 +261,159 @@ def test_node_cap_env_respected(c8, monkeypatch, capsys):
     monkeypatch.setenv("BCP_NODE_CAP", "1")
     assert run(["explore", "--graph", gp, "--k", "2", "--slack", "1"]) == 1
     assert "cap" in capsys.readouterr().err
+
+
+def test_run_looks_up_the_command_at_call_time(c8, monkeypatch):
+    # The parser is built once per process, so run() finds cmd_<command> by
+    # name on every call: a wrapper put in after a first run() is still used.
+    _, gp, ap, bp, _ = c8
+    argv = ["decide", "--graph", gp, "--from", ap, "--to", bp, "--k", "2", "--slack", "1"]
+    assert run(argv) == 0
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_decide", lambda args: seen.append(args.to) or 2)
+    assert run(argv) == 2
+    assert seen == [bp]
+
+
+# -- fuzzing every subcommand through run() -----------------------------------
+
+# No huge numbers in files: a graph file `p 99999999999 0` is well formed, and
+# Graph builds a neighbour list per vertex.
+_WORDS = ["p", "e", "k", "m", "|", "v", "ncl", "orient", "A", "B", "OR", "AND", "red",
+          "blue", "uv", "vu", "inf", "x", "1.5", "-0", ""]
+_ints = st.integers(-2, 7)
+_token = st.one_of(_ints.map(str), st.sampled_from(_WORDS))
+
+
+def _k4_ncl():
+    from recomb.ncl import Orientation, format_ncl, k4_all_blue
+
+    ncl, a, b = k4_all_blue()
+    orient = {name: Orientation(tuple(o.dirs[2 * e] for e in range(ncl.ne)))
+              for name, o in (("A", a), ("B", b))}
+    return format_ncl(ncl, orient)
+
+
+_K4_NCL = _k4_ncl()
+
+
+@st.composite
+def _instance(draw):
+    """Well-formed texts of one small instance: graph (a path, or a cycle,
+    plus chords), partition, Hamilton cycle of the cycle and moves, and the
+    K4 NCL file."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    edges = {(v, v + 1) for v in range(n - 1)}
+    if n >= 3 and draw(st.booleans()):
+        edges.add((0, n - 1))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3))) if pairs else set()
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    moves = draw(st.lists(st.tuples(st.integers(0, k), st.integers(0, k), st.sets(st.integers(0, n)),
+                                    st.sets(st.integers(0, n))), max_size=3))
+    texts = {
+        "graph": "\n".join([f"p {n} {len(edges)}"] + [f"e {u} {v}" for u, v in sorted(edges)]),
+        "partition": f"k {k}\n" + " ".join(map(str, labels)),
+        "cycle": " ".join(map(str, draw(st.permutations(range(n))))),
+        "moves": "\n".join(f"m {i} {j} | {' '.join(map(str, a))} | {' '.join(map(str, b))}"
+                           for i, j, a, b in moves),
+        "ncl": _K4_NCL,
+    }
+    return n, k, {name: text.rstrip("\n") + "\n" for name, text in texts.items()}
+
+
+@st.composite
+def _mutated(draw, text):
+    """text unchanged, or with one line dropped, repeated or replaced, one
+    token replaced, or cut short."""
+    lines = text.split("\n")
+    how = draw(st.integers(0, 5))
+    i = draw(st.integers(0, len(lines) - 1))
+    if how == 1:
+        del lines[i]
+    elif how == 2:
+        lines.insert(i, lines[i])
+    elif how == 3:
+        lines[i] = " ".join(draw(st.lists(_token, max_size=5)))
+    elif how == 4:
+        words = lines[i].split() or [""]
+        words[draw(st.integers(0, len(words) - 1))] = draw(_token)
+        lines[i] = " ".join(words)
+    text = "\n".join(lines)
+    return text[: draw(st.integers(0, len(text)))] if how == 5 else text
+
+
+_FILES = {
+    "validate": (("--graph", "graph"), ("--partition", "partition")),
+    "transform": (("--graph", "graph"), ("--from", "partition"), ("--to", "partition"),
+                  ("--cycle", "cycle")),
+    "explore": (("--graph", "graph"),),
+    "decide": (("--graph", "graph"), ("--from", "partition"), ("--to", "partition")),
+    "gen": (("--ncl", "ncl"),),
+    "sample": (("--graph", "graph"), ("--partition", "partition")),
+}
+_GEN = {"cycle": ("--n",), "path": ("--n",), "grid": ("--width", "--height"),
+        "random": ("--n", "--m", "--seed"), "negative": ("--k", "--s"), "ncl": ("--s",)}
+_FLAWS = ("leave-out", "wrong-format", "mutate", "bad-number", "bad-choice")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_instance(), st.data())
+def test_run_exits_0_1_or_2_on_malformed_inputs(fuzz_dir, instance, data):
+    # Every subcommand, on small instances with up to two flaws: an option
+    # left out, a file of another format (moves among them), a mangled file,
+    # a bad number or a bad choice.  Each call exits 0, 1 or 2 and raises
+    # nothing, many times in one process.
+    n, k, texts = instance
+    flaws = data.draw(st.sets(st.sampled_from(_FLAWS), max_size=2))
+    command = data.draw(st.sampled_from(sorted(_FILES)))
+    files = {option: texts[kind] for option, kind in _FILES[command]}
+    if command == "gen":
+        family = data.draw(st.sampled_from(sorted(_GEN)))
+        numbers = {option: data.draw(st.integers(1, 5)) for option in _GEN[family]}
+        if family == "negative":
+            numbers["--k"] += 3
+        if family != "ncl":
+            files = {}
+        choices = {"--family": family}
+    else:
+        numbers = {"--k": k} if command != "transform" else {}
+        if command == "sample":
+            numbers.update({"--steps": data.draw(st.integers(0, 5)), "--seed": data.draw(_ints)})
+        choices = {"--slack": data.draw(st.sampled_from(["inf", *map(str, range(n + 1))]))}
+        if command == "transform":
+            choices["--mode"] = data.draw(st.sampled_from(["unbounded", "hamiltonian"]))
+    if "wrong-format" in flaws and files:
+        option = data.draw(st.sampled_from(sorted(files)))
+        files[option] = texts[data.draw(st.sampled_from(sorted(texts)))]
+    if "mutate" in flaws and files:
+        option = data.draw(st.sampled_from(sorted(files)))
+        files[option] = data.draw(_mutated(files[option]))
+    if "bad-number" in flaws and numbers:
+        option = data.draw(st.sampled_from(sorted(numbers)))
+        # A huge --n or --steps is a well-formed request for a huge run.
+        huge = ["99999999999"] if option in ("--k", "--seed") else []
+        numbers[option] = data.draw(st.one_of(_ints, st.sampled_from(["x", "1.5", *huge])))
+    if "bad-choice" in flaws:
+        option = data.draw(st.sampled_from(sorted(choices)))
+        choices[option] = data.draw(st.sampled_from(["x", "-1", "1.5", ""]))
+    if "leave-out" in flaws:
+        gone = data.draw(st.sampled_from(sorted([*files, *numbers, *choices])))
+        for options in (files, numbers, choices):
+            options.pop(gone, None)
+    argv = [command]
+    for i, (option, text) in enumerate(sorted(files.items())):
+        write(fuzz_dir / f"in{i}", text)
+        argv += [option, str(fuzz_dir / f"in{i}")]
+    for option, value in [*numbers.items(), *choices.items()]:
+        argv += [option, str(value)]
+    if command in ("transform", "gen") or (command in ("decide", "sample") and data.draw(st.booleans())):
+        argv += ["--out", str(fuzz_dir / "out")]
+    assert run(argv) in (0, 1, 2)

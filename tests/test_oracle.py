@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import os
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -372,6 +373,116 @@ def test_decide_br_pairs_keeps_labels():
     # restricting to a non-participating pair must fail
     ok, _ = decide_br(g, 3, slack, pa, pb, pairs=[(0, 1)], max_depth=4)
     assert not ok
+
+
+def plain_bfs_decide(g, k, slack, pa, pb, pairs=None, max_depth=None):
+    """The referee for decide_br: its search loop before the lower-bound
+    cut, a plain level-by-level BFS from pa in enumerate_moves order."""
+    target = frozenset(pb.districts)
+    start = frozenset(pa.districts)
+    if start == target:
+        return True, []
+    parent = {}
+    depth = {start: 0}
+    frontier = [(start, pa)]
+    while frontier:
+        next_frontier = []
+        for key, p in frontier:
+            if max_depth is not None and depth[key] >= max_depth:
+                continue
+            for m in enumerate_moves(g, p, slack, pairs=pairs):
+                q = p.replace(m.i, m.j, m.new_i, m.new_j)
+                qkey = frozenset(q.districts)
+                if qkey in depth:
+                    continue
+                depth[qkey] = depth[key] + 1
+                parent[qkey] = (key, m)
+                if qkey == target:
+                    path = []
+                    cur = qkey
+                    while cur != start:
+                        prev, mv = parent[cur]
+                        path.append(mv)
+                        cur = prev
+                    path.reverse()
+                    return True, path
+                next_frontier.append((qkey, q))
+        frontier = next_frontier
+    return False, None
+
+
+def chorded_cycle12():
+    return Graph(12, {(i, (i + 1) % 12) for i in range(12)} | {(0, 5), (3, 9), (6, 11)})
+
+
+DIFFERENTIAL = [
+    (grid(4, 3), 3, 0), (grid(4, 3), 4, 1), (grid(4, 4), 4, 0), (grid(5, 3), 3, 0),
+    (grid(5, 3), 5, 0), (grid(6, 2), 4, 0), (grid(6, 2), 3, 1), (grid(5, 4), 4, 0),
+    (chorded_cycle12(), 4, 0), (chorded_cycle12(), 3, 1),
+    # Spaces of several components, for unreachable pairs.
+    SEVERAL_COMPONENTS["negative-s0"], SEVERAL_COMPONENTS["cycle9-chords"],
+]
+
+
+def test_decide_br_matches_plain_bfs():
+    # The lower-bound cut must not change any answer or any path: the same
+    # moves, labels included, on relabelled starts, with pairs= and max_depth=.
+    rng = random.Random(12)
+    checked = outcomes = 0
+    seen = set()
+    for g, k, s in DIFFERENTIAL:
+        slack = SlackBound(s)
+        parts = enumerate_partitions(g, k, slack)
+        for _ in range(30):
+            pa, pb = rng.choice(parts), rng.choice(parts)
+            order = list(pa.districts)
+            rng.shuffle(order)
+            pa = Partition(tuple(order))
+            kind = rng.randrange(4)  # plain, pairs=, max_depth= or both
+            pairs = max_depth = None
+            if kind & 1:
+                pairs = rng.sample(list(itertools.combinations(range(k), 2)), rng.randint(1, k))
+            if kind & 2:
+                max_depth = rng.randrange(5)
+            want = plain_bfs_decide(g, k, slack, pa, pb, pairs, max_depth)
+            assert decide_br(g, k, slack, pa, pb, pairs=pairs, max_depth=max_depth) == want
+            seen.add((want[0], kind))
+            checked += 1
+            outcomes += bool(want[1])
+    assert checked == 360 and outcomes > 100
+    # Every kind of query both succeeds and fails somewhere.
+    assert seen == {(ok, kind) for ok in (True, False) for kind in range(4)}
+
+
+@pytest.mark.parametrize("negative, s, size", [((4, 1), 0, 54), ((4, 2), 0, 291), ((4, 2), 1, 167)],
+                         ids=["negative41-s0", "negative42-s0", "criterion5-component"])
+def test_decide_br_hooks_each_state_of_the_component_once(negative, s, size, monkeypatch):
+    # An unreachable query runs rounds until one drops nothing; over all of
+    # them the hook sees every state of pa's component exactly once.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return enumerate_moves(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_moves", counted)
+    g = gen_negative(*negative)[0]
+    k, slack = negative[0], SlackBound(s)
+    cg = build_space(g, k, slack, vertex_cap=g.n)
+    parts = enumerate_partitions(g, k, slack, vertex_cap=g.n)
+    # pa: the first partition in a component of `size` states; pb: one outside it.
+    sizes = Counter(cg.component)
+    pa = next(p for p, c in zip(parts, cg.component) if sizes[c] == size)
+    comp_a = cg.component[parts.index(pa)]
+    pb = next(p for p, c in zip(parts, cg.component) if c != comp_a)
+    hooked = []
+    assert decide_br(g, k, slack, pa, pb, visit_hook=hooked.append) == (False, None)
+    keys = [canonical_key(p) for p in hooked]
+    component = {key for key, c in zip(cg.nodes, cg.component) if c == comp_a}
+    assert len(keys) == len(set(keys)) == len(component) == size
+    assert set(keys) == component
+    # More expansions than states: the search took more than one round.
+    assert len(calls) > size
 
 
 def test_recom_walk_deterministic():

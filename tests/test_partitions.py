@@ -287,5 +287,6 @@ def test_moves_roundtrip():
     text = format_moves(moves)
     assert parse_moves(text) == moves
     assert parse_moves("") == []
-    with pytest.raises(ValueError):
-        parse_moves("z 0 1 | 0 | 1")
+    for bad in ("z 0 1 | 0 | 1", "m 0 | 0 | 1", "m | 0 | 1", "m 0 1 2 | 0 | 1", "m 0 1 | 0"):
+        with pytest.raises(ValueError):
+            parse_moves(bad)
