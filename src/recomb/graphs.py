@@ -1,13 +1,24 @@
 """Undirected simple graphs: connectivity, block-cut decomposition, spanning trees.
 
-Vertices are always 0..n-1.  All functions are pure; Graph and Tree are
-immutable once constructed.
+Vertices are always 0..n-1.  All functions are pure and a Graph is immutable
+once constructed.  Every set-based walk is reach's BFS; the block-cut and tree
+helpers take neighbour lists keyed by vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
+
+MAX_VERTICES = 1 << 20
+"""Ceiling on the vertex count of a Graph and of every generated instance.
+Larger requests are refused before anything is allocated for them."""
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise ValueError when n exceeds MAX_VERTICES."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceed the ceiling of {MAX_VERTICES}")
 
 
 class GraphFormatError(ValueError):
@@ -26,6 +37,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("negative vertex count")
+        check_vertex_count(n)
         norm = set()
         for u, v in edges:
             if u == v:
@@ -69,40 +81,24 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Tree:
-    """A tree on a subset of an ambient graph's vertices, rooted at its
-    smallest vertex id."""
-
-    vertices: frozenset[int]
-    root: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        assert len(self.edges) == len(self.vertices) - 1
-
-
-@dataclass(frozen=True)
 class BlockCutDecomposition:
     blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
     block_vertices: frozenset[int]
 
 
-def reach(adj, start: int, within) -> set[int]:
-    """Vertices reachable from start along adj[u] while staying inside within.
-
-    adj may be a Graph.adj tuple or a dict of neighbor lists; start must be
-    in within.
-    """
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
+def reach(adj, start: int, within) -> dict[int, Optional[int]]:
+    """BFS from start along adj[u] inside within (which holds start): maps each
+    vertex reached to the vertex it was first reached from, start to None, in
+    discovery order.  adj is Graph.adj or a dict of neighbour lists."""
+    parent: dict[int, Optional[int]] = {start: None}
+    order = [start]
+    for u in order:
         for w in adj[u]:
-            if w in within and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+            if w in within and w not in parent:
+                parent[w] = u
+                order.append(w)
+    return parent
 
 
 def is_connected(g: Graph, s: frozenset[int] | set[int]) -> bool:
@@ -112,17 +108,16 @@ def is_connected(g: Graph, s: frozenset[int] | set[int]) -> bool:
     return len(reach(g.adj, min(s), s)) == len(s)
 
 
-def connected_components(g, s: Iterable[int]) -> list[frozenset[int]]:
-    """Maximal connected pieces of G[s], sorted by their minimum element; g is
-    a Graph or neighbour lists as for reach."""
-    adj = g.adj if isinstance(g, Graph) else g
+def connected_components(adj, s: Iterable[int]) -> list[frozenset[int]]:
+    """Maximal connected pieces of the subgraph induced by s, sorted by their
+    minimum element; adj is neighbour lists as for reach."""
     remaining = set(s)
     comps = []
     while remaining:
         comp = frozenset(reach(adj, min(remaining), remaining))
         comps.append(comp)
         remaining -= comp
-    return sorted(comps, key=min)
+    return comps
 
 
 def find(parent, x: int) -> int:
@@ -133,40 +128,34 @@ def find(parent, x: int) -> int:
     return x
 
 
-def complete_forest(label, forest: Iterable[tuple[int, int]], candidates) -> list[tuple[int, int]]:
-    """Kruskal completion of a forest to a spanning tree.
+def complete_forest(label, candidates) -> list[tuple[int, int]]:
+    """Kruskal completion to a spanning tree.
 
     label maps each vertex to the component it starts in (itself, or a label
-    it shares with vertices already joined); forest edges are joined next.
-    Returns the candidate edges, in the given order, that each join two
-    components; raises ValueError if the result does not span.
+    it shares with vertices already joined).  Returns the candidate edges, in
+    the given order, that each join two components; raises ValueError if the
+    result does not span.
     """
     comp = {c: c for c in label.values()}
-
-    def join(a: int, b: int) -> bool:
+    added = []
+    for a, b in candidates:
         ra, rb = find(comp, label[a]), find(comp, label[b])
-        comp[ra] = rb
-        return ra != rb
-
-    parts = len(comp) - sum(join(a, b) for a, b in forest)
-    added = [(a, b) for a, b in candidates if join(a, b)]
-    if parts - len(added) > 1:
+        if ra != rb:
+            comp[ra] = rb
+            added.append((a, b))
+    if len(comp) - len(added) > 1:
         raise ValueError("induced subgraph not connected")
     return added
 
 
-def block_cut(g) -> BlockCutDecomposition:
-    """Blocks (maximal biconnected components) and cut vertices of a connected
-    graph: a Graph, or neighbour lists adj[v] keyed by vertex.
+def block_cut(adj) -> BlockCutDecomposition:
+    """Blocks (maximal biconnected components) and cut vertices of the graph
+    given by neighbour lists adj[v] keyed by vertex.
 
     Iterative DFS lowpoint computation from the smallest vertex; blocks are
-    reported sorted by their minimum vertex.
+    reported sorted by their minimum vertex.  Raises ValueError when the
+    graph is empty or not connected.
     """
-    adj = g
-    if isinstance(g, Graph):
-        if g.n == 0 or not is_connected(g, g.vertices()):
-            raise ValueError("graph not connected")
-        adj = dict(enumerate(g.adj))
     root = min(adj)
     disc = {root: 0}
     low = {root: 0}
@@ -201,40 +190,31 @@ def block_cut(g) -> BlockCutDecomposition:
                     root_children += 1
                 else:
                     cut.add(p)
+    if len(disc) != len(adj):
+        raise ValueError("graph not connected")
     if root_children >= 2:
         cut.add(root)
     blocks.sort(key=min)
     return BlockCutDecomposition(tuple(blocks), frozenset(cut), frozenset(adj) - cut)
 
 
-def find_low_degree_block_vertex(g) -> int:
-    """The block vertex of minimum degree (smallest id on ties) of a Graph or
-    of neighbour lists keyed by vertex.
-
-    When g is the union of two forests this degree is at most 3.
-    """
-    adj = g.adj if isinstance(g, Graph) else g
-    return min(block_cut(g).block_vertices, key=lambda v: (len(adj[v]), v))
+def find_low_degree_block_vertex(adj) -> int:
+    """The block vertex of minimum degree (smallest id on ties) of the graph
+    given by neighbour lists keyed by vertex; that degree is at most 3 when
+    the graph is the union of two forests."""
+    return min(block_cut(adj).block_vertices, key=lambda v: (len(adj[v]), v))
 
 
-def spanning_tree(g: Graph, s: Iterable[int]) -> Tree:
-    """BFS spanning tree of G[s] rooted at min(s); neighbors visited ascending."""
+def spanning_tree(g: Graph, s: Iterable[int]) -> frozenset[tuple[int, int]]:
+    """Edges (u, w), u < w, of the BFS spanning tree of G[s] rooted at min(s),
+    neighbours visited ascending."""
     s = frozenset(s)
     if not s:
         raise ValueError("empty subset")
-    root = min(s)
-    order = [root]
-    seen = {root}
-    edges = set()
-    for u in order:
-        for w in g.adj[u]:
-            if w in s and w not in seen:
-                seen.add(w)
-                edges.add((min(u, w), max(u, w)))
-                order.append(w)
-    if len(seen) != len(s):
+    parent = reach(g.adj, min(s), s)
+    if len(parent) != len(s):
         raise ValueError("induced subgraph not connected")
-    return Tree(s, root, frozenset(edges))
+    return frozenset((min(u, p), max(u, p)) for u, p in parent.items() if p is not None)
 
 
 def edge_adjacency(
@@ -248,39 +228,25 @@ def edge_adjacency(
     return adj
 
 
-def tree_center(t) -> int:
-    """A center of a tree t, given as a Tree or as neighbour lists keyed by
-    vertex: every component of T-v has at most |V(T)|/2 vertices.
+def tree_center(adj) -> int:
+    """A center of the tree given by neighbour lists keyed by vertex: every
+    component of T-v has at most |V(T)|/2 vertices.
 
     Smallest id when several centers exist.
     """
-    adj = edge_adjacency(t.vertices, t.edges) if isinstance(t, Tree) else t
-    nt, root = len(adj), min(adj)
-    # Subtree sizes from a DFS rooted at the smallest vertex.
-    order = []
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                stack.append(w)
+    nt = len(adj)
+    # Subtree sizes below each vertex of the BFS from the smallest vertex.
+    parent = reach(adj, min(adj), adj)
     size = dict.fromkeys(adj, 1)
-    for u in reversed(order):
+    for u in reversed(parent):
         if parent[u] is not None:
             size[parent[u]] += size[u]
-    best = None
-    for v in sorted(adj):
-        worst = 0
-        for w in adj[v]:
-            c = size[w] if parent[w] == v else nt - size[v]
-            worst = max(worst, c)
-        if best is None or worst < best[0]:
-            best = (worst, v)
-    assert best is not None and 2 * best[0] <= nt
-    return best[1]
+    # The largest component of T-v: a child's subtree, or all but v's own.
+    worst = {v: max((size[w] if parent[w] == v else nt - size[v] for w in adj[v]), default=0)
+             for v in adj}
+    center = min(adj, key=lambda v: (worst[v], v))
+    assert 2 * worst[center] <= nt
+    return center
 
 
 def parse_graph(text: str) -> Graph:

@@ -93,7 +93,7 @@ def _district_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
     candidates = sorted(
         (v, w) for v in members for w in g.adj[v] if v < w and w in members and (v, w) not in edges
     )
-    chords = complete_forest(label, (), candidates)
+    chords = complete_forest(label, candidates)
     return edges.union(chords), frozenset(chords)
 
 
@@ -102,16 +102,7 @@ def _center_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
     next vertex on v's tree path to the tree's centre, None at the centre."""
     edges, chords = _district_tree(g, cycle, p, i)
     adj = edge_adjacency(p.districts[i], edges)
-    center = tree_center(adj)
-    up: dict[int, Optional[int]] = {center: None}
-    stack = [center]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in up:
-                up[w] = u
-                stack.append(w)
-    return edges, chords, up
+    return edges, chords, reach(adj, tree_center(adj), adj)
 
 
 def _light_subtree(tree, members: frozenset[int], v: int) -> Optional[frozenset[int]]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph
+from .graphs import Graph, check_vertex_count
 from .hamiltonian import CycleOrder
 from .partitions import Partition
 
@@ -14,18 +14,21 @@ from .partitions import Partition
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    check_vertex_count(n)
     return Graph(n, {(i, (i + 1) % n) for i in range(n)})
 
 
 def gen_path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
+    check_vertex_count(n)
     return Graph(n, {(i, i + 1) for i in range(n - 1)})
 
 
 def gen_grid(w: int, h: int) -> Graph:
     if w < 1 or h < 1:
         raise ValueError("grid needs w, h >= 1")
+    check_vertex_count(w * h)
     edges = set()
     for y in range(h):
         for x in range(w):
@@ -42,6 +45,7 @@ def gen_random_connected(n: int, m: int, seed: int) -> Graph:
     extra edges; deterministic for a given seed."""
     if n < 1:
         raise ValueError("need n >= 1")
+    check_vertex_count(n)
     if m < n - 1 or m > n * (n - 1) // 2:
         raise ValueError(f"m={m} outside [{n-1}, {n*(n-1)//2}]")
     rng = random.Random(seed)
@@ -107,6 +111,7 @@ def gen_negative(k: int, s: int) -> tuple[Graph, Partition, CycleOrder]:
     if k < 4 or s < 1:
         raise ValueError("need k >= 4 and s >= 1")
     n = k * (3 * s + 2)
+    check_vertex_count(n)
     size = 3 * s + 2
     half_hi = (size + 1) // 2
     half_lo = size // 2

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph
+from .graphs import Graph, check_vertex_count
 from .partitions import Partition
 
 AND, OR, DEG2 = "AND", "OR", "DEG2"
@@ -147,6 +147,7 @@ class _Builder:
         return v
 
     def heavy_vertex(self, weight: int) -> int:
+        check_vertex_count(self.next_id + weight)
         base = self.vertex()
         leaves = tuple(self.vertex() for _ in range(weight - 1))
         for leaf in leaves:
@@ -345,6 +346,8 @@ def parse_ncl(text: str) -> tuple[NCLInstance, dict[str, Orientation]]:
         raise ValueError("first line must be 'ncl <nv> <ne>'")
     _, nv_s, ne_s = lines[0].split()
     nv, ne = int(nv_s), int(ne_s)
+    # Each vertex and each edge become at least one vertex of the reduction.
+    check_vertex_count(max(nv, ne))
     kinds: list[Optional[str]] = [None] * nv
     edges: list[Optional[tuple[int, int, str]]] = [None] * ne
     orients: dict[str, Orientation] = {}

@@ -159,9 +159,7 @@ def decide_br(
     The path is the plain BFS's.  The first BFS parent of a state on a
     shortest path lies on a shortest path too, so the round whose bound is
     the distance drops none of those states, discovers each from the same
-    parent by the same move, and keeps their order.  On the benchmark's 220
-    decide queries the rounds make 1,784 enumerate_moves calls where the
-    plain BFS made 9,203.
+    parent by the same move, and keeps their order.
 
     `pairs` restricts moves to the given district pairs, `max_depth` caps
     the bound, and the node cap bounds the states held in one round.

@@ -29,9 +29,9 @@ def _spanning_union_edges(g: Graph, districts: list[frozenset[int]], trees: dict
     union: set[tuple[int, int]] = set()
     for d in districts:
         if d not in trees:
-            trees[d] = spanning_tree(g, d).edges
+            trees[d] = spanning_tree(g, d)
         union |= trees[d]
-    added = complete_forest(label, (), [e for e in edges if label[e[0]] != label[e[1]]])
+    added = complete_forest(label, [e for e in edges if label[e[0]] != label[e[1]]])
     assert len(added) == len(districts) - 1
     return union.union(added)
 

@@ -11,6 +11,7 @@ from recomb.graphs import (
     Graph,
     block_cut,
     connected_components,
+    edge_adjacency,
     format_graph,
     is_connected,
     spanning_tree,
@@ -57,9 +58,9 @@ def report(num, ok, detail=""):
 
 def random_partition(g, k, rng):
     t = spanning_tree(g, g.vertices())
-    removed = rng.sample(sorted(t.edges), k - 1)
-    kept = t.edges - set(removed)
-    comps = connected_components(Graph(g.n, kept), g.vertices())
+    removed = rng.sample(sorted(t), k - 1)
+    kept = t - set(removed)
+    comps = connected_components(Graph(g.n, kept).adj, g.vertices())
     return Partition.of([sorted(c) for c in comps])
 
 
@@ -359,7 +360,7 @@ def test_criterion_9_property_suites():
         n = rng.randrange(3, 11)
         m = rng.randrange(n - 1, min(n * (n - 1) // 2, n + 4) + 1)
         g = gen_random_connected(n, m, seed=rng.randrange(1 << 30))
-        bc = block_cut(g)
+        bc = block_cut(dict(enumerate(g.adj)))
         brute_cuts = {
             v for v in range(n)
             if n > 1 and not is_connected(g, set(range(n)) - {v})
@@ -372,11 +373,11 @@ def test_criterion_9_property_suites():
         n = rng.randrange(1, 11)
         g = gen_random_connected(n, n - 1, seed=rng.randrange(1 << 30))
         t = spanning_tree(g, g.vertices())
-        center = tree_center(t)
+        center = tree_center(edge_adjacency(range(n), t))
 
         def worst(v):
             rest = set(range(n)) - {v}
-            comps = connected_components(Graph(n, t.edges), rest)
+            comps = connected_components(Graph(n, t).adj, rest)
             return max((len(c) for c in comps), default=0)
 
         if worst(center) != min(worst(v) for v in range(n)):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import recomb
 from recomb import cli
 from recomb.cli import dot_export, format_cycle, run
-from recomb.graphs import Graph, format_graph, parse_graph
+from recomb.graphs import MAX_VERTICES, Graph, check_vertex_count, format_graph, parse_graph
 from recomb.hamiltonian import CycleOrder
 from recomb.partitions import (
     Partition,
@@ -216,6 +216,38 @@ def test_gen_ncl_bad_input_exit_1(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "--graph", "{graph}", "--k", "1", "--slack", "0"],
+        ["gen", "--family", "cycle", "--n", "99999999999"],
+        ["gen", "--family", "path", "--n", "99999999999"],
+        ["gen", "--family", "random", "--n", "99999999999", "--m", "99999999999"],
+        ["gen", "--family", "grid", "--width", "99999999999", "--height", "1"],
+        ["gen", "--family", "grid", "--width", "1024", "--height", "1025"],
+        ["gen", "--family", "negative", "--k", "99999999999", "--s", "1"],
+        ["gen", "--family", "negative", "--k", "4", "--s", "99999999999"],
+        ["gen", "--family", "ncl", "--ncl", "{k4}", "--s", "99999999999"],
+        ["gen", "--family", "ncl", "--ncl", "{ncl}", "--s", "0"],
+    ],
+)
+def test_huge_vertex_counts_are_refused_up_front(tmp_path, capsys, argv):
+    paths = {"graph": tmp_path / "huge.graph", "k4": tmp_path / "k4.ncl", "ncl": tmp_path / "huge.ncl"}
+    write(paths["graph"], "p 99999999999 0\n")
+    write(paths["k4"], _K4_NCL)
+    write(paths["ncl"], "ncl 99999999999 0\n")
+    argv = [a.format(**paths) for a in argv] + (["--out", str(tmp_path / "x")] if argv[0] == "gen" else [])
+    assert run(argv) == 1
+    assert "vertices exceed the ceiling of 1048576" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["huge.graph", "huge.ncl", "k4.ncl"]
+
+
+def test_vertex_ceiling_is_inclusive():
+    check_vertex_count(MAX_VERTICES)
+    with pytest.raises(ValueError, match="ceiling"):
+        check_vertex_count(MAX_VERTICES + 1)
+
+
 def test_module_entry_point(tmp_path):
     src = os.path.dirname(os.path.dirname(recomb.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -278,12 +310,12 @@ def test_run_looks_up_the_command_at_call_time(c8, monkeypatch):
 
 # -- fuzzing every subcommand through run() -----------------------------------
 
-# No huge numbers in files: a graph file `p 99999999999 0` is well formed, and
-# Graph builds a neighbour list per vertex.
 _WORDS = ["p", "e", "k", "m", "|", "v", "ncl", "orient", "A", "B", "OR", "AND", "red",
           "blue", "uv", "vu", "inf", "x", "1.5", "-0", ""]
 _ints = st.integers(-2, 7)
 _token = st.one_of(_ints.map(str), st.sampled_from(_WORDS))
+# A vertex count past graphs.MAX_VERTICES, refused before anything is built.
+_HUGE = "99999999999"
 
 
 def _k4_ncl():
@@ -301,8 +333,8 @@ _K4_NCL = _k4_ncl()
 @st.composite
 def _instance(draw):
     """Well-formed texts of one small instance: graph (a path, or a cycle,
-    plus chords), partition, Hamilton cycle of the cycle and moves, and the
-    K4 NCL file."""
+    plus chords, sometimes declaring a huge vertex count), partition,
+    Hamilton cycle of the cycle and moves, and the K4 NCL file."""
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, n))
     edges = {(v, v + 1) for v in range(n - 1)}
@@ -313,8 +345,9 @@ def _instance(draw):
     labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     moves = draw(st.lists(st.tuples(st.integers(0, k), st.integers(0, k), st.sets(st.integers(0, n)),
                                     st.sets(st.integers(0, n))), max_size=3))
+    declared = draw(st.sampled_from([n] * 7 + [_HUGE]))
     texts = {
-        "graph": "\n".join([f"p {n} {len(edges)}"] + [f"e {u} {v}" for u, v in sorted(edges)]),
+        "graph": "\n".join([f"p {declared} {len(edges)}"] + [f"e {u} {v}" for u, v in sorted(edges)]),
         "partition": f"k {k}\n" + " ".join(map(str, labels)),
         "cycle": " ".join(map(str, draw(st.permutations(range(n))))),
         "moves": "\n".join(f"m {i} {j} | {' '.join(map(str, a))} | {' '.join(map(str, b))}"
@@ -398,8 +431,8 @@ def test_run_exits_0_1_or_2_on_malformed_inputs(fuzz_dir, instance, data):
         files[option] = data.draw(_mutated(files[option]))
     if "bad-number" in flaws and numbers:
         option = data.draw(st.sampled_from(sorted(numbers)))
-        # A huge --n or --steps is a well-formed request for a huge run.
-        huge = ["99999999999"] if option in ("--k", "--seed") else []
+        # A huge --steps is a well-formed request for a long walk.
+        huge = [_HUGE] if option != "--steps" else []
         numbers[option] = data.draw(st.one_of(_ints, st.sampled_from(["x", "1.5", *huge])))
     if "bad-choice" in flaws:
         option = data.draw(st.sampled_from(sorted(choices)))

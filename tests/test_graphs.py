@@ -9,6 +9,7 @@ from recomb.graphs import (
     block_cut,
     complete_forest,
     connected_components,
+    edge_adjacency,
     find_low_degree_block_vertex,
     format_graph,
     is_connected,
@@ -25,6 +26,11 @@ def path(n):
 
 def cycle(n):
     return Graph(n, {(i, (i + 1) % n) for i in range(n)})
+
+
+def nbrs(g):
+    """g's neighbour lists keyed by vertex."""
+    return dict(enumerate(g.adj))
 
 
 def random_connected(rng, n, extra=3):
@@ -62,41 +68,53 @@ def test_connectivity():
     assert not is_connected(g, {0, 2})
     assert is_connected(g, {2})
     two = Graph(4, {(0, 1), (2, 3)})
-    comps = connected_components(two, {0, 1, 2, 3})
+    comps = connected_components(two.adj, {0, 1, 2, 3})
     assert comps == [frozenset({0, 1}), frozenset({2, 3})]
 
 
 def test_reach_stays_inside_within():
     adj = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
-    assert reach(adj, 0, {0, 1, 3}) == {0, 1}
-    assert reach(path(5).adj, 2, set(range(5))) == set(range(5))
+    assert reach(adj, 0, {0, 1, 3}) == {0: None, 1: 0}
+    # Breadth first, in discovery order, each vertex mapped to its parent.
+    got = reach(path(5).adj, 2, set(range(5)))
+    assert list(got.items()) == [(2, None), (1, 2), (3, 2), (0, 1), (4, 3)]
 
 
 def test_complete_forest_kruskal():
-    # (1, 2) closes a cycle once (0, 2) is in, so it is skipped.
-    assert complete_forest({v: v for v in range(4)}, [(0, 1)], [(0, 2), (1, 2), (2, 3)]) == [(0, 2), (2, 3)]
+    # 0 and 1 start joined; (1, 2) closes a cycle once (0, 2) is in, so it
+    # is skipped.
+    assert complete_forest({0: 0, 1: 0, 2: 2, 3: 3}, [(0, 2), (1, 2), (2, 3)]) == [(0, 2), (2, 3)]
     with pytest.raises(ValueError):
-        complete_forest({v: v for v in range(5)}, [(0, 1)], [(0, 2), (2, 3)])
+        complete_forest({0: 0, 1: 0, 2: 2, 3: 3, 4: 4}, [(0, 2), (2, 3)])
 
 
 def test_block_cut_path():
-    dec = block_cut(path(3))
+    dec = block_cut(nbrs(path(3)))
     assert set(dec.cut_vertices) == {1}
     assert sorted(sorted(b) for b in dec.blocks) == [[0, 1], [1, 2]]
     assert sorted(dec.block_vertices) == [0, 2]
 
 
 def test_block_cut_triangle():
-    dec = block_cut(cycle(3))
+    dec = block_cut(nbrs(cycle(3)))
     assert not dec.cut_vertices
     assert sorted(dec.block_vertices) == [0, 1, 2]
 
 
 def test_block_cut_bowtie():
     g = Graph(5, {(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)})
-    dec = block_cut(g)
+    dec = block_cut(nbrs(g))
     assert set(dec.cut_vertices) == {2}
     assert sorted(sorted(b) for b in dec.blocks) == [[0, 1, 2], [2, 3, 4]]
+
+
+def test_block_cut_refuses_disconnected_graphs():
+    # The lowpoint DFS from vertex 0 never reaches 2 and 3.
+    for adj in ({0: [1], 1: [0], 2: [3], 3: [2]}, {0: [], 1: []}):
+        with pytest.raises(ValueError, match="graph not connected"):
+            block_cut(adj)
+    with pytest.raises(ValueError):
+        block_cut({})
 
 
 def brute_cut_vertices(g):
@@ -112,7 +130,7 @@ def test_block_cut_matches_brute_force():
     rng = random.Random(4)
     for _ in range(60):
         g = random_connected(rng, rng.randint(2, 10))
-        dec = block_cut(g)
+        dec = block_cut(nbrs(g))
         assert set(dec.cut_vertices) == brute_cut_vertices(g)
         # block vertices are exactly the non-cut vertices
         assert set(dec.block_vertices) == set(range(g.n)) - set(dec.cut_vertices)
@@ -122,27 +140,24 @@ def test_removing_block_vertex_keeps_connectivity():
     rng = random.Random(5)
     for _ in range(40):
         g = random_connected(rng, rng.randint(3, 9))
-        v = find_low_degree_block_vertex(g)
+        v = find_low_degree_block_vertex(nbrs(g))
         assert is_connected(g, set(range(g.n)) - {v})
 
 
 def test_spanning_tree_shape():
-    g = cycle(6)
-    t = spanning_tree(g, frozenset(range(6)))
-    assert len(t.edges) == 5
-    assert t.root == 0
-    # BFS from 0 over ascending neighbors is deterministic
-    t2 = spanning_tree(g, frozenset(range(6)))
-    assert t.edges == t2.edges
+    # BFS from 0 over ascending neighbours: 0 reaches 1 and 5, then 1 reaches
+    # 2 and 5 reaches 4, then 2 reaches 3.
+    t = spanning_tree(cycle(6), frozenset(range(6)))
+    assert t == {(0, 1), (0, 5), (1, 2), (4, 5), (2, 3)}
 
 
-def brute_center(t):
+def brute_center(vertices, edges):
     # vertex minimizing the largest component of T - v
     best = None
-    for v in t.vertices:
-        rest = set(t.vertices) - {v}
+    for v in vertices:
+        rest = set(vertices) - {v}
         adj = {x: set() for x in rest}
-        for a, b in t.edges:
+        for a, b in edges:
             if a in rest and b in rest:
                 adj[a].add(b)
                 adj[b].add(a)
@@ -175,15 +190,88 @@ def test_tree_center_matches_brute_force():
             edges.add((rng.randrange(i), i))
         g = Graph(n, {(min(a, b), max(a, b)) for a, b in edges})
         t = spanning_tree(g, frozenset(range(n)))
-        c = tree_center(t)
-        worst, _ = brute_center(t)
+        c = tree_center(edge_adjacency(range(n), t))
+        worst, _ = brute_center(range(n), t)
         # the returned center achieves the optimal worst-component size
-        assert brute_center(t)[0] >= 0
+        assert brute_center(range(n), t)[0] >= 0
         rest = set(range(n)) - {c}
         sizes = [len(comp) for comp in connected_components(
-            Graph(n, t.edges), rest)] if rest else []
+            Graph(n, t).adj, rest)] if rest else []
         assert (max(sizes) if sizes else 0) == worst
         assert 2 * (max(sizes) if sizes else 0) <= 2 * (n // 2) + (n % 2)
+
+
+def reference_spanning_tree(g, s):
+    """spanning_tree's own BFS loop, as it was before it ran on reach."""
+    s = frozenset(s)
+    root = min(s)
+    order = [root]
+    seen = {root}
+    edges = set()
+    for u in order:
+        for w in g.adj[u]:
+            if w in s and w not in seen:
+                seen.add(w)
+                edges.add((min(u, w), max(u, w)))
+                order.append(w)
+    if len(seen) != len(s):
+        raise ValueError("induced subgraph not connected")
+    return frozenset(edges)
+
+
+def reference_tree_center(adj):
+    """tree_center's own DFS, as it was before it ran on reach; returns the
+    centre and the DFS parent map from the smallest vertex."""
+    nt, root = len(adj), min(adj)
+    order = []
+    parent = {root: None}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                stack.append(w)
+    size = dict.fromkeys(adj, 1)
+    for u in reversed(order):
+        if parent[u] is not None:
+            size[parent[u]] += size[u]
+    best = None
+    for v in sorted(adj):
+        worst = 0
+        for w in adj[v]:
+            c = size[w] if parent[w] == v else nt - size[v]
+            worst = max(worst, c)
+        if best is None or worst < best[0]:
+            best = (worst, v)
+    return best[1], parent
+
+
+def test_traversals_match_their_reference_loops():
+    rng = random.Random(13)
+    disconnected = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n))))
+        s = frozenset(rng.sample(range(n), rng.randint(1, n)))
+        try:
+            want = reference_spanning_tree(g, s)
+        except ValueError:
+            disconnected += 1
+            assert not is_connected(g, s)
+            with pytest.raises(ValueError, match="not connected"):
+                spanning_tree(g, s)
+            continue
+        assert is_connected(g, s)
+        assert spanning_tree(g, s) == want
+        adj = edge_adjacency(s, want)
+        centre, parent = reference_tree_center(adj)
+        assert tree_center(adj) == centre
+        # A tree has one parent map per root, whatever order it is walked in.
+        assert reach(adj, min(s), adj) == parent
+    assert 100 < disconnected < 300
 
 
 def test_parse_format_roundtrip():

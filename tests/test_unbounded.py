@@ -13,7 +13,7 @@ from recomb.graphs import (
     find_low_degree_block_vertex,
     is_connected,
 )
-from recomb.instances import gen_path, gen_random_connected
+from recomb.instances import gen_cycle, gen_grid, gen_path, gen_random_connected
 from recomb.partitions import (
     Partition,
     SLACK_INF,
@@ -162,7 +162,7 @@ def embedded_partitions(draw):
     return big, frozenset(ids), parts
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(embedded_partitions())
 def test_district_label_kruskal_matches_vertex_kruskal(case):
     g, active, (districts, _) = case
@@ -170,10 +170,11 @@ def test_district_label_kruskal_matches_vertex_kruskal(case):
     got = _spanning_union_edges(g, districts, trees, sorted(g.edges))
     forest = set().union(*trees.values())
     candidates = sorted(g.edges - forest)
-    assert got == forest.union(complete_forest({v: v for v in active}, forest, candidates))
+    # Vertex Kruskal joins every forest edge first, then the candidates.
+    assert got == set(complete_forest({v: v for v in active}, [*forest, *candidates]))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(embedded_partitions())
 def test_block_vertex_choice_matches_relabelled_union_graph(case):
     g, active, (d1, d2) = case
@@ -183,5 +184,35 @@ def test_block_vertex_choice_matches_relabelled_union_graph(case):
     to_new = {v: i for i, v in enumerate(ordered)}
     relabelled = Graph(len(ordered), ((to_new[a], to_new[b]) for a, b in union))
     assert find_low_degree_block_vertex(edge_adjacency(active, union)) == (
-        ordered[find_low_degree_block_vertex(relabelled)]
+        ordered[find_low_degree_block_vertex(dict(enumerate(relabelled.adj)))]
     )
+
+
+@st.composite
+def family_cases(draw):
+    """A path, cycle, small grid or random connected graph on 2 to 14
+    vertices, some k from 1 to n, and two random connected k-partitions."""
+    family = draw(st.sampled_from(["path", "cycle", "grid", "random"]))
+    if family == "grid":
+        w = draw(st.integers(2, 4))
+        g = gen_grid(w, draw(st.integers(1, 14 // w)))
+    elif family == "random":
+        n = draw(st.integers(2, 14))
+        g = gen_random_connected(n, draw(st.integers(n - 1, min(n * (n - 1) // 2, 2 * n))),
+                                 draw(st.integers(0, 2**30)))
+    else:
+        n = draw(st.integers(3 if family == "cycle" else 2, 14))
+        g = gen_cycle(n) if family == "cycle" else gen_path(n)
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    # Drawn by rng, not by hypothesis, which would favour k = 1 and k = n.
+    k = rng.randint(1, g.n)
+    return g, random_partition(rng, g, k), random_partition(rng, g, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(family_cases())
+def test_transform_meets_its_bound_for_every_k_up_to_n(case):
+    g, p1, p2 = case
+    moves = transform_unbounded(g, p1, p2)
+    assert len(moves) <= 6 * (p1.k - 1)
+    assert canonical_key(replay(g, p1, moves, SLACK_INF)) == canonical_key(p2)
