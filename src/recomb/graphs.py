@@ -21,6 +21,16 @@ def check_vertex_count(n: int) -> None:
         raise ValueError(f"{n} vertices exceed the ceiling of {MAX_VERTICES}")
 
 
+MAX_EDGES = 1 << 22
+"""Ceiling on the edge count asked of a generator: four per vertex at MAX_VERTICES."""
+
+
+def check_edge_count(m: int) -> None:
+    """Raise ValueError when m exceeds MAX_EDGES."""
+    if m > MAX_EDGES:
+        raise ValueError(f"{m} edges exceed the ceiling of {MAX_EDGES}")
+
+
 class GraphFormatError(ValueError):
     """Raised on malformed graph files; carries the offending line number."""
 
@@ -199,10 +209,11 @@ def block_cut(adj) -> BlockCutDecomposition:
 
 
 def find_low_degree_block_vertex(adj) -> int:
-    """The block vertex of minimum degree (smallest id on ties) of the graph
-    given by neighbour lists keyed by vertex; that degree is at most 3 when
-    the graph is the union of two forests."""
-    return min(block_cut(adj).block_vertices, key=lambda v: (len(adj[v]), v))
+    """The block vertex of least (degree, id) of the connected graph given by
+    neighbour lists keyed by vertex: at most degree 3 on a union of two
+    forests.  A leaf is never a cut vertex, so block_cut runs only if none."""
+    leafy = min(map(len, adj.values())) <= 1
+    return min(adj if leafy else block_cut(adj).block_vertices, key=lambda v: (len(adj[v]), v))
 
 
 def spanning_tree(g: Graph, s: Iterable[int]) -> frozenset[tuple[int, int]]:

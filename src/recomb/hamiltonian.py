@@ -7,11 +7,12 @@ shifted into each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .graphs import Graph, complete_forest, edge_adjacency, reach, tree_center
+from .graphs import Graph, complete_forest, edge_adjacency, reach
 from .partitions import Partition, RecombMove, SlackBound, apply_move, canonical_key, validate
 from .sequences import AbstractMove, inverted_abstract, labelled_move, resolve_moves
 
@@ -65,14 +66,13 @@ def fragment_count(cycle: CycleOrder, p: Partition) -> int:
     return len(fragments_of(cycle, p))
 
 
-def _district_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
-    """Spanning tree edges of district i using cycle edges inside fragments
+def _district_tree(g: Graph, cycle: CycleOrder, members: frozenset[int]):
+    """Spanning tree edges of the district using cycle edges inside fragments
     plus the minimum number of chords (lexicographically chosen).
 
-    Kruskal starts from the district's fragments, each labelled by its first
-    vertex along the cycle and walked once for its cycle edges.
+    Kruskal starts from the district's fragments, each labelled (the third
+    value returned) by its first vertex along C and walked once for its edges.
     """
-    members = p.districts[i]
     order, n, pos = cycle.order, cycle.n, cycle.positions
     starts = [v for v in members if order[pos[v] - 1] not in members]
     edges: set[tuple[int, int]] = set()
@@ -94,35 +94,62 @@ def _district_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
         (v, w) for v in members for w in g.adj[v] if v < w and w in members and (v, w) not in edges
     )
     chords = complete_forest(label, candidates)
-    return edges.union(chords), frozenset(chords)
+    return edges.union(chords), frozenset(chords), label
 
 
-def _center_tree(g: Graph, cycle: CycleOrder, p: Partition, i: int):
-    """District i's minimum-chord tree as (edges, chords, up): up[v] is the
-    next vertex on v's tree path to the tree's centre, None at the centre."""
-    edges, chords = _district_tree(g, cycle, p, i)
-    adj = edge_adjacency(p.districts[i], edges)
-    return edges, chords, reach(adj, tree_center(adj), adj)
+@dataclass(frozen=True)
+class _FragmentTree:
+    """A district's fragments, keyed by their first vertex along C, joined by
+    the chords of its minimum-chord tree and rooted at the heavy fragment:
+    size[f] is f's length, links[f][h] the chord joining f and h, up[f] f's
+    parent (None at the root), label[v] v's fragment (shared by the trees
+    shed() leaves, so it may hold shed vertices)."""
+
+    size: dict[int, int]
+    links: dict[int, dict[int, tuple[int, int]]]
+    up: dict[int, Optional[int]]
+    label: dict[int, int] = field(compare=False)
+
+    def shed(self, v: int, members: frozenset[int]):
+        """The members in v's light subtree (v's fragment and those below it,
+        cut off by the chord to its parent) and the tree of the rest; None in
+        the root fragment.  Removing a pendant subtree from a minimum spanning
+        tree leaves the minimum spanning tree of the rest."""
+        f, top = self.label[v], self.up[self.label[v]]
+        if top is None:
+            return None
+        light = reach(self.links, f, self.links.keys() - {top})
+        links = {h: nbrs for h, nbrs in self.links.items() if h not in light}
+        links[top] = {h: c for h, c in links[top].items() if h != f}
+        rest = _rooted({h: n for h, n in self.size.items() if h not in light}, links, self.label)
+        return frozenset(w for w in members if self.label[w] in light), rest
 
 
-def _light_subtree(tree, members: frozenset[int], v: int) -> Optional[frozenset[int]]:
-    """The light subtree holding v, or None when v lies in the heavy fragment.
+def _rooted(size, links, label) -> _FragmentTree:
+    """Root the fragment tree at its centroid by fragment length; when a chord
+    halves the district, at the fragment of the chord's smaller endpoint,
+    where tree_center's smallest-id rule puts the vertex-level centre."""
+    total = sum(size.values())
+    parent = reach(links, next(iter(links)), links)
+    below = dict(size)
+    for f in reversed(parent):
+        if parent[f] is not None:
+            below[parent[f]] += below[f]
+    worst = {f: max((below[h] if parent[h] == f else total - below[f] for h in links[f]), default=0)
+             for f in parent}
+    root, *other = (f for f in parent if 2 * worst[f] <= total)
+    if other:
+        root = label[min(links[root][other[0]])]
+    return _FragmentTree(size, links, reach(links, root, links), label)
 
-    The fragment holding the centre of the district's minimum-chord tree is
-    the heavy one.  Root the fragment tree (fragments joined by the tree's
-    chords) at it: the light subtree of v's fragment is that fragment plus
-    the fragments below it.  The first chord on the tree path from v to the
-    centre joins v's fragment to its parent fragment, so v's side of that
-    chord is exactly this subtree.
-    """
-    edges, chords, up = tree
-    x = v
-    while up[x] is not None:
-        e = (min(x, up[x]), max(x, up[x]))
-        if e in chords:
-            return _tree_side(members, edges - {e}, v)
-        x = up[x]
-    return None
+
+def _fragment_tree(g: Graph, cycle: CycleOrder, members: frozenset[int]) -> _FragmentTree:
+    """The district's fragment tree, its chords those of _district_tree."""
+    _, chords, label = _district_tree(g, cycle, members)
+    links: dict[int, dict[int, tuple[int, int]]] = {f: {} for f in label.values()}
+    for a, b in chords:
+        links[label[a]][label[b]] = links[label[b]][label[a]] = (a, b)
+    return _rooted(dict(Counter(label.values())), links, label)
 
 
 def _is_large(n: int, k: int, size: int) -> bool:
@@ -135,7 +162,7 @@ def step_light(
     """A move shedding a light fragment of a large district into an adjacent
     small district, when one exists; scans cycle positions ascending.
 
-    _trees caches _center_tree by district across the steps of one caller.
+    _trees caches _FragmentTree by district, the donor's after the move too.
     """
     n, k = cycle.n, p.k
     labels = p.labels
@@ -153,11 +180,12 @@ def step_light(
                 continue
             donor = p.districts[donor_d]
             if donor not in trees:
-                trees[donor] = _center_tree(g, cycle, p, donor_d)
-            shed = _light_subtree(trees[donor], donor, donor_v)
-            if shed is None:
+                trees[donor] = _fragment_tree(g, cycle, donor)
+            if (cut := trees[donor].shed(donor_v, donor)) is None:
                 continue
+            shed, rest = cut
             part_donor = donor - shed
+            trees[part_donor] = rest
             part_recv = p.districts[recv_d] | shed
             return labelled_move(donor_d, recv_d, part_donor, part_recv)
     return None
@@ -186,8 +214,8 @@ def step_average(
     union = vi | vj
     if slack.s is not None and k * len(union) > n + k * slack.s:
         raise ValueError("combined district size exceeds n/k + s")
-    edges_i, chords_i = _district_tree(g, cycle, p, i)
-    edges_j, chords_j = _district_tree(g, cycle, p, j)
+    edges_i, chords_i, _ = _district_tree(g, cycle, vi)
+    edges_j, chords_j, _ = _district_tree(g, cycle, vj)
     pos = cycle.positions
     bridge = None
     for t in range(n):
@@ -277,7 +305,7 @@ def steps_singleton(
     assert cur.districts[walker] == frozenset({w})
     succ = cycle.order[(pos[u] + t) % n]
     d2 = cur.district_of(succ)
-    edges2, chords2 = _district_tree(g, cycle, cur, d2)
+    edges2, chords2, _ = _district_tree(g, cycle, cur.districts[d2])
     assert chords2, "target district must have a chord"
     t_minus = _tree_side(cur.districts[d2], edges2 - {min(chords2)}, succ)
     t_plus = cur.districts[d2] - t_minus
@@ -309,7 +337,7 @@ def canonicalize(
     moves: list[RecombMove] = []
     cur = p
     frags = fragment_count(cycle, cur)
-    trees: dict[frozenset[int], tuple] = {}
+    trees: dict[frozenset[int], _FragmentTree] = {}
     while frags > k:
         m = step_light(g, cycle, cur, slack, _trees=trees)
         if m is not None:

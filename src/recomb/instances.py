@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, check_vertex_count
+from .graphs import Graph, check_edge_count, check_vertex_count
 from .hamiltonian import CycleOrder
 from .partitions import Partition
 
@@ -46,6 +46,7 @@ def gen_random_connected(n: int, m: int, seed: int) -> Graph:
     if n < 1:
         raise ValueError("need n >= 1")
     check_vertex_count(n)
+    check_edge_count(m)
     if m < n - 1 or m > n * (n - 1) // 2:
         raise ValueError(f"m={m} outside [{n-1}, {n*(n-1)//2}]")
     rng = random.Random(seed)

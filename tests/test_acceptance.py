@@ -19,8 +19,7 @@ from recomb.graphs import (
 )
 from recomb.hamiltonian import (
     CycleOrder,
-    _center_tree,
-    _light_subtree,
+    _fragment_tree,
     canonical_transform,
     fragment_count,
     transform_hamiltonian,
@@ -394,9 +393,10 @@ def test_criterion_9_property_suites():
         pool = enumerate_partitions(g, k, slack)
         for p in rng.sample(pool, min(4, len(pool))):
             for i in range(k):
-                tree = _center_tree(g, cycle, p, i)
+                tree = _fragment_tree(g, cycle, p.districts[i])
                 for v in p.districts[i]:
-                    sub = _light_subtree(tree, p.districts[i], v)
+                    cut = tree.shed(v, p.districts[i])
+                    sub = None if cut is None else cut[0]
                     if sub is not None and len(sub) > len(p.districts[i]) / 2:
                         ok = False
     report(9, ok)

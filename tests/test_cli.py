@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 import recomb
 from recomb import cli
 from recomb.cli import dot_export, format_cycle, run
-from recomb.graphs import MAX_VERTICES, Graph, check_vertex_count, format_graph, parse_graph
+from recomb.graphs import (
+    MAX_EDGES,
+    MAX_VERTICES,
+    Graph,
+    check_edge_count,
+    check_vertex_count,
+    format_graph,
+    parse_graph,
+)
 from recomb.hamiltonian import CycleOrder
 from recomb.partitions import (
     Partition,
@@ -246,6 +254,18 @@ def test_vertex_ceiling_is_inclusive():
     check_vertex_count(MAX_VERTICES)
     with pytest.raises(ValueError, match="ceiling"):
         check_vertex_count(MAX_VERTICES + 1)
+
+
+def test_huge_edge_counts_are_refused_up_front(tmp_path, capsys):
+    argv = ["gen", "--family", "random", "--n", "1048576", "--m", "400000000000",
+            "--out", str(tmp_path / "x")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "edges exceed the ceiling of 4194304" in err
+    assert os.listdir(tmp_path) == []
+    check_edge_count(MAX_EDGES)
+    with pytest.raises(ValueError, match="ceiling"):
+        check_edge_count(MAX_EDGES + 1)
 
 
 def test_module_entry_point(tmp_path):

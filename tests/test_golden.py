@@ -170,6 +170,24 @@ def test_transform_hamiltonian_seeded_golden():
     )
 
 
+def test_transform_hamiltonian_large_districts_golden():
+    # Ten seeded pairs on the 16x16 grid with its serpentine cycle, k = 4 and
+    # k = 8 at slack n/k: districts of up to 128 vertices in many fragments.
+    # About a third of the 338 light steps shed from a fragment tree that an
+    # earlier shed left behind.
+    rng = random.Random(2026)
+    g, cycle = gen_grid(16, 16), _serpentine(16, 16)
+    texts = []
+    for k in (4, 4, 4, 4, 4, 8, 8, 8, 8, 8):
+        slack = SlackBound(g.n // k)
+        p1, p2 = _grown_partition(rng, g, k, slack), _grown_partition(rng, g, k, slack)
+        texts.append(format_moves(transform_hamiltonian(g, cycle, p1, p2, slack)))
+    assert sum(t.count("\n") for t in texts) == 596
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "52e97dc57423453586fab4cd2669764de28438a82ac89ddbb4e88496cfad325d"
+    )
+
+
 def test_transform_unbounded_seeded_golden():
     # 150 seeded pairs on grids and random connected graphs (n <= 40), k from
     # 2 up to n: one hash over every move sequence.

@@ -144,6 +144,34 @@ def test_removing_block_vertex_keeps_connectivity():
         assert is_connected(g, set(range(g.n)) - {v})
 
 
+def test_low_degree_block_vertex_matches_block_cut():
+    # A leaf is returned without block_cut's DFS; the pick must still be the
+    # block vertex of least (degree, id) that block_cut's decomposition gives.
+    def want(adj):
+        return min(block_cut(adj).block_vertices, key=lambda v: (len(adj[v]), v))
+
+    def chorded_cycle(n):
+        order = rng.sample(range(n), n)
+        edges = {(order[i], order[i - 1]) for i in range(n)}
+        return Graph(n, edges | {tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4))})
+
+    def two_tree_union(n):
+        return Graph(n, random_connected(rng, n, 0).edges | random_connected(rng, n, 0).edges)
+
+    rng = random.Random(7)
+    leafy = [nbrs(random_connected(rng, rng.randint(2, 14))) for _ in range(100)]
+    leafless = [nbrs(chorded_cycle(rng.randint(3, 14))) for _ in range(100)]
+    leafless += [nbrs(two_tree_union(rng.randint(3, 14))) for _ in range(200)]
+    # Two K4s joined through vertex 8, a degree-2 cut vertex.
+    k4s = Graph(9, {e for base in (0, 4) for e in itertools.combinations(range(base, base + 4), 2)})
+    leafless.append(nbrs(Graph(9, k4s.edges | {(3, 8), (4, 8)})))
+    assert sum(min(map(len, adj.values())) == 1 for adj in leafy) > 50
+    assert sum(min(map(len, adj.values())) >= 2 for adj in leafless) > 200
+    for adj in leafy + leafless + [{0: ()}]:
+        assert find_low_degree_block_vertex(adj) == want(adj)
+    assert find_low_degree_block_vertex(leafless[-1]) == 0
+
+
 def test_spanning_tree_shape():
     # BFS from 0 over ascending neighbours: 0 reaches 1 and 5, then 1 reaches
     # 2 and 5 reaches 4, then 2 reaches 3.

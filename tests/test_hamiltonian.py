@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recomb.graphs import Graph
+from recomb import hamiltonian
+from recomb.graphs import Graph, edge_adjacency, reach, tree_center
 from recomb.hamiltonian import (
     CycleOrder,
     Fragment,
-    _center_tree,
-    _light_subtree,
+    _district_tree,
+    _fragment_tree,
     canonical_transform,
     canonicalize,
     fragment_count,
@@ -45,6 +46,12 @@ def serpentine(w, h):
         order.extend(y * w + x for x in xs)
     order.extend(y * w for y in range(h - 1, -1, -1))
     return CycleOrder(tuple(order))
+
+
+def light_vertices(tree, members, v):
+    """The vertices of v's light subtree in members' fragment tree, or None."""
+    cut = tree.shed(v, members)
+    return None if cut is None else cut[0]
 
 
 def random_partition(rng, g, k, slack, tries=400):
@@ -121,8 +128,8 @@ def test_fragment_tree_weights():
     c = identity_cycle(8)
     p = Partition.of([[0, 1, 4, 5], [2, 3], [6, 7]])
     members = p.districts[0]
-    tree = _center_tree(g, c, p, 0)
-    subtrees = {v: _light_subtree(tree, members, v) for v in members}
+    tree = _fragment_tree(g, c, members)
+    subtrees = {v: light_vertices(tree, members, v) for v in members}
     # The centre's fragment is heavy; the cut sheds the other one, whole.
     heavy = frozenset(v for v, sub in subtrees.items() if sub is None)
     assert heavy in (frozenset({0, 1}), frozenset({4, 5}))
@@ -130,6 +137,100 @@ def test_fragment_tree_weights():
     assert all(subtrees[v] == light for v in light)
     # The light subtree holds at most half the district.
     assert len(light) <= len(members) // 2
+
+
+def reference_light_subtrees(g, c, members):
+    """The vertex-level rule the fragment tree replaced: root the district's
+    minimum-chord tree at tree_center, and cut v's side of the first chord on
+    v's path to that centre (None when the path has no chord)."""
+    edges, chords, _ = _district_tree(g, c, members)
+    adj = edge_adjacency(members, edges)
+    up = reach(adj, tree_center(adj), adj)
+
+    def light(v):
+        x = v
+        while up[x] is not None:
+            e = (min(x, up[x]), max(x, up[x]))
+            if e in chords:
+                return frozenset(reach(edge_adjacency(members, edges - {e}), v, members))
+            x = up[x]
+        return None
+
+    return {v: light(v) for v in members}
+
+
+def test_fragment_tree_matches_vertex_level_rule():
+    rng = random.Random(35)
+    checked = 0
+    for case in range(120):
+        if case % 2:
+            w, h = rng.choice([(4, 4), (6, 4), (5, 6), (8, 6), (8, 8)])
+            g, c = gen_grid(w, h), serpentine(w, h)
+        else:
+            g, c = random_cycle_with_chords(rng, rng.randint(8, 40), rng.randint(2, 12))
+        k = rng.randint(2, min(6, g.n // 2))
+        p = random_partition(rng, g, k, SlackBound(g.n))
+        for members in p.districts:
+            tree = _fragment_tree(g, c, members)
+            want = reference_light_subtrees(g, c, members)
+            assert {v: light_vertices(tree, members, v) for v in members} == want
+            checked += len(tree.size) > 1
+    assert checked > 200
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        tuple(range(12)),
+        tuple(range(11, -1, -1)),
+        # The chord's smaller endpoint, 0, lies in the fragment keyed 8, not
+        # in the one keyed 1.
+        (8, 7, 0, 4, 5, 6, 1, 2, 3, 9, 10, 11),
+        # The chord's smaller endpoint, 2, keys its fragment, and 1 keys the
+        # other.
+        (1, 4, 5, 0, 3, 6, 2, 7, 8, 9, 10, 11),
+    ],
+)
+def test_fragment_tree_root_when_a_chord_halves_the_district(order):
+    # The district holds cycle positions 0-2 and 6-8, joined by one chord
+    # between positions 2 and 6 that splits it into halves of 3.
+    c = CycleOrder(order)
+    a, b = order[2], order[6]
+    g = Graph(12, {(order[t], order[(t + 1) % 12]) for t in range(12)} | {(min(a, b), max(a, b))})
+    members = frozenset(order[t] for t in (0, 1, 2, 6, 7, 8))
+    tree = _fragment_tree(g, c, members)
+    lights = {v: light_vertices(tree, members, v) for v in members}
+    assert lights == reference_light_subtrees(g, c, members)
+    heavy = frozenset(v for v, sub in lights.items() if sub is None)
+    assert min(a, b) in heavy and len(heavy) == 3
+
+
+def test_derived_fragment_trees_match_fresh_ones(monkeypatch):
+    caches = []
+    real = hamiltonian.step_light
+
+    def spy(g, cycle, p, slack, *, _trees):
+        if not caches or caches[-1][2] is not _trees:
+            caches.append((g, cycle, _trees))
+        return real(g, cycle, p, slack, _trees=_trees)
+
+    monkeypatch.setattr(hamiltonian, "step_light", spy)
+    rng = random.Random(36)
+    for case in range(40):
+        if case % 2:
+            w, h = rng.choice([(6, 4), (8, 6), (8, 8), (12, 8)])
+            g, c = gen_grid(w, h), serpentine(w, h)
+        else:
+            g, c = random_cycle_with_chords(rng, rng.choice([24, 30, 36, 48]), rng.randint(2, 10))
+        k = rng.choice([d for d in (2, 3, 4, 6, 8) if g.n % d == 0])
+        slack = SlackBound(g.n // k)
+        canonicalize(g, c, random_partition(rng, g, k, slack), slack)
+    derived = 0
+    for g, c, trees in caches:
+        for members, tree in trees.items():
+            assert tree == _fragment_tree(g, c, members)
+            derived += len(tree.label) > len(members)
+    assert derived > 100
 
 
 def test_step_light_reduces_fragments():
