@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .graphs import Graph, complete_forest, edge_adjacency, reach
+from .graphs import Graph, complete_forest, reach
 from .partitions import Partition, RecombMove, SlackBound, apply_move, canonical_key, validate
 from .sequences import AbstractMove, inverted_abstract, labelled_move, resolve_moves
 
@@ -66,37 +66,6 @@ def fragment_count(cycle: CycleOrder, p: Partition) -> int:
     return len(fragments_of(cycle, p))
 
 
-def _district_tree(g: Graph, cycle: CycleOrder, members: frozenset[int]):
-    """Spanning tree edges of the district using cycle edges inside fragments
-    plus the minimum number of chords (lexicographically chosen).
-
-    Kruskal starts from the district's fragments, each labelled (the third
-    value returned) by its first vertex along C and walked once for its edges.
-    """
-    order, n, pos = cycle.order, cycle.n, cycle.positions
-    starts = [v for v in members if order[pos[v] - 1] not in members]
-    edges: set[tuple[int, int]] = set()
-    label: dict[int, int] = {}
-    for v in starts:
-        label[v] = u = v
-        t = pos[v] + 1
-        while (w := order[t % n]) in members:
-            edges.add((min(u, w), max(u, w)))
-            label[w] = v
-            u, t = w, t + 1
-    if not starts:
-        # One district covers the whole cycle (k = 1): drop its largest edge.
-        edges = {(min(u, w), max(u, w)) for u, w in zip(order, order[1:] + order[:1]) if u != w}
-        if len(edges) == n:
-            edges.discard(max(edges))
-        label = dict.fromkeys(members, order[0])
-    candidates = sorted(
-        (v, w) for v in members for w in g.adj[v] if v < w and w in members and (v, w) not in edges
-    )
-    chords = complete_forest(label, candidates)
-    return edges.union(chords), frozenset(chords), label
-
-
 @dataclass(frozen=True)
 class _FragmentTree:
     """A district's fragments, keyed by their first vertex along C, joined by
@@ -110,6 +79,10 @@ class _FragmentTree:
     up: dict[int, Optional[int]]
     label: dict[int, int] = field(compare=False)
 
+    @property
+    def chords(self) -> list[tuple[int, int]]:
+        return [c for nbrs in self.links.values() for c in nbrs.values()]
+
     def shed(self, v: int, members: frozenset[int]):
         """The members in v's light subtree (v's fragment and those below it,
         cut off by the chord to its parent) and the tree of the rest; None in
@@ -118,17 +91,22 @@ class _FragmentTree:
         f, top = self.label[v], self.up[self.label[v]]
         if top is None:
             return None
-        light = reach(self.links, f, self.links.keys() - {top})
+        light = _side(self.links, f, f, top)
         links = {h: nbrs for h, nbrs in self.links.items() if h not in light}
         links[top] = {h: c for h, c in links[top].items() if h != f}
         rest = _rooted({h: n for h, n in self.size.items() if h not in light}, links, self.label)
         return frozenset(w for w in members if self.label[w] in light), rest
 
 
+def _side(links, f: int, a: int, b: int) -> dict[int, Optional[int]]:
+    """The fragments joined to f once the tree link between a and b is cut."""
+    return reach({**links, a: links[a].keys() - {b}, b: links[b].keys() - {a}}, f, links)
+
+
 def _rooted(size, links, label) -> _FragmentTree:
     """Root the fragment tree at its centroid by fragment length; when a chord
     halves the district, at the fragment of the chord's smaller endpoint,
-    where tree_center's smallest-id rule puts the vertex-level centre."""
+    where the vertex-level tree's smallest-id centre lies."""
     total = sum(size.values())
     parent = reach(links, next(iter(links)), links)
     below = dict(size)
@@ -144,16 +122,24 @@ def _rooted(size, links, label) -> _FragmentTree:
 
 
 def _fragment_tree(g: Graph, cycle: CycleOrder, members: frozenset[int]) -> _FragmentTree:
-    """The district's fragment tree, its chords those of _district_tree."""
-    _, chords, label = _district_tree(g, cycle, members)
+    """The district's fragment tree: each fragment labelled by walking it once
+    along C, then joined by Kruskal over the sorted induced edges between
+    fragments, so each link is the lexicographically least chord it can be."""
+    order, n, pos = cycle.order, cycle.n, cycle.positions
+    label: dict[int, int] = {}
+    for v in members:
+        if order[pos[v] - 1] not in members:
+            t = pos[v]
+            while (w := order[t % n]) in members:
+                label[w] = v
+                t += 1
+    candidates = sorted(
+        (v, w) for v in members for w in g.adj[v] if v < w and w in members and label[v] != label[w]
+    )
     links: dict[int, dict[int, tuple[int, int]]] = {f: {} for f in label.values()}
-    for a, b in chords:
+    for a, b in complete_forest(label, candidates):
         links[label[a]][label[b]] = links[label[b]][label[a]] = (a, b)
     return _rooted(dict(Counter(label.values())), links, label)
-
-
-def _is_large(n: int, k: int, size: int) -> bool:
-    return k * size > n
 
 
 def step_light(
@@ -174,9 +160,8 @@ def step_light(
         if du == dw:
             continue
         for donor_v, donor_d, recv_d in ((u, du, dw), (w, dw, du)):
-            if not _is_large(n, k, len(p.districts[donor_d])):
-                continue
-            if _is_large(n, k, len(p.districts[recv_d])):
+            # A large donor (more than n/k vertices) sheds into a small receiver.
+            if k * len(p.districts[donor_d]) <= n or k * len(p.districts[recv_d]) > n:
                 continue
             donor = p.districts[donor_d]
             if donor not in trees:
@@ -214,45 +199,32 @@ def step_average(
     union = vi | vj
     if slack.s is not None and k * len(union) > n + k * slack.s:
         raise ValueError("combined district size exceeds n/k + s")
-    edges_i, chords_i, _ = _district_tree(g, cycle, vi)
-    edges_j, chords_j, _ = _district_tree(g, cycle, vj)
-    pos = cycle.positions
-    bridge = None
-    for t in range(n):
-        u = cycle.order[t]
-        w = cycle.order[(t + 1) % n]
-        if (u in vi and w in vj) or (u in vj and w in vi):
-            bridge = (min(u, w), max(u, w))
-            break
-    if bridge is None:
+    ti, tj = _fragment_tree(g, cycle, vi), _fragment_tree(g, cycle, vj)
+    order, pos = cycle.order, cycle.positions
+    # Fragments that follow the other district along C; the first along C
+    # bridges the two trees.
+    keys = [*ti.size, *tj.size]
+    joined = [f for f in keys if order[pos[f] - 1] in union]
+    if not joined:
         raise ValueError("districts not adjacent along C")
-    all_chords = sorted(chords_i | chords_j)
-    if all_chords:
-        e = all_chords[0]
-        part_a = _tree_side(union, (edges_i | edges_j | {bridge}) - {e}, e[0])
+    if chords := ti.chords + tj.chords:
+        label = {**ti.label, **tj.label}
+        w = min(joined, key=lambda f: (pos[f] - 1) % n)
+        bridge = (order[pos[w] - 1], w)
+        u = label[bridge[0]]
+        links = {**ti.links, **tj.links}
+        links[u] = {**links[u], w: bridge}
+        links[w] = {**links[w], u: bridge}
+        a, b = (label[v] for v in min(chords))
+        side = _side(links, a, a, b)
+        part_a = frozenset(v for v in union if label[v] in side)
         part_b = union - part_a
         assert part_b, "removing a tree edge must split the spanning tree"
         return labelled_move(i, j, part_a, part_b)
-    # Both districts are single arcs: the union is a chain along C.
-    positions = sorted(pos[v] for v in union)
-    start_pos = None
-    pos_set = set(positions)
-    for t in positions:
-        if (t - 1) % n not in pos_set:
-            start_pos = t
-            break
-    if start_pos is None:
-        # Union covers the whole cycle (k = 2 and both arcs).
-        start_pos = 0
-    v = cycle.order[start_pos]
-    part_a = frozenset({v})
-    part_b = union - part_a
-    return labelled_move(i, j, part_a, part_b)
-
-
-def _tree_side(vertices: frozenset[int], edges, start: int) -> frozenset[int]:
-    """Vertices joined to start by edges, a tree on vertices less one edge."""
-    return frozenset(reach(edge_adjacency(vertices, edges), start, vertices))
+    # Both districts are single arcs: the union is a chain along C, starting
+    # at the arc not joined to its predecessor, or it covers C (k = 2).
+    start = next((f for f in keys if f not in joined), order[0])
+    return labelled_move(i, j, frozenset({start}), union - {start})
 
 
 def steps_singleton(
@@ -265,9 +237,7 @@ def steps_singleton(
     singles = sorted(v for d in p.districts if len(d) == 1 for v in d)
     if not singles:
         raise ValueError("no singleton present")
-    frag_counts = {}
-    for f in fragments_of(cycle, p):
-        frag_counts[f.district] = frag_counts.get(f.district, 0) + 1
+    frag_counts = Counter(f.district for f in fragments_of(cycle, p))
     if all(c == 1 for c in frag_counts.values()):
         raise ValueError("partition already canonical")
     pos = cycle.positions
@@ -305,9 +275,10 @@ def steps_singleton(
     assert cur.districts[walker] == frozenset({w})
     succ = cycle.order[(pos[u] + t) % n]
     d2 = cur.district_of(succ)
-    edges2, chords2, _ = _district_tree(g, cycle, cur.districts[d2])
-    assert chords2, "target district must have a chord"
-    t_minus = _tree_side(cur.districts[d2], edges2 - {min(chords2)}, succ)
+    tree = _fragment_tree(g, cycle, cur.districts[d2])
+    assert tree.chords, "target district must have a chord"
+    side = _side(tree.links, tree.label[succ], *(tree.label[v] for v in min(tree.chords)))
+    t_minus = frozenset(v for v in cur.districts[d2] if tree.label[v] in side)
     t_plus = cur.districts[d2] - t_minus
     part_a = frozenset({w}) | t_minus
     m = labelled_move(walker, d2, part_a, t_plus)
@@ -343,18 +314,20 @@ def canonicalize(
         if m is not None:
             cur = apply_move(g, cur, m, slack)
             moves.append(m)
-        elif any(len(d) == 1 for d in cur.districts):
-            walk, cur = steps_singleton(g, cycle, cur, slack)
-            moves += walk
+            new_frags = fragment_count(cycle, cur)
         else:
-            i, j = find_small_adjacent_pair(cycle, cur)
-            m = step_average(g, cycle, cur, i, j, slack)
-            cur = apply_move(g, cur, m, slack)
-            moves.append(m)
-            if fragment_count(cycle, cur) == frags:
+            if all(len(d) > 1 for d in cur.districts):
+                i, j = find_small_adjacent_pair(cycle, cur)
+                m = step_average(g, cycle, cur, i, j, slack)
+                cur = apply_move(g, cur, m, slack)
+                moves.append(m)
+                new_frags = fragment_count(cycle, cur)
+            # A singleton, there before or left by an average step that
+            # joined no fragments, walks on.
+            if m is None or new_frags == frags:
                 walk, cur = steps_singleton(g, cycle, cur, slack)
                 moves += walk
-        new_frags = fragment_count(cycle, cur)
+                new_frags = fragment_count(cycle, cur)
         assert new_frags < frags, "fragment count must strictly decrease"
         frags = new_frags
     assert len(moves) <= k * (g.n - k)

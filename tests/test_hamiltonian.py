@@ -5,22 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recomb import hamiltonian
-from recomb.graphs import Graph, edge_adjacency, reach, tree_center
+from recomb.graphs import Graph, complete_forest, edge_adjacency, reach
 from recomb.hamiltonian import (
     CycleOrder,
     Fragment,
-    _district_tree,
     _fragment_tree,
     canonical_transform,
     canonicalize,
     fragment_count,
     fragments_of,
+    step_average,
     step_light,
     transform_hamiltonian,
 )
 from recomb.instances import gen_grid
 from recomb.partitions import Partition, SlackBound, canonical_key, validate
-from recomb.sequences import replay, resolve_moves
+from recomb.sequences import labelled_move, replay, resolve_moves
+from tree_reference import tree_center
 
 
 def cycle_graph(n, chords=()):
@@ -141,9 +142,14 @@ def test_fragment_tree_weights():
 
 def reference_light_subtrees(g, c, members):
     """The vertex-level rule the fragment tree replaced: root the district's
-    minimum-chord tree at tree_center, and cut v's side of the first chord on
-    v's path to that centre (None when the path has no chord)."""
-    edges, chords, _ = _district_tree(g, c, members)
+    minimum-chord tree (Kruskal over its cycle edges, then its other induced
+    edges sorted) at tree_center, and cut v's side of the first chord on v's
+    path to that centre (None when the path has no chord)."""
+    steps = ((c.order[t - 1], c.order[t]) for t in range(c.n))
+    inside = {(min(e), max(e)) for e in steps if e[0] in members and e[1] in members}
+    induced = sorted((v, w) for v in members for w in g.adj[v] if v < w and w in members)
+    tree = complete_forest({v: v for v in members}, [*inside, *(e for e in induced if e not in inside)])
+    edges, chords = set(tree), set(tree) - inside
     adj = edge_adjacency(members, edges)
     up = reach(adj, tree_center(adj), adj)
 
@@ -231,6 +237,52 @@ def test_derived_fragment_trees_match_fresh_ones(monkeypatch):
             assert tree == _fragment_tree(g, c, members)
             derived += len(tree.label) > len(members)
     assert derived > 100
+
+
+def rotations_and_reflections(n):
+    """Every cyclic order of 0..n-1 along the cycle C_n, as (order, forward)."""
+    return [(tuple(seq[r:] + seq[:r]), seq[0] == 0) for seq in (list(range(n)), list(range(n))[::-1])
+            for r in range(n)]
+
+
+@pytest.mark.parametrize("shape", ["chain", "cover", "chord"])
+@pytest.mark.parametrize("order, forward", rotations_and_reflections(12))
+def test_step_average_branches(shape, order, forward):
+    # chain: arcs {0,1,2} and {3,4,5} of C12 (k = 3); their union is a chain
+    # along C, and the move sheds its first vertex, 0 or 5 by direction.
+    # cover: arcs {0..5} and {6..11} (k = 2) cover C; the move sheds order[0].
+    # chord: {0,1,2,6,7,8}, two arcs joined by the chord 2-6, and {3,4,5}
+    # between them; cutting the chord leaves {3,4,5} with the arc it meets at
+    # the first district boundary along C from order[0].
+    c = CycleOrder(order)
+    if shape == "cover":
+        g, parts, slack = cycle_graph(12), [range(6), range(6, 12)], SlackBound(6)
+    elif shape == "chain":
+        g, parts, slack = cycle_graph(12), [range(3), range(3, 6), range(6, 12)], SlackBound(5)
+    else:
+        g = cycle_graph(12, chords=[(2, 6)])
+        parts, slack = [[0, 1, 2, 6, 7, 8], range(3, 6), range(9, 12)], SlackBound(5)
+    p = Partition.of(parts)
+    union = p.districts[0] | p.districts[1]
+    if shape == "cover":
+        part_a = frozenset({order[0]})
+    elif shape == "chain":
+        part_a = frozenset({0 if forward else 5})
+    else:
+        steps = ({order[t], order[(t + 1) % 12]} for t in range(12))
+        first = next(e for e in steps if e in ({2, 3}, {5, 6}))
+        part_a = frozenset(range(6) if first == {2, 3} else range(3))
+    assert step_average(g, c, p, 0, 1, slack) == labelled_move(0, 1, part_a, union - part_a)
+
+
+@pytest.mark.parametrize("order", [order for order, _ in rotations_and_reflections(12)[::5]])
+@pytest.mark.parametrize("chords", [(), ((1, 7),)])
+def test_step_average_refuses_districts_apart_on_c(order, chords):
+    # Arcs {0,1,2} and {6,7,8} of C12 are not adjacent along C, even when a
+    # chord joins them.
+    p = Partition.of([range(3), range(3, 6), range(6, 9), range(9, 12)])
+    with pytest.raises(ValueError, match="not adjacent along C"):
+        step_average(cycle_graph(12, chords), CycleOrder(order), p, 0, 2, SlackBound(3))
 
 
 def test_step_light_reduces_fragments():
