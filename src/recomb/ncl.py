@@ -385,6 +385,8 @@ def parse_ncl(text: str) -> tuple[NCLInstance, dict[str, Orientation]]:
         if parts[0] != "orient":
             raise ValueError(f"expected orient block, got {lines[i]!r}")
         name = parts[1]
+        if name in orients:
+            raise ValueError(f"orient block {name!r} appears twice")
         i += 1
         dirs: list[Optional[str]] = [None] * ne
         for _ in range(ne):

@@ -182,7 +182,12 @@ def _vertex_set(mask: int, shared: dict) -> frozenset[int]:
     """The frozenset of a vertex mask, made once per `shared` dict.  Copied
     from a set, its table fits its size: 472 bytes for 5-7 vertices, not 728."""
     if mask not in shared:
-        shared[mask] = frozenset({v for v in range(mask.bit_length()) if mask >> v & 1})
+        vs, left = set(), mask
+        while left:
+            low = left & -left
+            vs.add(low.bit_length() - 1)
+            left ^= low
+        shared[mask] = frozenset(vs)
     return shared[mask]
 
 
@@ -226,6 +231,13 @@ def _connected_parts(g: Graph, vertices: int, parts: int, m_min: int, m_max: int
     The first part holds min(vertices).  It is grown ESU-style (Wernicke
     2006) on the pendant-contracted graph and kept only if every component of
     the rest can hold a whole number of parts, and the rest recurses.
+
+    With two parts the growth also cuts dead branches.  A group it has
+    passed over can only lie in the rest, which must be connected.  So a
+    part is kept or grown only if all passed groups lie in one piece of what
+    it leaves and at most `hi` vertices lie outside that piece, since they
+    all must end in the part.  Parts of `hi` - 1 vertices or more are not
+    tested: their children are leaves, and the rest of each is tested below.
     """
     size, nbr = vertices.bit_count(), g.nbr
     lo = max(m_min, size - (parts - 1) * m_max)
@@ -239,6 +251,11 @@ def _connected_parts(g: Graph, vertices: int, parts: int, m_min: int, m_max: int
 
     def grow(first: int, ext: int, excl: int):
         # first: vertices taken; ext: groups to try next; excl: groups taken or passed.
+        passed = excl & ~first
+        if parts == 2 and passed and first.bit_count() < hi - 1:  # see the docstring
+            piece = _spread(nbr, passed & -passed, vertices ^ first)
+            if passed & ~piece or size - piece.bit_count() > hi:
+                return
         if first.bit_count() >= lo:
             firsts.append(first)
         while ext:

@@ -237,6 +237,19 @@ def test_gen_ncl_refuses_an_orient_block_naming_an_edge_twice(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["dup.ncl"]
 
 
+def test_gen_ncl_refuses_a_repeated_orient_block(tmp_path, capsys):
+    # A second block A that flips edge 3 of the first: without the check the
+    # file parses and the reduction silently starts from the second A.
+    block_a = _K4_NCL[_K4_NCL.index("orient A\n"):_K4_NCL.index("orient B\n")]
+    assert "3 uv\n" in block_a
+    nclfile = tmp_path / "twice.ncl"
+    write(nclfile, _K4_NCL + block_a.replace("3 uv\n", "3 vu\n"))
+    assert run(["gen", "--family", "ncl", "--ncl", str(nclfile), "--s", "0",
+                "--out", str(tmp_path / "red")]) == 1
+    assert capsys.readouterr().err == "error: orient block 'A' appears twice\n"
+    assert os.listdir(tmp_path) == ["twice.ncl"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

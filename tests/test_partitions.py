@@ -4,12 +4,15 @@ import random
 import pytest
 
 from recomb.graphs import Graph, is_connected
+from recomb.instances import gen_grid
 from recomb.partitions import (
     MoveError,
     Partition,
     RecombMove,
     SLACK_INF,
     SlackBound,
+    _connected_parts,
+    _vertex_set,
     apply_move,
     canonical_key,
     enumerate_moves,
@@ -258,6 +261,109 @@ def test_every_enumerated_move_applies_cleanly():
             q = apply_move(g, p, m, slack)
             assert validate(g, q, k, slack).ok
         checked += 1
+
+
+def mask_connected(g, mask):
+    start = (mask & -mask).bit_length() - 1
+    seen, stack = {start}, [start]
+    while stack:
+        for w in g.adj[stack.pop()]:
+            if mask >> w & 1 and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == mask.bit_count()
+
+
+def brute_parts(g, vertices, parts, m_min, m_max):
+    """Reference for _connected_parts: every split of the vertex mask into
+    connected parts of m_min..m_max vertices, each part holding the least
+    vertex not in the parts before it, as a sorted list of mask tuples."""
+    if parts == 1:
+        ok = m_min <= vertices.bit_count() <= m_max and mask_connected(g, vertices)
+        return [(vertices,)] if ok else []
+    low, *others = [v for v in range(g.n) if vertices >> v & 1]
+    out = []
+    for r in range(m_min - 1, min(m_max, len(others) + 1)):
+        for sub in itertools.combinations(others, r):
+            a = sum(1 << v for v in sub) | 1 << low
+            if mask_connected(g, a):
+                out += [(a, *tail) for tail in brute_parts(g, vertices ^ a, parts - 1, m_min, m_max)]
+    return sorted(out)
+
+
+def balanced_partition(rng, g, k, m_min, m_max):
+    """A seeded connected k-partition with sizes in [m_min, m_max], grown
+    from random seeds by always extending the smallest district."""
+    for _ in range(1000):
+        label = {v: d for d, v in enumerate(rng.sample(range(g.n), k))}
+        sizes = [1] * k
+        while len(label) < g.n:
+            free = [
+                (sizes[label[v]], w) for v in label for w in g.adj[v] if w not in label
+            ]
+            if not free:
+                break
+            least = min(size for size, _ in free)
+            w = rng.choice([w for size, w in free if size == least])
+            d = min((label[v] for v in g.adj[w] if v in label), key=lambda d: sizes[d])
+            label[w] = d
+            sizes[d] += 1
+        if len(label) == g.n and m_min <= min(sizes) and max(sizes) <= m_max:
+            return [sum(1 << v for v in label if label[v] == d) for d in range(k)]
+    raise AssertionError("no balanced partition found")
+
+
+def check_connected_parts(g, vertices, parts, m_min, m_max):
+    got = sorted(tuple(ds) for ds in _connected_parts(g, vertices, parts, m_min, m_max))
+    assert got == brute_parts(g, vertices, parts, m_min, m_max)
+    return got
+
+
+def test_connected_parts_on_district_pair_unions_of_8x8():
+    # The sample workload's unions: 8x8, k = 8, s = 1 (parts of 7-9 of
+    # 14-18 vertices), and s = 0 (lo = hi = 8 on 16 vertices).
+    g = gen_grid(8, 8)
+    rng = random.Random(16)
+    for m_min, m_max, count in ((7, 9, 2), (8, 8, 1)):
+        for _ in range(count):
+            masks = balanced_partition(rng, g, 8, m_min, m_max)
+            for a, b in itertools.combinations(masks, 2):
+                if mask_connected(g, a | b):
+                    split = (a, b) if a & -a < b & -b else (b, a)
+                    assert split in check_connected_parts(g, a | b, 2, m_min, m_max)
+
+
+def test_connected_parts_on_random_graphs():
+    # Unions up to 16 vertices, where the growth passes over many groups.
+    rng = random.Random(17)
+    for case in range(40):
+        n = rng.randint(8, 16)
+        if case % 4 == 1:  # lo = hi
+            n += n % 2
+        g = random_connected(rng, n, extra=rng.choice([0, 3, n]))
+        if case % 4 == 0:  # unbounded slack
+            m_min, m_max = 1, n
+        elif case % 4 == 1:
+            m_min = m_max = n // 2
+        else:
+            m_min = rng.randint(1, n // 2)
+            m_max = rng.randint(max(m_min, n - n // 2), n)
+        check_connected_parts(g, (1 << n) - 1, 2, m_min, m_max)
+    for case in range(20):
+        n = rng.randint(6, 12)
+        g = random_connected(rng, n, extra=rng.choice([0, 3, n]))
+        m_min = rng.randint(1, n // 3)
+        m_max = rng.randint(-(-n // 3), n - 2 * m_min)
+        check_connected_parts(g, (1 << n) - 1, 3, m_min, m_max)
+
+
+def test_vertex_set_reads_every_set_bit():
+    shared = {}
+    for bits in ({0}, {0, 63, 64}, {3, 64, 130}, set(range(70))):
+        mask = sum(1 << v for v in bits)
+        got = _vertex_set(mask, shared)
+        assert got == frozenset(bits)
+        assert _vertex_set(mask, shared) is got
 
 
 # --- text formats ---
