@@ -130,6 +130,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    if args.k < 1:
+        raise ValueError("--k must be at least 1")
     g = _load_graph(args.graph)
     slack = SlackBound.parse(args.slack)
     cg = build_space(g, args.k, slack)
@@ -221,6 +223,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.steps < 0:
+        raise ValueError("--steps must be at least 0")
     g = _load_graph(args.graph)
     p = _load_partition(args.partition)
     slack = SlackBound.parse(args.slack)

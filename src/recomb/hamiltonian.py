@@ -41,29 +41,15 @@ class CycleOrder:
                 raise ValueError(f"cycle step ({u},{w}) is not an edge of the graph")
 
 
-@dataclass(frozen=True)
-class Fragment:
-    """Maximal run of one district's vertices that is contiguous along C."""
-
-    district: int
-    start: int
-    length: int
-
-
-def fragments_of(cycle: CycleOrder, p: Partition) -> list[Fragment]:
-    """All fragments of all districts, in cyclic order along C."""
-    n = cycle.n
-    labels = p.labels
-    dist_at = [labels[v] for v in cycle.order]
-    starts = [t for t in range(n) if dist_at[t] != dist_at[t - 1]]
-    if not starts:
-        return [Fragment(dist_at[0], 0, n)]
-    ends = starts[1:] + [starts[0] + n]
-    return [Fragment(dist_at[t], t, end - t) for t, end in zip(starts, ends)]
+def _boundaries(cycle: CycleOrder, p: Partition) -> list[tuple[int, int]]:
+    """Each pair (u, w) of consecutive vertices along C in different
+    districts, in the order of u's position; each w starts a fragment."""
+    labels, order = p.labels, cycle.order
+    return [(u, w) for u, w in zip(order, order[1:] + order[:1]) if labels[u] != labels[w]]
 
 
 def fragment_count(cycle: CycleOrder, p: Partition) -> int:
-    return len(fragments_of(cycle, p))
+    return len(_boundaries(cycle, p)) or 1
 
 
 @dataclass(frozen=True)
@@ -146,19 +132,15 @@ def step_light(
     g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound, *, _trees: Optional[dict] = None
 ) -> Optional[RecombMove]:
     """A move shedding a light fragment of a large district into an adjacent
-    small district, when one exists; scans cycle positions ascending.
+    small district, when one exists; scans the boundaries along C in order.
 
     _trees caches _FragmentTree by district, the donor's after the move too.
     """
     n, k = cycle.n, p.k
     labels = p.labels
     trees = {} if _trees is None else _trees
-    for pos in range(n):
-        u = cycle.order[pos]
-        w = cycle.order[(pos + 1) % n]
+    for u, w in _boundaries(cycle, p):
         du, dw = labels[u], labels[w]
-        if du == dw:
-            continue
         for donor_v, donor_d, recv_d in ((u, du, dw), (w, dw, du)):
             # A large donor (more than n/k vertices) sheds into a small receiver.
             if k * len(p.districts[donor_d]) <= n or k * len(p.districts[recv_d]) > n:
@@ -180,11 +162,9 @@ def find_small_adjacent_pair(cycle: CycleOrder, p: Partition) -> tuple[int, int]
     """First pair of districts adjacent along C with combined size <= 2n/k."""
     n, k = cycle.n, p.k
     labels = p.labels
-    for pos in range(n):
-        u = cycle.order[pos]
-        w = cycle.order[(pos + 1) % n]
+    for u, w in _boundaries(cycle, p):
         du, dw = labels[u], labels[w]
-        if du != dw and k * (len(p.districts[du]) + len(p.districts[dw])) <= 2 * n:
+        if k * (len(p.districts[du]) + len(p.districts[dw])) <= 2 * n:
             return du, dw
     raise ValueError("no pair found")
 
@@ -237,25 +217,23 @@ def steps_singleton(
     singles = sorted(v for d in p.districts if len(d) == 1 for v in d)
     if not singles:
         raise ValueError("no singleton present")
-    frag_counts = Counter(f.district for f in fragments_of(cycle, p))
+    labels = p.labels
+    starts = [w for _, w in _boundaries(cycle, p)]
+    frag_counts = Counter(labels[w] for w in starts)
     if all(c == 1 for c in frag_counts.values()):
         raise ValueError("partition already canonical")
     pos = cycle.positions
     u = singles[0]
-    # Walk clockwise to the first district with two or more fragments.
-    t = 1
-    while frag_counts[p.labels[cycle.order[(pos[u] + t) % n]]] < 2:
-        t += 1
-    chain_districts: list[int] = []
-    for x in range(t):
-        d = p.labels[cycle.order[(pos[u] + x) % n]]
-        if not chain_districts or chain_districts[-1] != d:
-            chain_districts.append(d)
+    # Walk clockwise, fragment by fragment from u's own (a singleton starts
+    # one), to the first district with two or more fragments.
+    at = starts.index(u)
+    walk = starts[at:] + starts[:at]
+    t = next(x for x, v in enumerate(walk) if frag_counts[labels[v]] > 1)
     moves: list[RecombMove] = []
     cur = p
     # Shift the chain contents so the singleton ends next to the target.
-    walker = chain_districts[0]
-    for db in chain_districts[1:]:
+    walker = labels[u]
+    for db in (labels[v] for v in walk[1:t]):
         if len(cur.districts[db]) == 1:
             # A singleton at the end of its own arc: shifting it would be an
             # identity move, so it walks on in place of the first one.
@@ -271,9 +249,9 @@ def steps_singleton(
         # The label rule may give the walking singleton either label.
         walker = m.i if m.new_i == part_b else m.j
     # Case 1: absorb one side of a chord split of the multi-fragment district.
-    w = cycle.order[(pos[u] + t - 1) % n]
+    succ = walk[t]
+    w = cycle.order[pos[succ] - 1]
     assert cur.districts[walker] == frozenset({w})
-    succ = cycle.order[(pos[u] + t) % n]
     d2 = cur.district_of(succ)
     tree = _fragment_tree(g, cycle, cur.districts[d2])
     assert tree.chords, "target district must have a chord"
@@ -335,13 +313,12 @@ def canonicalize(
 
 
 def _arcs_in_cycle_order(cycle: CycleOrder, p: Partition) -> list[list[int]]:
-    frags = fragments_of(cycle, p)
-    seen_districts = [f.district for f in frags]
-    if len(set(seen_districts)) != len(seen_districts):
+    """The districts' arcs in order along C; each district must be one arc."""
+    order, n, pos = cycle.order, cycle.n, cycle.positions
+    cuts = sorted(pos[w] for _, w in _boundaries(cycle, p)) or [0]
+    if len(cuts) != p.k:
         raise ValueError("partition is not canonical")
-    return [
-        [cycle.order[(f.start + x) % cycle.n] for x in range(f.length)] for f in frags
-    ]
+    return [[order[x % n] for x in range(a, b)] for a, b in zip(cuts, cuts[1:] + [cuts[0] + n])]
 
 
 def _balance_abstract(
@@ -379,38 +356,30 @@ def _balance_abstract(
 
 
 def _shift_abstract(arcs: list[list[int]], delta: int) -> list[AbstractMove]:
-    """Cyclic shift of balanced arcs by delta positions in at most k moves."""
+    """Cyclic shift of balanced arcs by delta positions in at most k moves: each
+    arc in turn takes the first delta vertices of the arc after it along C."""
     k = len(arcs)
     out: list[AbstractMove] = []
     if delta == 0 or k == 1:
         return out
-
-    def transfer_head(a: int, b: int, count: int):
-        # Arc b cyclically follows arc a; move the first `count` vertices of b
-        # onto the tail of a.
-        moved, arcs[b] = arcs[b][:count], arcs[b][count:]
-        arcs[a] = arcs[a] + moved
+    for a in range(k):
+        b = (a + 1) % k
+        run, cut = arcs[a] + arcs[b], len(arcs[a]) + delta
+        arcs[a], arcs[b] = run[:cut], run[cut:]
         out.append((frozenset(arcs[a]), frozenset(arcs[b])))
-
-    transfer_head(0, 1, delta)
-    for i in range(1, k - 1):
-        transfer_head(i, i + 1, delta)
-    # Close the loop: the head of arc 0 moves to the tail of the last arc.
-    moved, arcs[0] = arcs[0][:delta], arcs[0][delta:]
-    arcs[k - 1] = arcs[k - 1] + moved
-    out.append((frozenset(arcs[k - 1]), frozenset(arcs[0])))
     return out
 
 
 def canonical_transform(
     g: Graph, cycle: CycleOrder, pc1: Partition, pc2: Partition, slack: SlackBound
-) -> list[RecombMove]:
+) -> tuple[list[RecombMove], Partition]:
     """At most k^2+1 moves between canonical partitions, through canonical
-    partitions only."""
+    partitions only; returns them with the labelled partition they lead to
+    from pc1 (pc1 itself when pc1 and pc2 are the same partition)."""
     k = pc1.k
     _check_preconditions(g, cycle, k, slack)
     if canonical_key(pc1) == canonical_key(pc2):
-        return []
+        return [], pc1
     target = cycle.n // k
     arcs1 = _arcs_in_cycle_order(cycle, pc1)
     arcs2 = _arcs_in_cycle_order(cycle, pc2)
@@ -426,7 +395,7 @@ def canonical_transform(
     moves, final = resolve_moves(g, pc1, bal1 + shift + unbal2, slack)
     assert canonical_key(final) == canonical_key(pc2)
     assert len(moves) <= k * k + 1
-    return moves
+    return moves, final
 
 
 def transform_hamiltonian(
@@ -440,12 +409,9 @@ def transform_hamiltonian(
         return []
     m1, c1 = canonicalize(g, cycle, p1, slack)
     m2, c2 = canonicalize(g, cycle, p2, slack)
-    mid = canonical_transform(g, cycle, c1, c2, slack)
+    mid, cur = canonical_transform(g, cycle, c1, c2, slack)
     # m1 and mid already carry the labels resolve_moves would give them;
     # only the reverse of m2 is resolved, from where mid ends.
-    cur = c1
-    for m in mid:
-        cur = cur.replace(m.i, m.j, m.new_i, m.new_j)
     back, final = resolve_moves(g, cur, inverted_abstract(p2, m2), slack)
     assert canonical_key(final) == canonical_key(p2)
     moves = m1 + mid + back

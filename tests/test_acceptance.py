@@ -139,7 +139,7 @@ def test_criterion_2_canonical_diameter():
     parts = [Partition.of([sorted(d) for d in cg.nodes[i]]) for i in canon]
     for pa in parts:
         for pb in parts:
-            moves = canonical_transform(g, cycle, pa, pb, slack)
+            moves, _ = canonical_transform(g, cycle, pa, pb, slack)
             if len(moves) > bound:
                 ok = False
             end = replay(g, pa, moves, slack)

@@ -128,6 +128,21 @@ def test_explore(c8, capsys):
     assert int(lines["components"]) >= 1
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_explore_k_below_1_exit_1(c8, capsys, k):
+    _, gp, _, _, _ = c8
+    assert run(["explore", "--graph", gp, "--k", k, "--slack", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --k must be at least 1\n"
+
+
+def test_explore_k_above_n_answers_empty_space(c8, capsys):
+    _, gp, _, _, _ = c8
+    assert run(["explore", "--graph", gp, "--k", "9", "--slack", "1"]) == 0
+    assert capsys.readouterr().out == "nodes 0\nedges 0\ncomponents 0\ndiameters \n"
+
+
 def test_decide(c8, tmp_path, capsys):
     g, gp, ap, bp, _ = c8
     out = tmp_path / "path.txt"
@@ -313,6 +328,17 @@ def test_sample_deterministic(c8, tmp_path, capsys):
                     "--out", str(out)]) == 0
     assert read(out1) == read(out2)
     capsys.readouterr()
+
+
+def test_sample_negative_steps_exit_1(c8, tmp_path, capsys):
+    _, gp, ap, _, _ = c8
+    out = tmp_path / "w.txt"
+    assert run(["sample", "--graph", gp, "--partition", ap, "--k", "2",
+                "--slack", "1", "--steps", "-3", "--seed", "42", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == "error: --steps must be at least 0\n"
+    assert not out.exists()
 
 
 def test_dot_export(c8, tmp_path):

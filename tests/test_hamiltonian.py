@@ -8,12 +8,13 @@ from recomb import hamiltonian
 from recomb.graphs import Graph, complete_forest, edge_adjacency, reach
 from recomb.hamiltonian import (
     CycleOrder,
-    Fragment,
+    _arcs_in_cycle_order,
+    _boundaries,
     _fragment_tree,
+    _shift_abstract,
     canonical_transform,
     canonicalize,
     fragment_count,
-    fragments_of,
     step_average,
     step_light,
     transform_hamiltonian,
@@ -32,10 +33,6 @@ def cycle_graph(n, chords=()):
 
 def identity_cycle(n):
     return CycleOrder(tuple(range(n)))
-
-
-def fragment_vertices(c, f):
-    return frozenset(c.order[(f.start + x) % c.n] for x in range(f.length))
 
 
 def serpentine(w, h):
@@ -100,22 +97,70 @@ def test_cycle_order_check():
         CycleOrder((0, 2, 1, 3, 4)).check(g)
 
 
-def test_fragments_of_contiguous():
+def test_boundaries_contiguous():
     c = identity_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
-    frags = fragments_of(c, p)
-    assert len(frags) == 2
-    assert {fragment_vertices(c, f) for f in frags} == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
+    assert _boundaries(c, p) == [(2, 3), (5, 0)]
+    assert fragment_count(c, p) == 2
+    assert _arcs_in_cycle_order(c, p) == [[0, 1, 2], [3, 4, 5]]
 
 
-def test_fragments_of_wraparound():
+def test_boundaries_wraparound():
     c = identity_cycle(6)
     p = Partition.of([[5, 0, 1], [2, 3, 4]])
-    frags = fragments_of(c, p)
-    assert len(frags) == 2
-    assert Fragment(0, 5, 3) in frags or any(
-        fragment_vertices(c, f) == frozenset({5, 0, 1}) for f in frags
-    )
+    assert _boundaries(c, p) == [(1, 2), (4, 5)]
+    assert fragment_count(c, p) == 2
+    assert _arcs_in_cycle_order(c, p) == [[2, 3, 4], [5, 0, 1]]
+
+
+def reference_runs(order, labels):
+    """The maximal runs of one district along the cyclic order, each as its
+    vertices in cycle order, in order of their first position; walked out
+    position by position."""
+    n = len(order)
+    lab = [labels[v] for v in order]
+    if len(set(lab)) == 1:
+        return [list(order)]
+    runs = []
+    for t in range(n):
+        if lab[t] != lab[t - 1]:
+            run = [order[t]]
+            while lab[(t + len(run)) % n] == lab[t]:
+                run.append(order[(t + len(run)) % n])
+            runs.append(run)
+    return runs
+
+
+def test_boundaries_match_brute_force():
+    rng = random.Random(17)
+    canonical = 0
+    for _ in range(3000):
+        n = rng.randint(3, 12)
+        k = rng.randint(1, min(4, n))
+        order = list(range(n))
+        rng.shuffle(order)
+        if rng.random() < 0.5:
+            # k arcs along the cycle, cut at random positions.
+            cuts = sorted(rng.sample(range(n), k))
+            lab = [sum(t >= x for x in cuts) % k for t in range(n)]
+        else:
+            lab = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+            rng.shuffle(lab)
+        labels = dict(zip(order, lab))
+        p = Partition.of([[v for v in order if labels[v] == d] for d in range(k)])
+        c = CycleOrder(tuple(order))
+        pairs = [(order[t], order[(t + 1) % n]) for t in range(n)
+                 if labels[order[t]] != labels[order[(t + 1) % n]]]
+        runs = reference_runs(order, labels)
+        assert _boundaries(c, p) == pairs
+        assert fragment_count(c, p) == len(runs)
+        if len(runs) == k:
+            canonical += 1
+            assert _arcs_in_cycle_order(c, p) == runs
+        else:
+            with pytest.raises(ValueError):
+                _arcs_in_cycle_order(c, p)
+    assert 1000 < canonical < 2500
 
 
 def test_fragment_count_single_district():
@@ -339,7 +384,7 @@ def test_canonical_transform_stays_canonical():
         p2 = random_partition(rng, g, k, slack)
         _, c1 = canonicalize(g, c, p1, slack)
         _, c2 = canonicalize(g, c, p2, slack)
-        moves = canonical_transform(g, c, c1, c2, slack)
+        moves, end = canonical_transform(g, c, c1, c2, slack)
         assert len(moves) <= k * k + 1
         cur = c1
         for m in moves:
@@ -347,6 +392,50 @@ def test_canonical_transform_stays_canonical():
             assert validate(g, cur, k, slack).ok
             assert fragment_count(c, cur) == k  # canonical throughout
         assert canonical_key(cur) == canonical_key(c2)
+        # The returned partition carries the labels a checked replay gives.
+        assert end == cur == replay(g, c1, moves, slack)
+        assert canonical_transform(g, c, c1, c1, slack) == ([], c1)
+
+
+def reference_shift_abstract(arcs, delta):
+    """_shift_abstract as first written: each arc but the last takes the head
+    of the next, then the head of arc 0 closes the loop onto the last."""
+    k = len(arcs)
+    out = []
+    if delta == 0 or k == 1:
+        return out
+
+    def transfer_head(a, b, count):
+        # Arc b cyclically follows arc a; move the first `count` vertices of b
+        # onto the tail of a.
+        moved, arcs[b] = arcs[b][:count], arcs[b][count:]
+        arcs[a] = arcs[a] + moved
+        out.append((frozenset(arcs[a]), frozenset(arcs[b])))
+
+    transfer_head(0, 1, delta)
+    for i in range(1, k - 1):
+        transfer_head(i, i + 1, delta)
+    # Close the loop: the head of arc 0 moves to the tail of the last arc.
+    moved, arcs[0] = arcs[0][:delta], arcs[0][delta:]
+    arcs[k - 1] = arcs[k - 1] + moved
+    out.append((frozenset(arcs[k - 1]), frozenset(arcs[0])))
+    return out
+
+
+def test_shift_abstract_matches_reference():
+    rng = random.Random(34)
+    for k in range(1, 7):
+        for target in range(1, 5):
+            n = k * target
+            for _ in range(5):
+                order = list(range(n))
+                rng.shuffle(order)
+                r = rng.randrange(n)
+                arcs = [[order[(r + a * target + x) % n] for x in range(target)] for a in range(k)]
+                for delta in range(target):
+                    new, old = [list(a) for a in arcs], [list(a) for a in arcs]
+                    assert _shift_abstract(new, delta) == reference_shift_abstract(old, delta)
+                    assert new == old
 
 
 def test_transform_hamiltonian_end_to_end():

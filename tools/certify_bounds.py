@@ -17,8 +17,9 @@ Run from the repository root (about 36 s):
     python3 tools/certify_bounds.py
 
 Prints, per instance and transform, the longest sequence and a sha256 over
-all sequences in pair order, and exits 0 iff no pair fails and every
-instance has its expected number of balanced partitions.
+all sequences in pair order, and exits 0 iff no pair fails, every instance
+has its expected number of balanced partitions and every sha256 equals its
+pinned value in DIGESTS, so any change to a move sequence is caught.
 """
 
 from __future__ import annotations
@@ -53,8 +54,22 @@ INSTANCES = (
      tuple(range(15)), 43),
 )
 
+# Per instance: the sha256 over all unbounded, then all Hamiltonian sequences.
+DIGESTS = {
+    "grid 4x4": ("ca2a31fb5dae7acafe3d8e2545f1584c437fe0bd6febc8b650ba221841fda4fa",
+                 "3e8c8db18c5d56fe2fe3225698aa4afca5ba1955c9992076676d2414d8caa8bb"),
+    "grid 4x3": ("04b80b714a25a7c52e23ed3a9308c981995ebc7e43cf68b2ba5922e7316d53c8",
+                 "74437ada472eb334b3d1da895d6ba56dbc309e58c9a7c521c4f2b2c22375944f"),
+    "grid 6x2": ("09ec64e916b124b1a52f7c64c1e4d18310e85c2be687fc71aaa59f14f1cd69c2",
+                 "adefe13d57acf40bfb450af7d2c019fe577cdbdde7a5bac2df5f5e823c2c1e43"),
+    "C16 with 4 chords": ("bc7ed08c0d98dda03f0e7ad0002637d48491f4cd9a9088f63700b1a41fbe8d6b",
+                          "a21d0950967772b5380251f6ff6c3f62d6a9745bf940827d8592a9721baf36e3"),
+    "C15 with 3 chords": ("cb68a6404ce3d65d005519843c065ffb48c2b90c997f88d57704f8107caeed71",
+                          "af2cc1cae946273784c25ef4ecc3ebe1a2afcf6297db7cc7374db7664292a66f"),
+}
 
-def certify(name, transform, g, parts, slack, bound) -> bool:
+
+def certify(name, transform, g, parts, slack, bound, pinned) -> bool:
     digest = hashlib.sha256()
     failures = 0
     longest = (-1, None)
@@ -72,10 +87,12 @@ def certify(name, transform, g, parts, slack, bound) -> bool:
                 continue
             digest.update(format_moves(moves).encode() + b"\n")
             longest = max(longest, (len(moves), (a, b)))
-    pairs = len(parts) ** 2
+    pairs, sha = len(parts) ** 2, digest.hexdigest()
     print(f"{name}: {pairs} pairs, {failures} failed, longest {longest[0]} moves "
-          f"(pair {longest[1]}), bound {bound}, sha256 {digest.hexdigest()}")
-    return failures == 0
+          f"(pair {longest[1]}), bound {bound}, sha256 {sha}")
+    if sha != pinned:
+        print(f"{name}: sha256 differs from the pinned {pinned}")
+    return failures == 0 and sha == pinned
 
 
 def main() -> int:
@@ -86,11 +103,12 @@ def main() -> int:
         parts = enumerate_partitions(g, k, SlackBound(0))
         print(f"{name}, k={k}: {len(parts)} balanced partitions")
         hslack = SlackBound(g.n // k)
+        pinned_u, pinned_h = DIGESTS[name]
         ok &= certify("unbounded", lambda p1, p2: transform_unbounded(g, p1, p2),
-                      g, parts, SLACK_INF, 6 * (k - 1))
+                      g, parts, SLACK_INF, 6 * (k - 1), pinned_u)
         ok &= certify("hamiltonian",
                       lambda p1, p2: transform_hamiltonian(g, cycle, p1, p2, hslack),
-                      g, parts, hslack, 2 * k * (g.n - k) + k * k + 1)
+                      g, parts, hslack, 2 * k * (g.n - k) + k * k + 1, pinned_h)
         ok &= len(parts) == count
     return 0 if ok else 1
 
