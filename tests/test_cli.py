@@ -1,4 +1,6 @@
+import hashlib
 import os
+import shlex
 import subprocess
 import sys
 
@@ -378,6 +380,107 @@ def test_run_looks_up_the_command_at_call_time(c8, monkeypatch):
     monkeypatch.setattr(cli, "cmd_decide", lambda args: seen.append(args.to) or 2)
     assert run(argv) == 2
     assert seen == [bp]
+
+
+# -- every subcommand pinned byte for byte ------------------------------------
+
+_VIOLATIONS = ("district 0 size 7, bound |2*7-8| <= 2*1 fails\n"
+               "district 1 size 1, bound |2*1-8| <= 2*1 fails\n")
+# argv, exit code, stdout, stderr, and the first 16 hex digits of the sha256
+# of each file written.  {bad} has districts of 7 and 1 vertices on C8.
+_PINNED = {
+    "validate": ("validate --graph {g} --partition {a} --k 2 --slack 1 --dot {out}/v.dot",
+                 0, "OK\n", "", {"v.dot": "764945b4370ad6d9"}),
+    "transform-unbounded": (
+        "transform --mode unbounded --graph {g} --from {a} --to {b} --slack inf "
+        "--out {out}/m.txt --dot {out}/t.dot",
+        0, "3\n", "", {"m.txt": "f0c93735458c192d", "t.dot": "4dfbcfccf5611b53"}),
+    "transform-hamiltonian": (
+        "transform --mode hamiltonian --graph {g} --from {a} --to {b} --slack 4 --cycle {c} "
+        "--out {out}/m.txt --dot {out}/t.dot",
+        0, "2\n", "", {"m.txt": "1c9a3af557bbb35d", "t.dot": "4dfbcfccf5611b53"}),
+    "explore": ("explore --graph {g} --k 2 --slack 1 --dot {out}/e.dot",
+                0, "nodes 12\nedges 66\ncomponents 1\ndiameters 1\n", "",
+                {"e.dot": "ae5c3d44d1c3c062"}),
+    "decide": ("decide --graph {g} --from {a} --to {b} --k 2 --slack 1 --out {out}/p.txt",
+               0, "REACHABLE 1\n", "", {"p.txt": "adf16f83174f6fc0"}),
+    "sample": ("sample --graph {g} --partition {a} --k 2 --slack 1 --steps 10 --seed 7 "
+               "--out {out}/w.txt",
+               0, "seed 7\nsteps 10\nhalted no\n", "", {"w.txt": "a37fb9ccabf34f8f"}),
+    "gen-cycle": ("gen --family cycle --n 8 --out {out}/x --dot {out}/x.dot",
+                  0, "n 8\n", "", {"x.dot": "ae5c3d44d1c3c062", "x.graph": "cc79bc7b912a1f27"}),
+    "gen-path": ("gen --family path --n 5 --out {out}/x --dot {out}/x.dot",
+                 0, "n 5\n", "", {"x.dot": "780aff05dc13959e", "x.graph": "3ef43d98d760ca52"}),
+    "gen-grid": ("gen --family grid --width 3 --height 2 --out {out}/x --dot {out}/x.dot",
+                 0, "n 6\n", "", {"x.dot": "60d5db08cd99b749", "x.graph": "5e7e1066b3a65c3a"}),
+    "gen-random": ("gen --family random --n 8 --m 10 --seed 1 --out {out}/x --dot {out}/x.dot",
+                   0, "n 8\n", "", {"x.dot": "53f7785050a1dbdd", "x.graph": "26931c41e9a09952"}),
+    "gen-negative": ("gen --family negative --k 4 --s 1 --out {out}/x --dot {out}/x.dot",
+                     0, "n 20\n", "",
+                     {"x.a.part": "1c07771522ac682e", "x.b.part": "ba5f2f936ac21c88",
+                      "x.cycle": "2880176daa713761", "x.dot": "79cf6849402ea0c1",
+                      "x.graph": "6cf982d8c5bceddd"}),
+    "gen-ncl": ("gen --family ncl --ncl {ncl} --s 0 --out {out}/x --dot {out}/x.dot",
+                0, "n 700\nk 14\n", "",
+                {"x.a.part": "0ff4aa4ab089e1f9", "x.b.part": "176b349914383003",
+                 "x.dot": "b28a6eb9aac608b2", "x.graph": "8e0f6d959c8d179c",
+                 "x.map.jsonl": "6918252ef7a51900"}),
+    "validate-invalid": ("validate --graph {g} --partition {bad} --k 2 --slack 1 --dot {out}/v.dot",
+                         2, "", _VIOLATIONS, {}),
+    "sample-invalid": ("sample --graph {g} --partition {bad} --k 2 --slack 1 --steps 10 --seed 7 "
+                       "--out {out}/w.txt",
+                       2, "", _VIOLATIONS, {}),
+    "decide-invalid-from": ("decide --graph {g} --from {bad} --to {b} --k 2 --slack 1 --out {out}/p.txt",
+                            2, "", "invalid 'from' partition:\n" + _VIOLATIONS, {}),
+    "decide-invalid-to": ("decide --graph {g} --from {a} --to {bad} --k 2 --slack 1 --out {out}/p.txt",
+                          2, "", "invalid 'to' partition:\n" + _VIOLATIONS, {}),
+    "transform-invalid-from": (
+        "transform --mode unbounded --graph {g} --from {bad} --to {b} --slack 1 --out {out}/m.txt",
+        2, "", "invalid 'from' partition:\n" + _VIOLATIONS, {}),
+    "transform-invalid-to": (
+        "transform --mode hamiltonian --graph {g} --from {a} --to {bad} --slack 1 --cycle {c} "
+        "--out {out}/m.txt",
+        2, "", "invalid 'to' partition:\n" + _VIOLATIONS, {}),
+    "transform-k-mismatch": (
+        "transform --mode unbounded --graph {g} --from {a} --to {k4} --slack inf --out {out}/m.txt",
+        1, "", "error: mismatched k: 2 vs 4\n", {}),
+    "transform-no-cycle": (
+        "transform --mode hamiltonian --graph {g} --from {a} --to {b} --slack 4 --out {out}/m.txt",
+        1, "", "error: --mode hamiltonian requires --cycle; it applies the bounded-slack "
+        "transformation along a Hamilton cycle with s >= n/k\n", {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_cli_pinned(c8, tmp_path, capsys, case):
+    argv, code, stdout, stderr, files = _PINNED[case]
+    _, gp, ap, bp, cp = c8
+    paths = {"g": gp, "a": ap, "b": bp, "c": cp, "out": tmp_path / "out"}
+    for name, text in (("bad", "k 2\n0 0 0 0 0 0 0 1\n"), ("k4", "k 4\n0 0 1 1 2 2 3 3\n"),
+                       ("ncl", _K4_NCL)):
+        paths[name] = tmp_path / name
+        write(paths[name], text)
+    os.mkdir(paths["out"])
+    assert run([word.format(**paths) for word in argv.split()]) == code
+    assert capsys.readouterr() == (stdout, stderr)
+    written = {f: hashlib.sha256(read(paths["out"] / f).encode()).hexdigest()[:16]
+               for f in os.listdir(paths["out"])}
+    assert written == files
+
+
+def test_readme_cli_examples_run(c8, tmp_path, monkeypatch, capsys):
+    # Every `recomb ...` line of the README's CLI block, as written, on C8 files.
+    readme = read(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"))
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1].replace("\\\n", " ")
+    lines = [ln for ln in block.splitlines() if ln.startswith("recomb ")]
+    assert len(lines) == 9
+    _, _, ap, _, _ = c8
+    write(tmp_path / "p.part", read(ap))
+    write(tmp_path / "k4.ncl", _K4_NCL)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
 
 
 # -- fuzzing every subcommand through run() -----------------------------------
