@@ -49,14 +49,6 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_graph(path: str) -> Graph:
-    return parse_graph(_read(path))
-
-
-def _load_partition(path: str) -> Partition:
-    return parse_partition(_read(path))
-
-
 def _load_cycle(path: str, n: int) -> CycleOrder:
     order = tuple(int(x) for x in _read(path).split())
     if len(order) != n:
@@ -83,19 +75,32 @@ def dot_export(g: Graph, p: Partition | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _validation_failure(report) -> int:
-    for v in report.violations:
-        print(v, file=sys.stderr)
-    return 2
+class _Invalid(Exception):
+    """An input partition failed validation; the text is the report for stderr."""
+
+
+def _inputs(args, *names):
+    """(graph, the partition named by each option in names, slack) of args.
+
+    Refuses --k below 1 before reading a file.  Raises _Invalid on the first
+    partition that fails validation at --k (without --k, at its own k).
+    """
+    k = getattr(args, "k", None)
+    if k is not None and k < 1:
+        raise ValueError("--k must be at least 1")
+    g = parse_graph(_read(args.graph))
+    parts = [parse_partition(_read(getattr(args, name))) for name in names]
+    slack = SlackBound.parse(args.slack)
+    for name, p in zip(names, parts):
+        rep = validate(g, p, p.k if k is None else k, slack)
+        if not rep.ok:
+            head = (f"invalid '{name}' partition:",) if len(names) > 1 else ()
+            raise _Invalid("\n".join(head + rep.violations))
+    return (g, *parts, slack)
 
 
 def cmd_validate(args) -> int:
-    g = _load_graph(args.graph)
-    p = _load_partition(args.partition)
-    slack = SlackBound.parse(args.slack)
-    rep = validate(g, p, args.k, slack)
-    if not rep.ok:
-        return _validation_failure(rep)
+    g, p, _ = _inputs(args, "partition")
     print("OK")
     if args.dot:
         _write(args.dot, dot_export(g, p))
@@ -103,16 +108,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    g = _load_graph(args.graph)
-    p1 = _load_partition(getattr(args, "from"))
-    p2 = _load_partition(args.to)
-    slack = SlackBound.parse(args.slack)
-    for name, p in (("from", p1), ("to", p2)):
-        rep = validate(g, p, p.k, slack)
-        if not rep.ok:
-            print(f"invalid '{name}' partition:", file=sys.stderr)
-            return _validation_failure(rep)
+    g, p1, p2, slack = _inputs(args, "from", "to")
     if args.mode == "unbounded":
+        if not slack.infinite:
+            raise ValueError("--mode unbounded requires --slack inf")
         moves = transform_unbounded(g, p1, p2)
     else:
         if not args.cycle:
@@ -130,12 +129,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    if args.k < 1:
-        raise ValueError("--k must be at least 1")
-    g = _load_graph(args.graph)
-    slack = SlackBound.parse(args.slack)
-    cg = build_space(g, args.k, slack)
-    st = space_stats(cg)
+    g, slack = _inputs(args)
+    st = space_stats(build_space(g, args.k, slack))
     print(f"nodes {st.node_count}")
     print(f"edges {st.edge_count}")
     print(f"components {st.component_count}")
@@ -146,15 +141,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    g = _load_graph(args.graph)
-    p1 = _load_partition(getattr(args, "from"))
-    p2 = _load_partition(args.to)
-    slack = SlackBound.parse(args.slack)
-    for name, p in (("from", p1), ("to", p2)):
-        rep = validate(g, p, args.k, slack)
-        if not rep.ok:
-            print(f"invalid '{name}' partition:", file=sys.stderr)
-            return _validation_failure(rep)
+    g, p1, p2, slack = _inputs(args, "from", "to")
     reachable, path = decide_br(g, args.k, slack, p1, p2)
     if reachable:
         print(f"REACHABLE {len(path)}")
@@ -165,32 +152,27 @@ def cmd_decide(args) -> int:
     return 0
 
 
-# The options each generator family reads; argparse leaves them unset.
-_GEN_OPTIONS = {
-    "cycle": ("n",),
-    "path": ("n",),
-    "grid": ("width", "height"),
-    "random": ("n", "m"),
-    "negative": ("k", "s"),
-    "ncl": ("ncl", "s"),
+# Each family's generator and the options it reads (only --seed has a default).
+# negative and ncl write several files, each in a branch of its own.
+_FAMILIES = {
+    "cycle": (gen_cycle, ("n",)),
+    "path": (gen_path, ("n",)),
+    "grid": (gen_grid, ("width", "height")),
+    "random": (gen_random_connected, ("n", "m", "seed")),
+    "negative": (gen_negative, ("k", "s")),
+    "ncl": (None, ("ncl", "s")),
 }
 
 
 def cmd_gen(args) -> int:
-    missing = [f"--{name}" for name in _GEN_OPTIONS[args.family] if getattr(args, name) is None]
+    gen, names = _FAMILIES[args.family]
+    values = [getattr(args, name) for name in names]
+    missing = [f"--{name}" for name, value in zip(names, values) if value is None]
     if missing:
         raise ValueError(f"--family {args.family} requires {' and '.join(missing)}")
     prefix = args.out
-    if args.family == "cycle":
-        g = gen_cycle(args.n)
-    elif args.family == "path":
-        g = gen_path(args.n)
-    elif args.family == "grid":
-        g = gen_grid(args.width, args.height)
-    elif args.family == "random":
-        g = gen_random_connected(args.n, args.m, args.seed)
-    elif args.family == "negative":
-        g, pa, cycle = gen_negative(args.k, args.s)
+    if args.family == "negative":
+        g, pa, cycle = gen(*values)
         _write(prefix + ".graph", format_graph(g))
         _write(prefix + ".a.part", format_partition(pa, g.n))
         _write(prefix + ".b.part", format_partition(arc_partition(g.n, args.k), g.n))
@@ -199,7 +181,7 @@ def cmd_gen(args) -> int:
             _write(args.dot, dot_export(g, pa))
         print(f"n {g.n}")
         return 0
-    elif args.family == "ncl":
+    if args.family == "ncl":
         ncl, orients = parse_ncl(_read(args.ncl))
         if "A" not in orients or "B" not in orients:
             raise ValueError("NCL file must contain 'orient A' and 'orient B' blocks")
@@ -213,8 +195,7 @@ def cmd_gen(args) -> int:
         print(f"n {r.graph.n}")
         print(f"k {r.k}")
         return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown family {args.family}")
+    g = gen(*values)
     _write(prefix + ".graph", format_graph(g))
     if args.dot:
         _write(args.dot, dot_export(g))
@@ -225,12 +206,7 @@ def cmd_gen(args) -> int:
 def cmd_sample(args) -> int:
     if args.steps < 0:
         raise ValueError("--steps must be at least 0")
-    g = _load_graph(args.graph)
-    p = _load_partition(args.partition)
-    slack = SlackBound.parse(args.slack)
-    rep = validate(g, p, args.k, slack)
-    if not rep.ok:
-        return _validation_failure(rep)
+    g, p, slack = _inputs(args, "partition")
     trace = recom_walk(g, args.k, slack, p, args.steps, args.seed)
     print(f"seed {trace.seed}")
     print(f"steps {len(trace.steps)}")
@@ -284,14 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--out", help="write the move sequence here when reachable")
-    add_common(p, k=True, slack=True)
+    add_common(p, k=True, slack=True, dot=False)
 
     p = sub.add_parser("gen", help="generate instance files")
-    p.add_argument(
-        "--family",
-        choices=["cycle", "path", "grid", "random", "negative", "ncl"],
-        required=True,
-    )
+    p.add_argument("--family", choices=list(_FAMILIES), required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--width", type=int)
@@ -309,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
-    add_common(p, k=True, slack=True)
+    add_common(p, k=True, slack=True, dot=False)
     return ap
 
 
@@ -322,6 +294,9 @@ def run(argv=None) -> int:
     try:
         # Looked up on each call, so a replaced cmd_* (a tracer's wrapper) is seen.
         return globals()[f"cmd_{args.command}"](args)
+    except _Invalid as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except (GraphFormatError, OracleCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,13 +1,12 @@
-"""Undirected simple graphs: connectivity, block-cut decomposition, spanning trees.
+"""Undirected simple graphs: connectivity, cut vertices, spanning trees.
 
 Vertices are always 0..n-1.  All functions are pure and a Graph is immutable
-once constructed.  Every set-based walk is reach's BFS; the block-cut and tree
-helpers take neighbour lists keyed by vertex.
+once constructed.  Every set-based walk is reach's BFS; the cut-vertex and
+tree helpers take neighbour lists keyed by vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 MAX_VERTICES = 1 << 20
@@ -90,13 +89,6 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class BlockCutDecomposition:
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-    block_vertices: frozenset[int]
-
-
 def reach(adj, start: int, within) -> dict[int, Optional[int]]:
     """BFS from start along adj[u] inside within (which holds start): maps each
     vertex reached to the vertex it was first reached from, start to None, in
@@ -158,31 +150,23 @@ def complete_forest(label, candidates) -> list[tuple[int, int]]:
     return added
 
 
-def block_cut(adj) -> BlockCutDecomposition:
-    """Blocks (maximal biconnected components) and cut vertices of the graph
-    given by neighbour lists adj[v] keyed by vertex.
-
-    Iterative DFS lowpoint computation from the smallest vertex; blocks are
-    reported sorted by their minimum vertex.  Raises ValueError when the
-    graph is empty or not connected.
-    """
+def block_cut(adj) -> frozenset[int]:
+    """Cut vertices of the graph given by neighbour lists adj[v] keyed by
+    vertex, by an iterative DFS lowpoint computation from the smallest
+    vertex.  Raises ValueError when the graph is empty or not connected."""
     root = min(adj)
     disc = {root: 0}
     low = {root: 0}
     cut = set()
-    blocks = [] if len(adj) > 1 else [frozenset(adj)]
-    # Discovered vertices not yet assigned to a block, in discovery order.
-    pending = [root]
-    # DFS path: (vertex, parent, unscanned neighbours, its index in pending).
-    stack = [(root, -1, iter(adj[root]), 0)]
+    # DFS path: (vertex, parent, unscanned neighbours).
+    stack = [(root, -1, iter(adj[root]))]
     root_children = 0
     while stack:
-        u, p, nbrs, at = stack[-1]
+        u, p, nbrs = stack[-1]
         for w in nbrs:
             if w not in disc:
                 disc[w] = low[w] = len(disc)
-                stack.append((w, u, iter(adj[w]), len(pending)))
-                pending.append(w)
+                stack.append((w, u, iter(adj[w])))
                 break
             if w != p and disc[w] < low[u]:
                 low[u] = disc[w]
@@ -193,9 +177,7 @@ def block_cut(adj) -> BlockCutDecomposition:
             if low[u] < low[p]:
                 low[p] = low[u]
             if low[u] >= disc[p]:
-                # p and u's pending subtree form one block.
-                blocks.append(frozenset(pending[at:]).union((p,)))
-                del pending[at:]
+                # No vertex below u reaches above p: p separates u's subtree.
                 if p == root:
                     root_children += 1
                 else:
@@ -204,8 +186,7 @@ def block_cut(adj) -> BlockCutDecomposition:
         raise ValueError("graph not connected")
     if root_children >= 2:
         cut.add(root)
-    blocks.sort(key=min)
-    return BlockCutDecomposition(tuple(blocks), frozenset(cut), frozenset(adj) - cut)
+    return frozenset(cut)
 
 
 def find_low_degree_block_vertex(adj) -> int:
@@ -213,7 +194,7 @@ def find_low_degree_block_vertex(adj) -> int:
     neighbour lists keyed by vertex: at most degree 3 on a union of two
     forests.  A leaf is never a cut vertex, so block_cut runs only if none."""
     leafy = min(map(len, adj.values())) <= 1
-    return min(adj if leafy else block_cut(adj).block_vertices, key=lambda v: (len(adj[v]), v))
+    return min(adj if leafy else adj.keys() - block_cut(adj), key=lambda v: (len(adj[v]), v))
 
 
 def spanning_tree(g: Graph, s: Iterable[int]) -> frozenset[tuple[int, int]]:

@@ -121,6 +121,25 @@ def test_transform_hamiltonian(c8, tmp_path):
                 "--to", bp, "--slack", "4", "--out", str(out)]) == 1
 
 
+def test_transform_unbounded_refuses_finite_slack(tmp_path, capsys):
+    # The unbounded transform bounds no district size: at slack 0 its first
+    # move on this pair (grid 4x4, quadrants to rows) leaves one of 1 vertex.
+    write(tmp_path / "g.graph", format_graph(
+        Graph(16, {(v, v + 1) for v in range(16) if v % 4 < 3} | {(v, v + 4) for v in range(12)})))
+    quadrants = Partition.of([[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]])
+    rows = Partition.of([range(r, r + 4) for r in range(0, 16, 4)])
+    write(tmp_path / "a.part", format_partition(quadrants, 16))
+    write(tmp_path / "b.part", format_partition(rows, 16))
+    out = tmp_path / "moves.txt"
+    argv = ["transform", "--mode", "unbounded", "--graph", str(tmp_path / "g.graph"),
+            "--from", str(tmp_path / "a.part"), "--to", str(tmp_path / "b.part"), "--out", str(out)]
+    assert run(argv + ["--slack", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: --mode unbounded requires --slack inf\n")
+    assert not out.exists()
+    assert run(argv + ["--slack", "inf"]) == 0
+    capsys.readouterr()
+
+
 def test_explore(c8, capsys):
     _, gp, _, _, _ = c8
     assert run(["explore", "--graph", gp, "--k", "2", "--slack", "1"]) == 0
@@ -130,10 +149,13 @@ def test_explore(c8, capsys):
     assert int(lines["components"]) >= 1
 
 
-@pytest.mark.parametrize("k", ["0", "-1"])
-def test_explore_k_below_1_exit_1(c8, capsys, k):
-    _, gp, _, _, _ = c8
-    assert run(["explore", "--graph", gp, "--k", k, "--slack", "1"]) == 1
+@pytest.mark.parametrize("command, k", [(c, k) for c in ("validate", "explore", "decide", "sample")
+                                         for k in ("0", "-1")])
+def test_k_below_1_exit_1(c8, capsys, command, k):
+    _, gp, ap, bp, _ = c8
+    inputs = {"validate": ["--partition", ap], "explore": [], "decide": ["--from", ap, "--to", bp],
+              "sample": ["--partition", ap, "--steps", "3", "--seed", "1"]}[command]
+    assert run([command, "--graph", gp, *inputs, "--k", k, "--slack", "1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: --k must be at least 1\n"
@@ -352,6 +374,18 @@ def test_dot_export(c8, tmp_path):
     assert text.startswith("graph G {")
     assert "0 -- 1;" in text
     assert "fillcolor" in text
+
+
+@pytest.mark.parametrize("command", ["decide", "sample"])
+def test_dot_refused_where_nothing_is_rendered(c8, tmp_path, capsys, command):
+    _, gp, ap, bp, _ = c8
+    inputs = (["--from", ap, "--to", bp] if command == "decide"
+              else ["--partition", ap, "--steps", "3", "--seed", "1"])
+    before = sorted(os.listdir(tmp_path))
+    assert run([command, "--graph", gp, *inputs, "--k", "2", "--slack", "1",
+                "--out", str(tmp_path / "o.txt"), "--dot", str(tmp_path / "g.dot")]) == 1
+    assert "unrecognized arguments: --dot" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_roundtrip_byte_exact(c8):

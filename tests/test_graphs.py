@@ -89,23 +89,20 @@ def test_complete_forest_kruskal():
 
 
 def test_block_cut_path():
-    dec = block_cut(nbrs(path(3)))
-    assert set(dec.cut_vertices) == {1}
-    assert sorted(sorted(b) for b in dec.blocks) == [[0, 1], [1, 2]]
-    assert sorted(dec.block_vertices) == [0, 2]
+    adj = nbrs(path(3))
+    assert block_cut(adj) == {1}
+    assert sorted(adj.keys() - block_cut(adj)) == [0, 2]
 
 
 def test_block_cut_triangle():
-    dec = block_cut(nbrs(cycle(3)))
-    assert not dec.cut_vertices
-    assert sorted(dec.block_vertices) == [0, 1, 2]
+    adj = nbrs(cycle(3))
+    assert not block_cut(adj)
+    assert sorted(adj.keys() - block_cut(adj)) == [0, 1, 2]
 
 
 def test_block_cut_bowtie():
     g = Graph(5, {(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)})
-    dec = block_cut(nbrs(g))
-    assert set(dec.cut_vertices) == {2}
-    assert sorted(sorted(b) for b in dec.blocks) == [[0, 1, 2], [2, 3, 4]]
+    assert block_cut(nbrs(g)) == {2}
 
 
 def test_block_cut_refuses_disconnected_graphs():
@@ -130,10 +127,9 @@ def test_block_cut_matches_brute_force():
     rng = random.Random(4)
     for _ in range(60):
         g = random_connected(rng, rng.randint(2, 10))
-        dec = block_cut(nbrs(g))
-        assert set(dec.cut_vertices) == brute_cut_vertices(g)
-        # block vertices are exactly the non-cut vertices
-        assert set(dec.block_vertices) == set(range(g.n)) - set(dec.cut_vertices)
+        cut = block_cut(nbrs(g))
+        assert isinstance(cut, frozenset)
+        assert cut == brute_cut_vertices(g)
 
 
 def test_removing_block_vertex_keeps_connectivity():
@@ -146,9 +142,9 @@ def test_removing_block_vertex_keeps_connectivity():
 
 def test_low_degree_block_vertex_matches_block_cut():
     # A leaf is returned without block_cut's DFS; the pick must still be the
-    # block vertex of least (degree, id) that block_cut's decomposition gives.
+    # non-cut vertex of least (degree, id) by block_cut's cut vertices.
     def want(adj):
-        return min(block_cut(adj).block_vertices, key=lambda v: (len(adj[v]), v))
+        return min(adj.keys() - block_cut(adj), key=lambda v: (len(adj[v]), v))
 
     def chorded_cycle(n):
         order = rng.sample(range(n), n)
