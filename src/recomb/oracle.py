@@ -21,6 +21,7 @@ from .partitions import (
     RecombMove,
     SlackBound,
     _connected_parts,
+    _move_masks,
     _vertex_set,
     canonical_key,
     enumerate_moves,
@@ -307,9 +308,9 @@ def recom_walk(
 ) -> WalkTrace:
     """Seeded uniform random walk over recombination moves.
 
-    At each step the applicable moves are enumerated in their deterministic
-    order and one is picked by SplitMix64 output modulo the move count; the
-    same seed therefore always reproduces the same trace.
+    Each step lists the applicable moves as vertex masks in enumerate_moves
+    order, picks one by SplitMix64 output modulo the move count and builds
+    the district sets of that one only; a seed always gives the same trace.
     """
     rep = validate(g, start, k, slack)
     if not rep.ok:
@@ -320,12 +321,12 @@ def recom_walk(
     halted = False
     splits: dict = {}
     for _ in range(steps):
-        moves = enumerate_moves(g, cur, slack, _splits=splits)
+        moves = _move_masks(g, cur, slack, None, splits)
         if not moves:
             halted = True
             break
         idx = next(rng) % len(moves)
-        m = moves[idx]
-        cur = cur.replace(m.i, m.j, m.new_i, m.new_j)
+        i, j, a, b = moves[idx]
+        cur = cur.replace(i, j, _vertex_set(a, {}), _vertex_set(b, {}))
         trace.append((idx, canonical_key(cur)))
     return WalkTrace(seed, canonical_key(start), tuple(trace), halted)

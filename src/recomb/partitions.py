@@ -284,6 +284,34 @@ def _connected_parts(g: Graph, vertices: int, parts: int, m_min: int, m_max: int
                 yield [first, *tail]
 
 
+_SWAP = str.maketrans("01", "10")
+
+
+def _mask_order(mask: int) -> str:
+    """Key ordering masks as sorted() orders their vertex lists: bits from 0 up, 0 and 1 swapped."""
+    return bin(mask)[:1:-1].translate(_SWAP)
+
+
+def _move_masks(g: Graph, p: Partition, slack: SlackBound, pairs, table: dict) -> list[tuple]:
+    """enumerate_moves' moves, in its order, as (i, j, mask_i, mask_j); fills `table`."""
+    m_min, m_max = slack.min_size(g.n, p.k), slack.max_size(g.n, p.k)
+    masks = [sum(1 << v for v in d) for d in p.districts]
+    moves = []
+    if pairs is None:
+        pairs = [(i, j) for i in range(p.k) for j in range(i + 1, p.k)]
+    for i, j in sorted(set((min(a, b), max(a, b)) for a, b in pairs)):
+        if not 0 <= i < j < p.k:
+            raise ValueError(f"district pair ({i}, {j}) must name two districts in 0..{p.k - 1}")
+        union = masks[i] | masks[j]
+        if union not in table:
+            connected = _spread(g.nbr, union & -union, union) == union
+            found = _connected_parts(g, union, 2, m_min, m_max) if connected else ()
+            table[union] = sorted(map(tuple, found), key=lambda split: _mask_order(split[0]))
+        # A part equal to district i or j makes the identity split.
+        moves += [(i, j, a, b) for a, b in table[union] if a not in (masks[i], masks[j])]
+    return moves
+
+
 def enumerate_moves(
     g: Graph,
     p: Partition,
@@ -297,30 +325,16 @@ def enumerate_moves(
 
     Only district pairs whose union induces a connected subgraph are
     considered: a union with two components admits only the identity
-    repartition.  The optional `pairs` argument restricts the district pairs
-    scanned (used for locality-restricted searches).  `_splits` is the split
-    table of one search over fixed (g, k, slack): a dict from a union mask to
-    its splits (mask, part, rest), sorted by the part that holds min(union),
-    filled and read here; its key 0 (no union) holds one frozenset per part.
+    repartition.  `pairs` restricts the district pairs scanned (used for
+    locality-restricted searches); each must be two distinct labels of p, or
+    ValueError is raised.  `_splits` is the split table of one search over
+    fixed (g, k, slack): a dict from a union mask to its (part, rest) mask
+    pairs, sorted by the part holding min(union); key 0 keeps the moves' frozensets.
     """
-    m_min, m_max = slack.min_size(g.n, p.k), slack.max_size(g.n, p.k)
     table = {} if _splits is None else _splits
     shared = table.setdefault(0, {})
-    masks = [sum(1 << v for v in d) for d in p.districts]
-    moves: list[RecombMove] = []
-    if pairs is None:
-        pairs = [(i, j) for i in range(p.k) for j in range(i + 1, p.k)]
-    for i, j in sorted(set((min(a, b), max(a, b)) for a, b in pairs)):
-        union = masks[i] | masks[j]
-        if union not in table:
-            connected = _spread(g.nbr, union & -union, union) == union
-            found = _connected_parts(g, union, 2, m_min, m_max) if connected else ()
-            splits = [(a, _vertex_set(a, shared), _vertex_set(b, shared)) for a, b in found]
-            table[union] = sorted(splits, key=lambda split: sorted(split[1]))
-        # A part equal to district i or j makes the identity split.
-        old = (masks[i], masks[j])
-        moves += [RecombMove(i, j, a, b) for mask, a, b in table[union] if mask not in old]
-    return moves
+    return [RecombMove(i, j, _vertex_set(a, shared), _vertex_set(b, shared))
+            for i, j, a, b in _move_masks(g, p, slack, pairs, table)]
 
 
 def parse_partition(text: str) -> Partition:

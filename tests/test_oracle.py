@@ -15,6 +15,7 @@ from recomb.instances import gen_negative
 from recomb.oracle import (
     OracleCapError,
     SpaceStats,
+    WalkTrace,
     build_space,
     decide_br,
     enumerate_partitions,
@@ -25,6 +26,7 @@ from recomb.partitions import (
     Partition,
     SLACK_INF,
     SlackBound,
+    _move_masks,
     canonical_key,
     enumerate_moves,
     validate,
@@ -375,6 +377,18 @@ def test_decide_br_pairs_keeps_labels():
     assert not ok
 
 
+@pytest.mark.parametrize("pair", [(0, 0), (-1, 1), (0, 5)],
+                         ids=["one-district-twice", "negative-label", "label-above-k"])
+def test_decide_br_refuses_bad_pairs(pair):
+    # With (0, 0) the search used to hook "states" that drop vertices.
+    g = path(6)
+    pa, pb = Partition.of([[0, 1, 2], [3, 4, 5]]), Partition.of([[0, 1], [2, 3, 4, 5]])
+    seen = []
+    with pytest.raises(ValueError, match=rf"district pair \({min(pair)}, {max(pair)}\)"):
+        decide_br(g, 2, SLACK_INF, pa, pb, pairs=[pair], visit_hook=seen.append)
+    assert seen == [pa]
+
+
 def plain_bfs_decide(g, k, slack, pa, pb, pairs=None, max_depth=None):
     """The referee for decide_br: its search loop before the lower-bound
     cut, a plain level-by-level BFS from pa in enumerate_moves order."""
@@ -506,6 +520,38 @@ def test_recom_walk_halts_without_moves():
     start = Partition.of([[0, 1], [2, 3]])
     t = recom_walk(g, 2, SlackBound(0), start, 5, seed=1)
     assert t.halted_early and len(t.steps) == 0
+    assert t == reference_recom_walk(g, 2, SlackBound(0), start, 5, 1)
+
+
+def reference_recom_walk(g, k, slack, start, steps, seed):
+    """The referee for recom_walk: its loop before the walk listed moves as
+    masks, each step taking moves[idx] of enumerate_moves."""
+    rng = oracle._splitmix64(seed & 0xFFFFFFFFFFFFFFFF)
+    cur, trace = start, []
+    for _ in range(steps):
+        moves = enumerate_moves(g, cur, slack)
+        if not moves:
+            return WalkTrace(seed, canonical_key(start), tuple(trace), True)
+        idx = next(rng) % len(moves)
+        m = moves[idx]
+        cur = cur.replace(m.i, m.j, m.new_i, m.new_j)
+        trace.append((idx, canonical_key(cur)))
+    return WalkTrace(seed, canonical_key(start), tuple(trace), False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_instances(), st.data())
+def test_recom_walk_matches_reference(instance, data):
+    g, k, slack = instance
+    parts = enumerate_partitions(g, k, slack)
+    if not parts:
+        return
+    # Any labelling of any start: the walk's move indices depend on labels.
+    start = data.draw(st.sampled_from(parts))
+    start = Partition(tuple(data.draw(st.permutations(start.districts))))
+    steps, seed = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 2**64 - 1))
+    want = reference_recom_walk(g, k, slack, start, steps, seed)
+    assert recom_walk(g, k, slack, start, steps, seed) == want
 
 
 def blocks8x8(seed):
@@ -517,10 +563,25 @@ def blocks8x8(seed):
     )
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_recom_walk_matches_reference_on_grid8x8(seed):
+    g, slack = grid(8, 8), SlackBound(1)
+    want = reference_recom_walk(g, 8, slack, blocks8x8(seed), 10, seed)
+    assert len(want.steps) == 10
+    assert recom_walk(g, 8, slack, blocks8x8(seed), 10, seed) == want
+
+
 def test_split_table_changes_no_moves(monkeypatch):
-    # Every enumerate_moves call of a search reads and fills that search's
-    # one split table; what it returns must equal a call without the table.
+    # Every move listing of a search reads and fills that search's one split
+    # table; what it returns must equal a call without the table.  The walk
+    # lists its moves as masks, the decision search through enumerate_moves.
     tables = []
+
+    def checked_masks(g, p, slack, pairs, table):
+        got = _move_masks(g, p, slack, pairs, table)
+        assert got == _move_masks(g, p, slack, pairs, {})
+        tables.append(table)
+        return got
 
     def checked(g, p, slack, pairs=None, **table):
         got = enumerate_moves(g, p, slack, pairs, **table)
@@ -528,6 +589,7 @@ def test_split_table_changes_no_moves(monkeypatch):
         tables.append(table["_splits"])
         return got
 
+    monkeypatch.setattr(oracle, "_move_masks", checked_masks)
     monkeypatch.setattr(oracle, "enumerate_moves", checked)
     g = grid(8, 8)
     for seed in range(3):

@@ -12,6 +12,7 @@ from recomb.partitions import (
     SLACK_INF,
     SlackBound,
     _connected_parts,
+    _mask_order,
     _vertex_set,
     apply_move,
     canonical_key,
@@ -244,6 +245,36 @@ def test_enumerate_moves_pairs_restriction():
     assert all(m.i == 0 and m.j == 1 for m in restricted)
     full = enumerate_moves(g, p, SlackBound(1))
     assert set(restricted) <= set(full)
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (-1, 1), (0, 5)],
+                         ids=["one-district-twice", "negative-label", "label-above-k"])
+def test_enumerate_moves_refuses_bad_pairs(pair):
+    # (0, 0) used to split district 0 in two, (-1, 1) to give moves that
+    # apply_move refuses as bad-labels, and (0, 5) to raise a bare IndexError.
+    g = Graph(6, {(v, v + 1) for v in range(5)})
+    p = Partition.of([[0, 1, 2], [3, 4, 5]])
+    named = rf"district pair \({min(pair)}, {max(pair)}\)"
+    with pytest.raises(ValueError, match=named):
+        enumerate_moves(g, p, SLACK_INF, pairs=[(0, 1), pair])
+
+
+def test_mask_order_sorts_as_vertex_lists():
+    # The split table sorts its splits by _mask_order; enumerate_moves
+    # promises the order of the sorted vertex lists.  Both orders are total,
+    # so equal sorted lists mean they agree on every pair of masks.
+    def vertices(mask):
+        return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+    every = list(range(1, 1 << 11))
+    assert sorted(every, key=_mask_order) == sorted(every, key=vertices)
+    rng = random.Random(19)
+    wide = [rng.getrandbits(200) | 1 << rng.randrange(200) for _ in range(3000)]
+    # Masks that share a long run of low bits, or are a prefix of another.
+    for base in wide[:300]:
+        wide.append(base ^ 1 << rng.randrange(150, 200))
+        wide.append(base & (1 << rng.randrange(100, 200)) - 1 or 1)
+    assert sorted(wide, key=_mask_order) == sorted(wide, key=vertices)
 
 
 def test_every_enumerated_move_applies_cleanly():
