@@ -129,7 +129,7 @@ def _fragment_tree(g: Graph, cycle: CycleOrder, members: frozenset[int]) -> _Fra
 
 
 def step_light(
-    g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound, *, _trees: Optional[dict] = None
+    g: Graph, cycle: CycleOrder, p: Partition, *, _trees: Optional[dict] = None
 ) -> Optional[RecombMove]:
     """A move shedding a light fragment of a large district into an adjacent
     small district, when one exists; scans the boundaries along C in order.
@@ -288,7 +288,7 @@ def canonicalize(
     frags = fragment_count(cycle, cur)
     trees: dict[frozenset[int], _FragmentTree] = {}
     while frags > k:
-        m = step_light(g, cycle, cur, slack, _trees=trees)
+        m = step_light(g, cycle, cur, _trees=trees)
         if m is not None:
             cur = apply_move(g, cur, m, slack)
             moves.append(m)
@@ -321,18 +321,14 @@ def _arcs_in_cycle_order(cycle: CycleOrder, p: Partition) -> list[list[int]]:
     return [[order[x % n] for x in range(a, b)] for a, b in zip(cuts, cuts[1:] + [cuts[0] + n])]
 
 
-def _balance_abstract(
-    arcs: list[list[int]], target: int
-) -> tuple[list[AbstractMove], list[AbstractMove]]:
+def _balance_abstract(arcs: list[list[int]], target: int) -> list[AbstractMove]:
     """Bring all cyclically-ordered arcs to the target size, paper-style:
     repeatedly fix the first unbalanced arc by propagating from the first
-    below/above sign change. Returns the moves and the moves undoing them."""
+    below/above sign change. Returns the moves; inverted_abstract undoes them."""
     k = len(arcs)
     out: list[AbstractMove] = []
-    undo: list[AbstractMove] = []
 
     def recombine(a: int, b: int, new_len_a: int):
-        undo.append((frozenset(arcs[a]), frozenset(arcs[b])))
         combined = arcs[a] + arcs[b]
         arcs[a] = combined[:new_len_a]
         arcs[b] = combined[new_len_a:]
@@ -352,7 +348,7 @@ def _balance_abstract(
         for i in range(j - 1, m - 1, -1):
             recombine(i, i + 1, target)
         m += 1
-    return out, undo[::-1]
+    return out
 
 
 def _shift_abstract(arcs: list[list[int]], delta: int) -> list[AbstractMove]:
@@ -383,15 +379,14 @@ def canonical_transform(
     target = cycle.n // k
     arcs1 = _arcs_in_cycle_order(cycle, pc1)
     arcs2 = _arcs_in_cycle_order(cycle, pc2)
-    bal1, _ = _balance_abstract(arcs1, target)
-    _, unbal2 = _balance_abstract(arcs2, target)
+    bal1 = _balance_abstract(arcs1, target)
+    unbal2 = inverted_abstract(pc2.districts, _balance_abstract(arcs2, target))
     pos = cycle.positions
     c1 = min(pos[arc[0]] for arc in arcs1) % target
     c2 = min(pos[arc[0]] for arc in arcs2) % target
     delta = (c2 - c1) % target
     # Rotate bookkeeping so arcs1[0] starts the shift.
     shift = _shift_abstract(arcs1, delta)
-    # Undo pc2's balancing at the end.
     moves, final = resolve_moves(g, pc1, bal1 + shift + unbal2, slack)
     assert canonical_key(final) == canonical_key(pc2)
     assert len(moves) <= k * k + 1
@@ -405,14 +400,16 @@ def transform_hamiltonian(
     if p1.k != p2.k:
         raise ValueError(f"mismatched k: {p1.k} vs {p2.k}")
     k, n = p1.k, g.n
+    # canonicalize checks the preconditions, so it runs before the shortcut.
+    m1, c1 = canonicalize(g, cycle, p1, slack)
     if canonical_key(p1) == canonical_key(p2):
         return []
-    m1, c1 = canonicalize(g, cycle, p1, slack)
     m2, c2 = canonicalize(g, cycle, p2, slack)
     mid, cur = canonical_transform(g, cycle, c1, c2, slack)
     # m1 and mid already carry the labels resolve_moves would give them;
     # only the reverse of m2 is resolved, from where mid ends.
-    back, final = resolve_moves(g, cur, inverted_abstract(p2, m2), slack)
+    undo = inverted_abstract(p2.districts, [(m.new_i, m.new_j) for m in m2])
+    back, final = resolve_moves(g, cur, undo, slack)
     assert canonical_key(final) == canonical_key(p2)
     moves = m1 + mid + back
     assert len(moves) <= 2 * k * (n - k) + k * k + 1

@@ -18,7 +18,7 @@ from .graphs import (
     spanning_tree,
 )
 from .partitions import SLACK_INF, Partition, RecombMove, canonical_key, validate
-from .sequences import AbstractMove, resolve_moves
+from .sequences import AbstractMove, inverted_abstract, resolve_moves
 
 
 def _spanning_union_edges(g: Graph, districts: list[frozenset[int]], trees: dict, edges):
@@ -39,33 +39,25 @@ def _spanning_union_edges(g: Graph, districts: list[frozenset[int]], trees: dict
 def _singleton_side(adj: dict[int, list[int]], districts: list[frozenset[int]], v: int):
     """Abstract moves emptying v's district down to {v} by donating the
     components of the union-tree (neighbour lists adj) restricted to the
-    district minus v.
-
-    Returns (forward abstract moves, inverse abstract moves in undo order,
-    resulting district list).
+    district minus v, and the resulting district list without {v}.
     """
     ds = list(districts)
     own = next(i for i, d in enumerate(ds) if v in d)
     comps = connected_components(adj, ds[own] - {v})
-    forward: list[AbstractMove] = []
-    backward: list[AbstractMove] = []
+    moves: list[AbstractMove] = []
     assert len(comps) <= 3
     for comp in comps:
         nbrs = {w for u in comp for w in adj[u]}
         target = next((t for t, d in enumerate(ds) if t != own and not nbrs.isdisjoint(d)), None)
         assert target is not None, "component not adjacent to any other district"
-        backward.append((ds[own], ds[target]))
-        new_own = ds[own] - comp
-        new_target = ds[target] | comp
-        forward.append((new_own, new_target))
-        ds[own] = new_own
-        ds[target] = new_target
-    backward.reverse()
-    return forward, backward, ds
+        ds[own] = ds[own] - comp
+        ds[target] = ds[target] | comp
+        moves.append((ds[own], ds[target]))
+    return moves, ds[:own] + ds[own + 1:]
 
 
 def _make_singleton(g: Graph, active: frozenset[int], d1, d2, trees: dict, edges):
-    """The shared singleton vertex v and each side's moves isolating it.
+    """The shared singleton vertex v and each side's moves isolating it and districts after them.
 
     edges are the sorted edges of G[active]; trees caches BFS trees of districts.
     """
@@ -73,46 +65,27 @@ def _make_singleton(g: Graph, active: frozenset[int], d1, d2, trees: dict, edges
     adj = edge_adjacency(active, union)
     v = find_low_degree_block_vertex(adj)
     assert len(adj[v]) <= 3, "union of two forests must contain a degree-<=3 block vertex"
-    f1, b1, nd1 = _singleton_side(adj, list(d1), v)
-    f2, b2, nd2 = _singleton_side(adj, list(d2), v)
-    return v, (f1, b1, nd1), (f2, b2, nd2)
-
-
-def make_singleton_pair(g: Graph, p1: Partition, p2: Partition):
-    """A block vertex v of the union of the two partition-aligned spanning
-    trees, plus at most three moves per side that shrink v's district to {v}.
-    """
-    _check_inputs(g, p1, p2)
-    if p1.k < 2:
-        raise ValueError("k must be at least 2")
-    v, (f1, _, _), (f2, _, _) = _make_singleton(
-        g, g.vertices(), list(p1.districts), list(p2.districts), {}, sorted(g.edges)
-    )
-    moves1, _ = resolve_moves(g, p1, f1, SLACK_INF)
-    moves2, _ = resolve_moves(g, p2, f2, SLACK_INF)
-    return v, moves1, moves2
+    return v, _singleton_side(adj, d1, v), _singleton_side(adj, d2, v)
 
 
 def transform_unbounded(g: Graph, p1: Partition, p2: Partition) -> list[RecombMove]:
     """A sequence of at most 6(k-1) recombinations carrying p1 to p2.
 
-    Each round isolates a shared singleton {v} on both sides and drops v; the
-    rounds' p1 sides run in order, then their undone p2 sides in reverse.
+    Each round isolates a shared singleton {v} on both sides and drops v. The
+    rounds' p1 sides run in order; the p2 sides, collected forward over all
+    rounds, are undone through inverted_abstract and run after them.
     """
     _check_inputs(g, p1, p2)
     active, d1, d2 = g.vertices(), list(p1.districts), list(p2.districts)
     edges, trees = sorted(g.edges), {}
-    forward: list[AbstractMove] = []
-    backward: list[list[AbstractMove]] = []
+    forward1, forward2 = [], []
     while set(d1) != set(d2):
-        v, (f1, _, nd1), (_, b2, nd2) = _make_singleton(g, active, d1, d2, trees, edges)
-        forward += f1
-        backward.append(b2)
+        v, (f1, d1), (f2, d2) = _make_singleton(g, active, d1, d2, trees, edges)
+        forward1 += f1
+        forward2 += f2
         active = active - {v}
         edges = [e for e in edges if v not in e]
-        d1 = [d for d in nd1 if d != {v}]
-        d2 = [d for d in nd2 if d != {v}]
-    abstract = forward + [m for b2 in reversed(backward) for m in b2]
+    abstract = forward1 + inverted_abstract(p2.districts, forward2)
     moves, final = resolve_moves(g, p1, abstract, SLACK_INF)
     assert canonical_key(final) == canonical_key(p2)
     assert len(moves) <= 6 * (p1.k - 1)

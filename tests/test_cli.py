@@ -478,6 +478,10 @@ _PINNED = {
     "transform-k-mismatch": (
         "transform --mode unbounded --graph {g} --from {a} --to {k4} --slack inf --out {out}/m.txt",
         1, "", "error: mismatched k: 2 vs 4\n", {}),
+    "transform-same-slack-0": (
+        "transform --mode hamiltonian --graph {g} --from {a} --to {a} --slack 0 --cycle {c} "
+        "--out {out}/m.txt",
+        1, "", "error: slack 0 is below n/k = 4\n", {}),
     "transform-no-cycle": (
         "transform --mode hamiltonian --graph {g} --from {a} --to {b} --slack 4 --out {out}/m.txt",
         1, "", "error: --mode hamiltonian requires --cycle; it applies the bounded-slack "

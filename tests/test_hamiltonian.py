@@ -260,10 +260,10 @@ def test_derived_fragment_trees_match_fresh_ones(monkeypatch):
     caches = []
     real = hamiltonian.step_light
 
-    def spy(g, cycle, p, slack, *, _trees):
+    def spy(g, cycle, p, *, _trees):
         if not caches or caches[-1][2] is not _trees:
             caches.append((g, cycle, _trees))
-        return real(g, cycle, p, slack, _trees=_trees)
+        return real(g, cycle, p, _trees=_trees)
 
     monkeypatch.setattr(hamiltonian, "step_light", spy)
     rng = random.Random(36)
@@ -335,7 +335,7 @@ def test_step_light_reduces_fragments():
     c = identity_cycle(8)
     slack = SlackBound(4)
     p = Partition.of([[0, 1, 4, 5], [2, 3], [6, 7]])
-    m = step_light(g, c, p, slack)
+    m = step_light(g, c, p)
     assert m is not None
     q = p.replace(m.i, m.j, m.new_i, m.new_j)
     assert fragment_count(c, q) < fragment_count(c, p)
@@ -524,3 +524,20 @@ def test_preconditions_enforced():
         canonicalize(
             g7, identity_cycle(7), Partition.of([[0, 1, 2], [3, 4, 5, 6]]), SlackBound(4)
         )  # k does not divide n
+
+
+@pytest.mark.parametrize(
+    "n, order, parts, slack, match",
+    [
+        (6, range(6), [[0, 1, 2], [3, 4, 5]], 0, "slack 0 is below n/k = 3"),
+        (6, (0, 2, 1, 3, 4, 5), [[0, 1, 2], [3, 4, 5]], 3, "not an edge"),
+        (7, range(7), [[0, 1, 2], [3, 4, 5, 6]], 4, "must divide"),
+        (6, range(6), [[0, 2], [1, 3, 4, 5]], 3, "invalid partition"),
+    ],
+    ids=["slack-below-n-over-k", "not-a-hamilton-cycle", "k-not-dividing-n", "disconnected"],
+)
+def test_preconditions_enforced_on_equal_inputs(n, order, parts, slack, match):
+    # Equal inputs need no moves, but they must meet the preconditions too.
+    p = Partition.of(parts)
+    with pytest.raises(ValueError, match=match):
+        transform_hamiltonian(cycle_graph(n), CycleOrder(tuple(order)), p, p, SlackBound(slack))

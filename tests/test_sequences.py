@@ -1,6 +1,11 @@
+import random
+
 import pytest
 
 from recomb.graphs import Graph
+from recomb.hamiltonian import CycleOrder, transform_hamiltonian
+from recomb.instances import gen_grid
+from recomb.oracle import enumerate_partitions, recom_walk
 from recomb.partitions import (
     Partition,
     RecombMove,
@@ -9,10 +14,11 @@ from recomb.partitions import (
     canonical_key,
 )
 from recomb.sequences import inverted_abstract, replay, resolve_moves
+from recomb.unbounded import transform_unbounded
 
 
-def cycle(n):
-    return Graph(n, {(i, (i + 1) % n) for i in range(n)})
+def cycle(n, chords=()):
+    return Graph(n, {(i, (i + 1) % n) for i in range(n)} | set(chords))
 
 
 def test_resolve_moves_matches_labels():
@@ -42,6 +48,12 @@ def test_resolve_moves_rejects_bad_unions():
         resolve_moves(g, p, [(frozenset({0, 1}), frozenset({2}))], SLACK_INF)
     with pytest.raises(ValueError):
         resolve_moves(g, p, [(frozenset({0, 1}), frozenset({2, 3}))], SLACK_INF)
+    # A vertex in no district: a ValueError, not a StopIteration.
+    stray = [(frozenset({99}), frozenset({0, 1, 2}))]
+    with pytest.raises(ValueError, match="in no district"):
+        resolve_moves(g, p, stray, SLACK_INF)
+    with pytest.raises(ValueError, match="in no district"):
+        inverted_abstract(p.districts, stray)
 
 
 def test_replay_and_inversion_roundtrip():
@@ -53,8 +65,64 @@ def test_replay_and_inversion_roundtrip():
         RecombMove(0, 1, frozenset({0, 1, 2, 7}), frozenset({3, 4, 5, 6})),
     ]
     end = replay(g, p, moves, slack)
-    back = inverted_abstract(p, moves)
+    back = inverted_abstract(p.districts, [(m.new_i, m.new_j) for m in moves])
     undone, final = resolve_moves(g, end, back, slack)
     assert len(undone) == len(moves)
     assert canonical_key(final) == canonical_key(p)
 
+
+def walk_pairs(trace):
+    """The (new_i, new_j) pairs of a walk trace's moves that change the partition."""
+    keys = [trace.start_key] + [key for _, key in trace.steps]
+    pairs = []
+    for before, after in zip(keys, keys[1:]):
+        new = [frozenset(d) for d in after if d not in before]
+        if new:
+            pairs.append(tuple(new))
+    return pairs
+
+
+def forward_sequences(source):
+    """Twelve seeded (graph, start, forward pairs, slack) cases from one source:
+    transform outputs between random partitions, or seeded walk traces."""
+    rng = random.Random(41)
+    if source == "walk":
+        g, slack = gen_grid(4, 4), SlackBound(1)
+        starts = enumerate_partitions(g, 4, slack)
+        for seed in range(12):
+            start = rng.choice(starts)
+            yield g, start, walk_pairs(recom_walk(g, 4, slack, start, 15, seed)), slack
+        return
+    if source == "unbounded":
+        g, slack = gen_grid(3, 3), SLACK_INF
+    else:
+        g, slack = cycle(12, [(0, 5), (3, 9), (6, 11)]), SlackBound(4)
+    parts = enumerate_partitions(g, 3, slack)
+    for _ in range(12):
+        p1, p2 = rng.choice(parts), rng.choice(parts)
+        if source == "unbounded":
+            moves = transform_unbounded(g, p1, p2)
+        else:
+            moves = transform_hamiltonian(g, CycleOrder(tuple(range(12))), p1, p2, slack)
+        yield g, p1, [(m.new_i, m.new_j) for m in moves], slack
+
+
+@pytest.mark.parametrize("source", ["unbounded", "hamiltonian", "walk"])
+def test_inversion_round_trip(source):
+    rng = random.Random(42)
+    lengths = []
+    for g, start, pairs, slack in forward_sequences(source):
+        _, end = resolve_moves(g, start, pairs, slack)
+        back = inverted_abstract(start.districts, pairs)
+        undone, final = resolve_moves(g, end, back, slack)
+        assert len(undone) == len(pairs)
+        assert canonical_key(final) == canonical_key(start)
+        # The districts are found by content, so their order does not matter.
+        shuffled = list(start.districts)
+        rng.shuffle(shuffled)
+        assert inverted_abstract(shuffled, pairs) == back
+        # Undoing the undo gives the forward pairs back.
+        again = inverted_abstract(end.districts, back)
+        assert [set(pair) for pair in again] == [set(pair) for pair in pairs]
+        lengths.append(len(pairs))
+    assert max(lengths) >= 3

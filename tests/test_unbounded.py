@@ -20,8 +20,8 @@ from recomb.partitions import (
     canonical_key,
     validate,
 )
-from recomb.sequences import replay
-from recomb.unbounded import _spanning_union_edges, make_singleton_pair, transform_unbounded
+from recomb.sequences import replay, resolve_moves
+from recomb.unbounded import _make_singleton, _spanning_union_edges, transform_unbounded
 
 
 def cycle(n):
@@ -95,10 +95,12 @@ def test_make_singleton_pair():
         g = random_connected(rng, n)
         p1 = random_partition(rng, g, k)
         p2 = random_partition(rng, g, k)
-        v, m1, m2 = make_singleton_pair(g, p1, p2)
-        assert len(m1) <= 3 and len(m2) <= 3
-        for p, ms in ((p1, m1), (p2, m2)):
-            end = replay(g, p, ms, SLACK_INF)
+        v, (f1, _), (f2, _) = _make_singleton(
+            g, g.vertices(), list(p1.districts), list(p2.districts), {}, sorted(g.edges)
+        )
+        assert len(f1) <= 3 and len(f2) <= 3
+        for p, fs in ((p1, f1), (p2, f2)):
+            _, end = resolve_moves(g, p, fs, SLACK_INF)
             assert frozenset({v}) in end.districts
             assert validate(g, end, k, SLACK_INF).ok
 
