@@ -10,7 +10,7 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from operator import itemgetter, or_
 from typing import Optional
 
@@ -21,6 +21,7 @@ from .partitions import (
     RecombMove,
     SlackBound,
     _connected_parts,
+    _mask_order,
     _move_masks,
     _vertex_set,
     canonical_key,
@@ -37,8 +38,13 @@ class OracleCapError(RuntimeError):
 
 
 def _node_cap() -> int:
+    """The state cap: BCP_NODE_CAP if set and not empty, else DEFAULT_NODE_CAP."""
     raw = os.environ.get("BCP_NODE_CAP")
-    return int(raw) if raw else DEFAULT_NODE_CAP
+    if not raw:
+        return DEFAULT_NODE_CAP
+    if not raw.strip().isdecimal():
+        raise ValueError(f"BCP_NODE_CAP must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -87,8 +93,9 @@ def enumerate_partitions(
     Districts are ordered by their smallest vertex.  The search is
     partitions._connected_parts; it stops and raises OracleCapError at the
     first partition past the node cap.  A list passed as _keys receives the
-    sort keys, in the same order.
+    canonical keys, in the same order.
     """
+    cap = _node_cap()
     n = g.n
     if n > vertex_cap:
         raise OracleCapError(f"n={n} exceeds the oracle vertex cap {vertex_cap}")
@@ -96,16 +103,19 @@ def enumerate_partitions(
         return []
     m_min = slack.min_size(n, k)
     m_max = slack.max_size(n, k)
-    shared: dict = {}
-    cap = _node_cap()
-    found = islice(_connected_parts(g, (1 << n) - 1, k, m_min, m_max), cap + 1)
-    parts = (Partition(tuple(_vertex_set(d, shared) for d in ds)) for ds in found)
-    keyed = sorted(((canonical_key(p), p) for p in parts), key=itemgetter(0))
-    if len(keyed) > cap:
+    found = list(islice(_connected_parts(g, (1 << n) - 1, k, m_min, m_max), cap + 1))
+    if len(found) > cap:
         raise OracleCapError("instance too large: node cap exceeded")
+    # The search yields districts in order of their least vertex, and
+    # _mask_order orders masks as sorted() orders vertex lists, so this is
+    # the canonical-key order, with one order string per distinct district.
+    order = {d: _mask_order(d) for d in set(chain.from_iterable(found))}
+    found.sort(key=lambda ds: tuple(map(order.__getitem__, ds)))
+    sets = {d: _vertex_set(d, {}) for d in order}
     if _keys is not None:
-        _keys += [key for key, _ in keyed]
-    return [p for _, p in keyed]
+        vertex_tuples = {d: tuple(sorted(vs)) for d, vs in sets.items()}
+        _keys += [tuple(map(vertex_tuples.__getitem__, ds)) for ds in found]
+    return [Partition(tuple(map(sets.__getitem__, ds))) for ds in found]
 
 
 def build_space(g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_VERTEX_CAP) -> ConfigGraph:
@@ -118,12 +128,17 @@ def build_space(g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_V
     """
     nodes: list[PartitionKey] = []
     parts = enumerate_partitions(g, k, slack, vertex_cap, _keys=nodes)
-    # Districts are ordered by their smallest vertex: the kept tuples are canonical.
-    groups: defaultdict[tuple, list[int]] = defaultdict(list)
-    for i, p in enumerate(parts):
-        ds = p.districts
-        for a, b in combinations(range(k), 2):
-            groups[ds[:a] + ds[a + 1 : b] + ds[b + 1 :]].append(i)
+    # Districts are ordered by their smallest vertex: the kept districts are canonical.
+    groups: defaultdict[object, list[int]] = defaultdict(list)
+    if k == 2:  # every partition keeps the same empty set of districts
+        groups[()] = list(range(len(parts)))
+    elif k > 2:
+        kept = [itemgetter(*(d for d in range(k) if d not in pair))
+                for pair in combinations(range(k), 2)]
+        for i, p in enumerate(parts):
+            ds = p.districts
+            for get in kept:
+                groups[get(ds)].append(i)
     cliques = [c for c in groups.values() if len(c) > 1]
     comp = list(range(len(nodes)))
     for c in cliques:
@@ -172,13 +187,13 @@ def decide_br(
         rep = validate(g, p, k, slack)
         if not rep.ok:
             raise ValueError(f"invalid '{name}' partition: {'; '.join(rep.violations)}")
+    cap = _node_cap()
     target = frozenset(pb.districts)
     start = frozenset(pa.districts)
     if visit_hook:
         visit_hook(pa)
     if start == target:
         return True, []
-    cap = _node_cap()
     splits: dict = {}
     hooked = {start}
     bound = (k - len(start & target) + 1) // 2

@@ -51,7 +51,10 @@ class SlackBound:
     def parse(text: str) -> "SlackBound":
         if text.strip().lower() in ("inf", "infinite", "infinity"):
             return SLACK_INF
-        return SlackBound(int(text))
+        try:
+            return SlackBound(int(text))
+        except ValueError:  # not an integer, or a negative one
+            raise ValueError(f"slack must be an integer >= 0 or 'inf', got {text!r}") from None
 
 
 SLACK_INF = SlackBound(None)
@@ -224,13 +227,28 @@ def _contracted_union(g: Graph, union: int, m_min: int):
     return group, adj, start
 
 
-def _connected_parts(g: Graph, vertices: int, parts: int, m_min: int, m_max: int):
+def _fits(nbr, vertices: int, m_min: int, m_max: int) -> bool:
+    """Whether every component of G[vertices] can hold a whole number of
+    parts with sizes in [m_min, m_max]."""
+    while vertices:
+        comp = _spread(nbr, vertices & -vertices, vertices)
+        if -(-comp.bit_count() // m_max) > comp.bit_count() // m_min:
+            return False
+        vertices ^= comp
+    return True
+
+
+def _connected_parts(g: Graph, vertices: int, parts: int, m_min: int, m_max: int, _tails=None):
     """Every partition of G[vertices] (a vertex mask) into `parts` connected
     parts with sizes in [m_min, m_max], each yielded once as a list of masks.
 
     The first part holds min(vertices).  It is grown ESU-style (Wernicke
     2006) on the pendant-contracted graph and kept only if every component of
-    the rest can hold a whole number of parts, and the rest recurses.
+    the rest can hold a whole number of parts, and the rest recurses.  With
+    four parts or more, many choices of the parts before the last two leave
+    the same rest, so the two-part tails of each rest are listed once per
+    call, in `_tails`, a dict from the rest's mask that the recursion passes
+    down.
 
     With two parts the growth also cuts dead branches.  A group it has
     passed over can only lie in the rest, which must be connected.  So a
@@ -246,6 +264,8 @@ def _connected_parts(g: Graph, vertices: int, parts: int, m_min: int, m_max: int
         if lo <= size <= hi and _spread(nbr, vertices & -vertices, vertices) == vertices:
             yield [vertices]
         return
+    if parts > 3 and _tails is None:
+        _tails = {}
     group, adj, start = _contracted_union(g, vertices, m_min)
     firsts = []
 
@@ -269,18 +289,18 @@ def _connected_parts(g: Graph, vertices: int, parts: int, m_min: int, m_max: int
     if group[start].bit_count() <= hi:
         grow(group[start], adj[start], 1 << start)
     for first in firsts:
-        rest = left = vertices ^ first
+        rest = vertices ^ first
         if parts == 2:
             if _spread(nbr, rest & -rest, rest) == rest:
                 yield [first, rest]
-            continue
-        while left:  # every component of the rest must hold a whole number of parts
-            comp = _spread(nbr, left & -left, left)
-            if -(-comp.bit_count() // m_max) > comp.bit_count() // m_min:
-                break
-            left ^= comp
-        else:
-            for tail in _connected_parts(g, rest, parts - 1, m_min, m_max):
+        elif parts == 3 and _tails is not None:
+            if rest not in _tails:
+                fits = _fits(nbr, rest, m_min, m_max)
+                _tails[rest] = list(_connected_parts(g, rest, 2, m_min, m_max)) if fits else []
+            for tail in _tails[rest]:
+                yield [first, *tail]
+        elif _fits(nbr, rest, m_min, m_max):
+            for tail in _connected_parts(g, rest, parts - 1, m_min, m_max, _tails):
                 yield [first, *tail]
 
 

@@ -403,6 +403,27 @@ def test_node_cap_env_respected(c8, monkeypatch, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["explore", "decide"])
+@pytest.mark.parametrize("value", ["-5", "abc"])
+def test_bad_node_cap_env_exit_1(c8, monkeypatch, capsys, command, value):
+    _, gp, ap, bp, _ = c8
+    inputs = {"explore": [], "decide": ["--from", ap, "--to", bp]}[command]
+    monkeypatch.setenv("BCP_NODE_CAP", value)
+    assert run([command, "--graph", gp, *inputs, "--k", "2", "--slack", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: BCP_NODE_CAP must be a non-negative integer, got '{value}'\n"
+
+
+@pytest.mark.parametrize("slack", ["1.5", "nan", "", "-1"])
+def test_bad_slack_exit_1(c8, capsys, slack):
+    _, gp, _, _, _ = c8
+    assert run(["explore", "--graph", gp, "--k", "2", "--slack", slack]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: slack must be an integer >= 0 or 'inf', got '{slack}'\n"
+
+
 def test_run_looks_up_the_command_at_call_time(c8, monkeypatch):
     # The parser is built once per process, so run() finds cmd_<command> by
     # name on every call: a wrapper put in after a first run() is still used.

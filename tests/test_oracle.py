@@ -165,6 +165,39 @@ def test_enumerate_partitions_oeis_a172477(n, count):
     assert len(enumerate_partitions(grid(n, n), n, SlackBound(0), vertex_cap=25)) == count
 
 
+@pytest.mark.parametrize("g, k, s, vertex_cap", [
+    (grid(5, 5), 5, 0, 25),
+    (grid(4, 4), 4, 1, 24),
+    (cycle(20), 4, 2, 24),
+    (grid(4, 3), 2, 1, 24),
+    (grid(5, 3), 3, 1, 24),
+])
+def test_enumerate_partitions_in_canonical_key_order(g, k, s, vertex_cap):
+    # Instances past brute_partitions' reach.  The partitions are sorted by
+    # the order strings of their district masks; that must be the order of
+    # their canonical keys, and the keys handed out must be those keys.
+    keys = []
+    parts = enumerate_partitions(g, k, SlackBound(s), vertex_cap=vertex_cap, _keys=keys)
+    assert len(parts) > 1
+    assert keys == [canonical_key(p) for p in parts]
+    assert keys == sorted(canonical_key(p) for p in parts)
+    assert len(set(keys)) == len(keys)
+    # Districts are listed as in the key: by their smallest vertex.
+    assert all(tuple(map(frozenset, key)) == p.districts for key, p in zip(keys, parts))
+
+
+def test_build_space_grid4x4_structure_pinned():
+    # The sha256 of the nodes, the cliques in list order and the component
+    # ids, computed when enumerate_partitions sorted by canonical_key and
+    # build_space keyed its groups by tuple slices.
+    cg = build_space(grid(4, 4), 4, SlackBound(1))
+    assert (len(cg.nodes), len(cg.cliques)) == (1953, 2344)
+    text = repr((cg.nodes, cg.cliques, cg.component))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b47a468ede322c92176c1ffea4ce55aaeba0d45440c6d874b2fbef69af6e557d"
+    )
+
+
 def test_build_space_cycle():
     g = cycle(6)
     cg = build_space(g, 2, SlackBound(0))

@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from recomb import partitions
 from recomb.graphs import Graph, is_connected
 from recomb.instances import gen_grid
 from recomb.partitions import (
@@ -312,6 +314,8 @@ def brute_parts(g, vertices, parts, m_min, m_max):
     if parts == 1:
         ok = m_min <= vertices.bit_count() <= m_max and mask_connected(g, vertices)
         return [(vertices,)] if ok else []
+    if not vertices:  # earlier parts took every vertex
+        return []
     low, *others = [v for v in range(g.n) if vertices >> v & 1]
     out = []
     for r in range(m_min - 1, min(m_max, len(others) + 1)):
@@ -386,6 +390,28 @@ def test_connected_parts_on_random_graphs():
         m_min = rng.randint(1, n // 3)
         m_max = rng.randint(-(-n // 3), n - 2 * m_min)
         check_connected_parts(g, (1 << n) - 1, 3, m_min, m_max)
+    # Four parts: many first two parts leave the same rest, whose two-part
+    # tails must be listed once per call and reused.
+    listed = Counter()
+
+    def counted(g, vertices, parts, *rest):
+        listed[vertices, parts] += 1
+        return _connected_parts(g, vertices, parts, *rest)
+
+    repeats = 0
+    for case in range(20):
+        n = rng.randint(8, 11)
+        g = random_connected(rng, n, extra=rng.choice([0, 3, n]))
+        m_min = rng.randint(1, n // 4)
+        m_max = rng.randint(-(-n // 4), n - 3 * m_min)
+        listed.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partitions, "_connected_parts", counted)
+            got = check_connected_parts(g, (1 << n) - 1, 4, m_min, m_max)
+        assert all(count == 1 for (_, parts), count in listed.items() if parts == 2)
+        rests = Counter((1 << n) - 1 ^ a ^ b for a, b in {(a, b) for a, b, _, _ in got})
+        repeats += sum(count > 1 for count in rests.values())
+    assert repeats > 0
 
 
 def test_vertex_set_reads_every_set_bit():
