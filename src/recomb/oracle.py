@@ -23,6 +23,8 @@ from .partitions import (
     _connected_parts,
     _mask_order,
     _move_masks,
+    _moves_toward,
+    _pair_list,
     _vertex_set,
     canonical_key,
     enumerate_moves,
@@ -172,16 +174,22 @@ def decide_br(
     and starts again from pa, with the same split table.  A round that drops
     nothing has expanded all of pa's component, so pb is unreachable.
 
+    So a round lists every move through enumerate_moves until its first drop.
+    Then partitions._moves_toward lists only the moves whose result can meet
+    the bound, sharing at least k - 2(bound - d) districts with pb at depth
+    d; the states kept, their order and the dropped flag are unchanged.
+
     The path is the plain BFS's.  The first BFS parent of a state on a
     shortest path lies on a shortest path too, so the round whose bound is
     the distance drops none of those states, discovers each from the same
     parent by the same move, and keeps their order.
 
-    `pairs` restricts moves to the given district pairs, `max_depth` caps
-    the bound, and the node cap bounds the states held in one round.
-    `visit_hook` is called once with each distinct visited Partition over
-    all rounds, so an unreachable query hooks each state of pa's component
-    once (ground-truth invariant checks in the test-suite hang off it).
+    `pairs` restricts moves to the given district pairs; each must name two
+    distinct districts, or ValueError is raised.  `max_depth` caps the bound,
+    and the node cap bounds the states held in one round.  `visit_hook` is
+    called once with each distinct visited Partition over all rounds, so an
+    unreachable query hooks each state of pa's component once
+    (ground-truth invariant checks in the test-suite hang off it).
     """
     for name, p in (("from", pa), ("to", pb)):
         rep = validate(g, p, k, slack)
@@ -192,8 +200,10 @@ def decide_br(
     start = frozenset(pa.districts)
     if visit_hook:
         visit_hook(pa)
+    pairs = None if pairs is None else _pair_list(k, pairs)
     if start == target:
         return True, []
+    goal = frozenset(sum(1 << v for v in d) for d in pb.districts)
     splits: dict = {}
     hooked = {start}
     bound = (k - len(start & target) + 1) // 2
@@ -206,9 +216,11 @@ def decide_br(
         depth = 0
         while frontier:
             depth += 1
+            least = k - 2 * (bound - depth)  # districts a state here must share with pb
             next_frontier = []
             for key, p in frontier:
-                for m in enumerate_moves(g, p, slack, pairs=pairs, _splits=splits):
+                for m in (_moves_toward(g, p, slack, pairs, splits, goal, least) if dropped
+                          else enumerate_moves(g, p, slack, pairs=pairs, _splits=splits)):
                     q = p.replace(m.i, m.j, m.new_i, m.new_j)
                     qkey = frozenset(q.districts)
                     if qkey in parent:

@@ -312,23 +312,73 @@ def _mask_order(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_SWAP)
 
 
+def _pair_list(k: int, pairs) -> list[tuple[int, int]]:
+    """The district pairs (i, j), i < j, a move listing scans, in its order: all,
+    or `pairs` sorted and deduplicated; ValueError unless each names two labels."""
+    if pairs is None:
+        return [(i, j) for i in range(k) for j in range(i + 1, k)]
+    out = sorted(set((min(a, b), max(a, b)) for a, b in pairs))
+    for i, j in out:
+        if not 0 <= i < j < k:
+            raise ValueError(f"district pair ({i}, {j}) must name two districts in 0..{k - 1}")
+    return out
+
+
+def _split_masks(g: Graph, union: int, m_min: int, m_max: int, table: dict) -> list[tuple[int, int]]:
+    """The (part, rest) splits of a union mask, sorted by the part holding
+    min(union); computed once per `table`."""
+    if union not in table:
+        connected = _spread(g.nbr, union & -union, union) == union
+        found = _connected_parts(g, union, 2, m_min, m_max) if connected else ()
+        table[union] = sorted(map(tuple, found), key=lambda split: _mask_order(split[0]))
+    return table[union]
+
+
 def _move_masks(g: Graph, p: Partition, slack: SlackBound, pairs, table: dict) -> list[tuple]:
     """enumerate_moves' moves, in its order, as (i, j, mask_i, mask_j); fills `table`."""
     m_min, m_max = slack.min_size(g.n, p.k), slack.max_size(g.n, p.k)
     masks = [sum(1 << v for v in d) for d in p.districts]
     moves = []
-    if pairs is None:
-        pairs = [(i, j) for i in range(p.k) for j in range(i + 1, p.k)]
-    for i, j in sorted(set((min(a, b), max(a, b)) for a, b in pairs)):
-        if not 0 <= i < j < p.k:
-            raise ValueError(f"district pair ({i}, {j}) must name two districts in 0..{p.k - 1}")
-        union = masks[i] | masks[j]
-        if union not in table:
-            connected = _spread(g.nbr, union & -union, union) == union
-            found = _connected_parts(g, union, 2, m_min, m_max) if connected else ()
-            table[union] = sorted(map(tuple, found), key=lambda split: _mask_order(split[0]))
+    for i, j in _pair_list(p.k, pairs):
+        splits = _split_masks(g, masks[i] | masks[j], m_min, m_max, table)
         # A part equal to district i or j makes the identity split.
-        moves += [(i, j, a, b) for a, b in table[union] if a not in (masks[i], masks[j])]
+        moves += [(i, j, a, b) for a, b in splits if a not in (masks[i], masks[j])]
+    return moves
+
+
+def _moves_toward(g: Graph, p: Partition, slack: SlackBound, pairs, table: dict,
+                  goal: frozenset[int], least: int) -> list[RecombMove]:
+    """enumerate_moves(g, p, slack, pairs, _splits=table), in its order, less
+    the moves whose result shares fewer than `least` districts with the valid
+    (k,s)-BCP whose district masks are `goal`.
+
+    A move on districts i and j keeps the others, so its two parts must be
+    `need` goal districts.  need <= 0: any split in the table.  need 1 or 2:
+    a goal district inside the union for a part, and for the rest a goal
+    district (need 2) or a connected part of admissible size (need 1).
+    """
+    m_min, m_max = slack.min_size(g.n, p.k), slack.max_size(g.n, p.k)
+    masks = [sum(1 << v for v in d) for d in p.districts]
+    have = sum(m in goal for m in masks)
+    shared = table.setdefault(0, {})
+    moves = []
+    for i, j in _pair_list(p.k, pairs):
+        union = masks[i] | masks[j]
+        need = least - have + (masks[i] in goal) + (masks[j] in goal)
+        if need <= 0:
+            splits = _split_masks(g, union, m_min, m_max, table)
+        elif need <= 2:
+            low, found = union & -union, set()
+            for t in goal:
+                rest = union ^ t
+                if t | union == union and (rest in goal or need == 1 and m_min <= rest.bit_count() <= m_max
+                                           and _spread(g.nbr, rest & -rest, rest) == rest):
+                    found.add((t, rest) if t & low else (rest, t))
+            splits = sorted(found, key=lambda split: _mask_order(split[0]))
+        else:
+            continue
+        moves += [RecombMove(i, j, _vertex_set(a, shared), _vertex_set(b, shared))
+                  for a, b in splits if a not in (masks[i], masks[j])]
     return moves
 
 

@@ -27,6 +27,7 @@ from recomb.partitions import (
     SLACK_INF,
     SlackBound,
     _move_masks,
+    _moves_toward,
     canonical_key,
     enumerate_moves,
     validate,
@@ -44,6 +45,10 @@ def path(n):
 def grid(w, h):
     return Graph(w * h, {(v, v + 1) for v in range(w * h) if v % w < w - 1}
                  | {(v, v + w) for v in range(w * (h - 1))})
+
+
+def mask(district):
+    return sum(1 << v for v in district)
 
 
 def brute_partitions(g, k, slack):
@@ -410,12 +415,17 @@ def test_decide_br_pairs_keeps_labels():
     assert not ok
 
 
-@pytest.mark.parametrize("pair", [(0, 0), (-1, 1), (0, 5)],
-                         ids=["one-district-twice", "negative-label", "label-above-k"])
-def test_decide_br_refuses_bad_pairs(pair):
-    # With (0, 0) the search used to hook "states" that drop vertices.
+@pytest.mark.parametrize("pair, equal", [((0, 0), False), ((-1, 1), False), ((0, 5), False),
+                                         ((0, 0), True), ((-1, 1), True), ((0, 5), True)],
+                         ids=["one-district-twice", "negative-label", "label-above-k",
+                              "one-district-twice-equal-inputs", "negative-label-equal-inputs",
+                              "label-above-k-equal-inputs"])
+def test_decide_br_refuses_bad_pairs(pair, equal):
+    # With (0, 0) the search used to hook "states" that drop vertices, and
+    # with pa == pb it answered (True, []) without reading the pairs.
     g = path(6)
-    pa, pb = Partition.of([[0, 1, 2], [3, 4, 5]]), Partition.of([[0, 1], [2, 3, 4, 5]])
+    pa = Partition.of([[0, 1, 2], [3, 4, 5]])
+    pb = pa if equal else Partition.of([[0, 1], [2, 3, 4, 5]])
     seen = []
     with pytest.raises(ValueError, match=rf"district pair \({min(pair)}, {max(pair)}\)"):
         decide_br(g, 2, SLACK_INF, pa, pb, pairs=[pair], visit_hook=seen.append)
@@ -501,18 +511,74 @@ def test_decide_br_matches_plain_bfs():
     assert seen == {(ok, kind) for ok in (True, False) for kind in range(4)}
 
 
+def test_moves_toward_matches_filtered_enumerate_moves():
+    # decide_br's bound-aware lister against enumerate_moves less the moves
+    # whose result q fails depth + ceil((k - |q & pb|) / 2) <= bound: the same
+    # moves in the same order, on random p, pb, depth, bound and pairs=.
+    rng = random.Random(22)
+    needs, cases = Counter(), Counter()
+    for g, k, s in DIFFERENTIAL:
+        slack = SlackBound(s)
+        parts = enumerate_partitions(g, k, slack)
+        table = {}
+        for _ in range(40):
+            p = rng.choice(parts)
+            p = Partition(tuple(rng.sample(p.districts, k)))
+            # pb: up to two random moves from p or from any partition, so
+            # that p and pb often share most districts and every need occurs.
+            pb = rng.choice([p, rng.choice(parts)])
+            for _ in range(rng.randrange(3)):
+                m = rng.choice(enumerate_moves(g, pb, slack) or [None])
+                pb = pb if m is None else pb.replace(m.i, m.j, m.new_i, m.new_j)
+            target = frozenset(pb.districts)
+            pairs = None
+            if rng.random() < 0.3:
+                pairs = rng.sample(list(itertools.combinations(range(k), 2)), rng.randint(1, k))
+            depth = rng.randint(1, 4)
+            bound = depth + rng.randint(-1, (k + 1) // 2)
+            want = []
+            for m in enumerate_moves(g, p, slack, pairs):
+                qkey = frozenset(p.replace(m.i, m.j, m.new_i, m.new_j).districts)
+                if depth + (k - len(qkey & target) + 1) // 2 <= bound:
+                    want.append(m)
+            least = k - 2 * (bound - depth)
+            goal = frozenset(map(mask, pb.districts))
+            got = _moves_toward(g, p, slack, pairs, table, goal, least)
+            assert got == want
+            assert _moves_toward(g, p, slack, pairs, {}, goal, least) == want
+            # The goal districts each scanned pair needs in its two parts.
+            have = len(frozenset(p.districts) & target)
+            for i, j in partitions._pair_list(k, pairs):
+                di, dj = p.districts[i], p.districts[j]
+                need = least - have + (di in target) + (dj in target)
+                needs[min(max(need, 0), 3)] += 1
+                inside = {d for d in target if d <= di | dj}
+                if 0 < need <= 2 and len(inside) == 2 and frozenset().union(*inside) == di | dj:
+                    if inside != {di, dj}:  # both parts qualify: listed once
+                        cases["union of two pb districts"] += 1
+                        assert [(m.i, m.j, {m.new_i, m.new_j}) for m in got].count((i, j, inside)) == 1
+                if need == 1 and (di in target or dj in target):
+                    cases["pb district is one of p's"] += 1  # the identity split is dropped
+    assert all(needs[n] for n in range(4)), needs
+    assert all(cases[c] for c in ("union of two pb districts", "pb district is one of p's")), cases
+
+
 @pytest.mark.parametrize("negative, s, size", [((4, 1), 0, 54), ((4, 2), 0, 291), ((4, 2), 1, 167)],
                          ids=["negative41-s0", "negative42-s0", "criterion5-component"])
 def test_decide_br_hooks_each_state_of_the_component_once(negative, s, size, monkeypatch):
     # An unreachable query runs rounds until one drops nothing; over all of
-    # them the hook sees every state of pa's component exactly once.
+    # them the hook sees every state of pa's component exactly once.  Each
+    # expansion lists its moves through one of the two listers.
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return enumerate_moves(*args, **kwargs)
+    def counted(lister):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return lister(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(oracle, "enumerate_moves", counted)
+    monkeypatch.setattr(oracle, "enumerate_moves", counted(enumerate_moves))
+    monkeypatch.setattr(oracle, "_moves_toward", counted(_moves_toward))
     g = gen_negative(*negative)[0]
     k, slack = negative[0], SlackBound(s)
     cg = build_space(g, k, slack, vertex_cap=g.n)
@@ -607,8 +673,10 @@ def test_recom_walk_matches_reference_on_grid8x8(seed):
 def test_split_table_changes_no_moves(monkeypatch):
     # Every move listing of a search reads and fills that search's one split
     # table; what it returns must equal a call without the table.  The walk
-    # lists its moves as masks, the decision search through enumerate_moves.
-    tables = []
+    # lists its moves as masks, the decision search through enumerate_moves
+    # and, once a round has dropped a state, through _moves_toward, which must
+    # return the table-free enumerate_moves list less the moves below its bound.
+    tables, toward = [], []
 
     def checked_masks(g, p, slack, pairs, table):
         got = _move_masks(g, p, slack, pairs, table)
@@ -622,8 +690,18 @@ def test_split_table_changes_no_moves(monkeypatch):
         tables.append(table["_splits"])
         return got
 
+    def checked_toward(g, p, slack, pairs, table, goal, least):
+        got = _moves_toward(g, p, slack, pairs, table, goal, least)
+        assert got == [m for m in enumerate_moves(g, p, slack, pairs)
+                       if sum(mask(d) in goal for d in p.replace(m.i, m.j, m.new_i, m.new_j).districts)
+                       >= least]
+        tables.append(table)
+        toward.append(table)
+        return got
+
     monkeypatch.setattr(oracle, "_move_masks", checked_masks)
     monkeypatch.setattr(oracle, "enumerate_moves", checked)
+    monkeypatch.setattr(oracle, "_moves_toward", checked_toward)
     g = grid(8, 8)
     for seed in range(3):
         tables.clear()
@@ -638,7 +716,7 @@ def test_split_table_changes_no_moves(monkeypatch):
     tables.clear()
     ok, path_ = decide_br(g, 6, SlackBound(0), pa, pb, pairs=[(0, 1), (1, 2), (3, 4)])
     assert ok and len(path_) == 2
-    assert len(tables) > 1 and all(t is tables[0] for t in tables)
+    assert len(tables) > 1 and toward and all(t is tables[0] for t in tables)
 
 
 def test_build_space_grid4x4_pinned():
