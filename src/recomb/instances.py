@@ -41,8 +41,9 @@ def gen_grid(w: int, h: int) -> Graph:
 
 
 def gen_random_connected(n: int, m: int, seed: int) -> Graph:
-    """Random connected graph: a uniform random spanning tree plus random
-    extra edges; deterministic for a given seed."""
+    """Random connected graph: a random recursive tree plus random extra
+    edges; deterministic for a given seed.  The tree is not uniform over
+    labelled trees: at n=4 it is a star a third of the time, not a quarter."""
     if n < 1:
         raise ValueError("need n >= 1")
     check_vertex_count(n)
@@ -51,7 +52,8 @@ def gen_random_connected(n: int, m: int, seed: int) -> Graph:
         raise ValueError(f"m={m} outside [{n-1}, {n*(n-1)//2}]")
     rng = random.Random(seed)
     edges: set[tuple[int, int]] = set()
-    # Aldous-Broder style attachment: each new vertex joins a random earlier one.
+    # Random recursive tree: in shuffled order, each vertex joins a uniformly
+    # random earlier one.
     order = list(range(n))
     rng.shuffle(order)
     for idx in range(1, n):

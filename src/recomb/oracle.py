@@ -174,10 +174,13 @@ def decide_br(
     and starts again from pa, with the same split table.  A round that drops
     nothing has expanded all of pa's component, so pb is unreachable.
 
-    So a round lists every move through enumerate_moves until its first drop.
-    Then partitions._moves_toward lists only the moves whose result can meet
-    the bound, sharing at least k - 2(bound - d) districts with pb at depth
-    d; the states kept, their order and the dropped flag are unchanged.
+    So a round lists moves through enumerate_moves until its first drop, and
+    lists pa's one district pair at a time, since that drop mostly comes
+    among pa's first pairs.  From the drop on, pa's remaining pairs and every later state
+    list through partitions._moves_toward: only the moves whose result can
+    meet the bound, sharing at least k - 2(bound - d) districts with pb at
+    depth d.  The states kept, their order and the dropped flag are those of
+    listing every move and dropping afterwards.
 
     The path is the plain BFS's.  The first BFS parent of a state on a
     shortest path lies on a shortest path too, so the round whose bound is
@@ -200,13 +203,23 @@ def decide_br(
     start = frozenset(pa.districts)
     if visit_hook:
         visit_hook(pa)
-    pairs = None if pairs is None else _pair_list(k, pairs)
+    pa_pairs = _pair_list(k, pairs)
+    pairs = None if pairs is None else pa_pairs
     if start == target:
         return True, []
     goal = frozenset(sum(1 << v for v in d) for d in pb.districts)
     splits: dict = {}
     hooked = {start}
     bound = (k - len(start & target) + 1) // 2
+
+    def pa_moves(least: int):
+        # pa's pairs one at a time, so that the round's first drop switches the rest.
+        for n, pair in enumerate(pa_pairs):
+            if dropped:
+                yield from _moves_toward(g, pa, slack, pa_pairs[n:], splits, goal, least)
+                return
+            yield from enumerate_moves(g, pa, slack, pairs=[pair], _splits=splits)
+
     while max_depth is None or bound <= max_depth:
         # Keyed by the set of districts, equal iff the canonical keys are.  The
         # keys drop labels, so the search carries the labeled partitions `pairs` needs.
@@ -219,7 +232,8 @@ def decide_br(
             least = k - 2 * (bound - depth)  # districts a state here must share with pb
             next_frontier = []
             for key, p in frontier:
-                for m in (_moves_toward(g, p, slack, pairs, splits, goal, least) if dropped
+                for m in (pa_moves(least) if p is pa
+                          else _moves_toward(g, p, slack, pairs, splits, goal, least) if dropped
                           else enumerate_moves(g, p, slack, pairs=pairs, _splits=splits)):
                     q = p.replace(m.i, m.j, m.new_i, m.new_j)
                     qkey = frozenset(q.districts)

@@ -511,6 +511,153 @@ def test_decide_br_matches_plain_bfs():
     assert seen == {(ok, kind) for ok in (True, False) for kind in range(4)}
 
 
+def reference_decide_br(g, k, slack, pa, pb, pairs, max_depth, visit_hook, expanded):
+    """The referee for decide_br's rounds: the same rising-bound rounds, but
+    every expansion lists all its moves through enumerate_moves and drops
+    afterwards.  Each expanded partition is appended to `expanded`."""
+    target = frozenset(pb.districts)
+    start = frozenset(pa.districts)
+    if visit_hook:
+        visit_hook(pa)
+    if start == target:
+        return True, []
+    hooked = {start}
+    bound = (k - len(start & target) + 1) // 2
+    while max_depth is None or bound <= max_depth:
+        parent = {start: None}
+        frontier = [(start, pa)]
+        dropped = False
+        depth = 0
+        while frontier:
+            depth += 1
+            next_frontier = []
+            for key, p in frontier:
+                expanded.append(p)
+                for m in enumerate_moves(g, p, slack, pairs=pairs):
+                    q = p.replace(m.i, m.j, m.new_i, m.new_j)
+                    qkey = frozenset(q.districts)
+                    if qkey in parent:
+                        continue
+                    if depth + (k - len(qkey & target) + 1) // 2 > bound:
+                        dropped = True
+                        continue
+                    parent[qkey] = (key, m)
+                    if visit_hook and qkey not in hooked:
+                        hooked.add(qkey)
+                        visit_hook(q)
+                    if qkey == target:
+                        path = []
+                        cur = qkey
+                        while cur != start:
+                            cur, mv = parent[cur]
+                            path.append(mv)
+                        path.reverse()
+                        return True, path
+                    next_frontier.append((qkey, q))
+            frontier = next_frontier
+        if not dropped:
+            break
+        bound += 1
+    return False, None
+
+
+def record_lister_calls(monkeypatch):
+    """Wrap decide_br's two move listers; the returned list receives the
+    partition and the district pairs (None for all) of each call."""
+    calls = []
+
+    def recorded(lister):
+        def call(g, p, slack, *args, **kwargs):
+            calls.append((p, kwargs["pairs"] if "pairs" in kwargs else args[0]))
+            return lister(g, p, slack, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(oracle, "enumerate_moves", recorded(enumerate_moves))
+    monkeypatch.setattr(oracle, "_moves_toward", recorded(_moves_toward))
+    return calls
+
+
+def expansions(calls, k, pairs):
+    """The partitions expanded, in order, from the lister calls of one
+    decide_br query: an expansion lists each scanned district pair once, so
+    the first pair in exactly one call."""
+    first = partitions._pair_list(k, pairs)[0]
+    return [p for p, listed in calls if listed is None or first in listed]
+
+
+def test_decide_br_matches_reference_rounds(monkeypatch):
+    # The order in which decide_br lists moves must not change its rounds:
+    # the answer, the path with its labels, the states hooked and the states
+    # expanded, so also the rounds (the expansions of pa, the only states
+    # with its districts), equal the reference's.  A wrong dropped flag
+    # changes the rounds, not the answer.
+    calls = record_lister_calls(monkeypatch)
+    rng = random.Random(23)
+    queries = []
+    for g, k, s in DIFFERENTIAL:
+        slack = SlackBound(s)
+        parts = enumerate_partitions(g, k, slack)
+        for _ in range(30):
+            pa, pb = rng.choice(parts), rng.choice(parts)
+            pa = Partition(tuple(rng.sample(pa.districts, k)))
+            pairs = max_depth = None
+            if rng.random() < 0.5:
+                pairs = rng.sample(list(itertools.combinations(range(k), 2)), rng.randint(1, k))
+            if rng.random() < 0.5:
+                max_depth = rng.randrange(5)
+            queries.append((g, k, slack, pa, pb, pairs, max_depth))
+    for negative, s, size in NEGATIVE_COMPONENTS.values():
+        g, k, slack, pa, pb, _ = negative_component_query(negative, s, size)
+        queries.append((g, k, slack, pa, pb, None, None))
+    rounds = Counter()
+    for g, k, slack, pa, pb, pairs, max_depth in queries:
+        want_hooked, want_expanded = [], []
+        want = reference_decide_br(g, k, slack, pa, pb, pairs, max_depth, want_hooked.append,
+                                   want_expanded)
+        hooked = []
+        calls.clear()
+        assert decide_br(g, k, slack, pa, pb, pairs, max_depth, hooked.append) == want
+        assert [p.districts for p in hooked] == [p.districts for p in want_hooked]
+        got_expanded = expansions(calls, k, pairs)
+        assert [p.districts for p in got_expanded] == [p.districts for p in want_expanded]
+        rounds[min(sum(p is pa for p in want_expanded), 3), want[0]] += 1
+    # Queries of one, two and three or more rounds, both reached and not.
+    assert all(rounds[n, ok] for n in (1, 2, 3) for ok in (True, False)), rounds
+
+
+def test_decide_br_lists_pa_pair_by_pair_until_the_first_drop(monkeypatch):
+    # Until a round's first drop, pa lists one district pair at a time, so a
+    # drop among its first pairs spares the split tables of its other unions:
+    # the search fills fewer tables (two-part _connected_parts calls) before
+    # it first lists through _moves_toward than pa has connected unions.
+    tables, toward = [], []
+    connected_parts = partitions._connected_parts
+
+    def counted_parts(g, vertices, parts, *args):
+        if parts == 2 and not toward:
+            tables.append(vertices)
+        return connected_parts(g, vertices, parts, *args)
+
+    def counted_toward(*args):
+        toward.append(1)
+        return _moves_toward(*args)
+
+    monkeypatch.setattr(partitions, "_connected_parts", counted_parts)
+    monkeypatch.setattr(oracle, "_moves_toward", counted_toward)
+    g = grid(6, 5)
+    pa = Partition.of([[v for v in range(30) if v % 6 == c] for c in range(6)])
+    # Columns 0-1 and 3-4 re-split into top and bottom halves, then the top
+    # of columns 0-1 and column 2 re-split: three moves.
+    pb = Partition.of([[0, 1, 2, 6, 12], [13, 18, 19, 24, 25], [7, 8, 14, 20, 26],
+                       [3, 4, 9, 10, 15], [16, 21, 22, 27, 28], [5, 11, 17, 23, 29]])
+    ok, path_ = decide_br(g, 6, SlackBound(0), pa, pb)
+    assert ok and len(path_) == 3
+    unions = [(i, j) for i, j in itertools.combinations(range(6), 2)
+              if is_connected(g, pa.districts[i] | pa.districts[j])]
+    assert len(unions) == 5
+    assert toward and len(tables) < len(unions)
+
+
 def test_moves_toward_matches_filtered_enumerate_moves():
     # decide_br's bound-aware lister against enumerate_moves less the moves
     # whose result q fails depth + ceil((k - |q & pb|) / 2) <= bound: the same
@@ -563,39 +710,42 @@ def test_moves_toward_matches_filtered_enumerate_moves():
     assert all(cases[c] for c in ("union of two pb districts", "pb district is one of p's")), cases
 
 
-@pytest.mark.parametrize("negative, s, size", [((4, 1), 0, 54), ((4, 2), 0, 291), ((4, 2), 1, 167)],
-                         ids=["negative41-s0", "negative42-s0", "criterion5-component"])
-def test_decide_br_hooks_each_state_of_the_component_once(negative, s, size, monkeypatch):
-    # An unreachable query runs rounds until one drops nothing; over all of
-    # them the hook sees every state of pa's component exactly once.  Each
-    # expansion lists its moves through one of the two listers.
-    calls = []
+NEGATIVE_COMPONENTS = {"negative41-s0": ((4, 1), 0, 54), "negative42-s0": ((4, 2), 0, 291),
+                       "criterion5-component": ((4, 2), 1, 167)}
 
-    def counted(lister):
-        def call(*args, **kwargs):
-            calls.append(1)
-            return lister(*args, **kwargs)
-        return call
 
-    monkeypatch.setattr(oracle, "enumerate_moves", counted(enumerate_moves))
-    monkeypatch.setattr(oracle, "_moves_toward", counted(_moves_toward))
+def negative_component_query(negative, s, size):
+    """(g, k, slack, pa, pb, component): on gen_negative(*negative) at slack s,
+    pa is the first partition in a component of `size` states, pb one outside
+    it, and component the canonical keys of pa's component."""
     g = gen_negative(*negative)[0]
     k, slack = negative[0], SlackBound(s)
     cg = build_space(g, k, slack, vertex_cap=g.n)
     parts = enumerate_partitions(g, k, slack, vertex_cap=g.n)
-    # pa: the first partition in a component of `size` states; pb: one outside it.
     sizes = Counter(cg.component)
     pa = next(p for p, c in zip(parts, cg.component) if sizes[c] == size)
     comp_a = cg.component[parts.index(pa)]
     pb = next(p for p, c in zip(parts, cg.component) if c != comp_a)
+    component = {key for key, c in zip(cg.nodes, cg.component) if c == comp_a}
+    return g, k, slack, pa, pb, component
+
+
+@pytest.mark.parametrize("negative, s, size", NEGATIVE_COMPONENTS.values(), ids=NEGATIVE_COMPONENTS.keys())
+def test_decide_br_hooks_each_state_of_the_component_once(negative, s, size, monkeypatch):
+    # An unreachable query runs rounds until one drops nothing; over all of
+    # them the hook sees every state of pa's component exactly once.  Each
+    # expansion, one per state listed in a round, lists the first district
+    # pair in exactly one lister call, however its pairs are split between
+    # the two listers.
+    calls = record_lister_calls(monkeypatch)
+    g, k, slack, pa, pb, component = negative_component_query(negative, s, size)
     hooked = []
     assert decide_br(g, k, slack, pa, pb, visit_hook=hooked.append) == (False, None)
     keys = [canonical_key(p) for p in hooked]
-    component = {key for key, c in zip(cg.nodes, cg.component) if c == comp_a}
     assert len(keys) == len(set(keys)) == len(component) == size
     assert set(keys) == component
     # More expansions than states: the search took more than one round.
-    assert len(calls) > size
+    assert len(expansions(calls, k, None)) > size
 
 
 def test_recom_walk_deterministic():
