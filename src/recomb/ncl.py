@@ -342,10 +342,12 @@ def flip_pairs(r: ReductionOutput, e: int) -> list[tuple[int, int]]:
 def parse_ncl(text: str) -> tuple[NCLInstance, dict[str, Orientation]]:
     """Parse the NCL file format, including named orientation blocks."""
     lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
-    if not lines or not lines[0].startswith("ncl "):
+    head = lines[0].split() if lines else []
+    if len(head) != 3 or head[0] != "ncl" or not (head[1].isdecimal() and head[2].isdecimal()):
         raise ValueError("first line must be 'ncl <nv> <ne>'")
-    _, nv_s, ne_s = lines[0].split()
-    nv, ne = int(nv_s), int(ne_s)
+    nv, ne = int(head[1]), int(head[2])
+    if nv == 0:
+        raise ValueError("an NCL instance needs at least one vertex")
     # Each vertex and each edge become at least one vertex of the reduction.
     check_vertex_count(max(nv, ne))
     kinds: list[Optional[str]] = [None] * nv

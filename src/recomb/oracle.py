@@ -21,9 +21,9 @@ from .partitions import (
     RecombMove,
     SlackBound,
     _connected_parts,
+    _mask,
     _mask_order,
     _move_masks,
-    _moves_toward,
     _pair_list,
     _vertex_set,
     canonical_key,
@@ -174,13 +174,15 @@ def decide_br(
     and starts again from pa, with the same split table.  A round that drops
     nothing has expanded all of pa's component, so pb is unreachable.
 
-    So a round lists moves through enumerate_moves until its first drop, and
-    lists pa's one district pair at a time, since that drop mostly comes
-    among pa's first pairs.  From the drop on, pa's remaining pairs and every later state
-    list through partitions._moves_toward: only the moves whose result can
-    meet the bound, sharing at least k - 2(bound - d) districts with pb at
-    depth d.  The states kept, their order and the dropped flag are those of
-    listing every move and dropping afterwards.
+    States are tuples of district masks, keyed by the set of their masks,
+    and every state lists its moves through partitions._move_masks.  Until a
+    round's first drop it lists every move.  From the drop on it lists only
+    the moves whose result can meet the bound, sharing at least
+    k - 2(bound - d) districts with pb at depth d.  pa lists one district
+    pair at a time through enumerate_moves until that drop, since it mostly
+    comes among pa's first pairs.  The states kept, their order and the
+    dropped flag are those of listing every move and dropping afterwards.
+    Partitions are built only for `visit_hook`, RecombMoves only for the path.
 
     The path is the plain BFS's.  The first BFS parent of a state on a
     shortest path lies on a shortest path too, so the round whose bound is
@@ -199,32 +201,32 @@ def decide_br(
         if not rep.ok:
             raise ValueError(f"invalid '{name}' partition: {'; '.join(rep.violations)}")
     cap = _node_cap()
-    target = frozenset(pb.districts)
-    start = frozenset(pa.districts)
     if visit_hook:
         visit_hook(pa)
     pa_pairs = _pair_list(k, pairs)
     pairs = None if pairs is None else pa_pairs
-    if start == target:
+    start_masks = tuple(map(_mask, pa.districts))
+    start, goal = frozenset(start_masks), frozenset(map(_mask, pb.districts))
+    if start == goal:
         return True, []
-    goal = frozenset(sum(1 << v for v in d) for d in pb.districts)
     splits: dict = {}
     hooked = {start}
-    bound = (k - len(start & target) + 1) // 2
+    shared: dict = {}
+    bound = (k - len(start & goal) + 1) // 2
 
     def pa_moves(least: int):
         # pa's pairs one at a time, so that the round's first drop switches the rest.
         for n, pair in enumerate(pa_pairs):
             if dropped:
-                yield from _moves_toward(g, pa, slack, pa_pairs[n:], splits, goal, least)
+                yield from _move_masks(g, start_masks, slack, pa_pairs[n:], splits, goal, least)
                 return
-            yield from enumerate_moves(g, pa, slack, pairs=[pair], _splits=splits)
+            for m in enumerate_moves(g, pa, slack, pairs=[pair], _splits=splits):
+                yield m.i, m.j, _mask(m.new_i), _mask(m.new_j)
 
     while max_depth is None or bound <= max_depth:
-        # Keyed by the set of districts, equal iff the canonical keys are.  The
-        # keys drop labels, so the search carries the labeled partitions `pairs` needs.
-        parent: dict[frozenset, Optional[tuple[frozenset, RecombMove]]] = {start: None}
-        frontier: list[tuple[frozenset, Partition]] = [(start, pa)]
+        # Keyed by the set of district masks; the states keep the labels `pairs` needs.
+        parent: dict[frozenset, Optional[tuple]] = {start: None}
+        frontier = [(start, start_masks)]
         dropped = False
         depth = 0
         while frontier:
@@ -232,28 +234,27 @@ def decide_br(
             least = k - 2 * (bound - depth)  # districts a state here must share with pb
             next_frontier = []
             for key, p in frontier:
-                for m in (pa_moves(least) if p is pa
-                          else _moves_toward(g, p, slack, pairs, splits, goal, least) if dropped
-                          else enumerate_moves(g, p, slack, pairs=pairs, _splits=splits)):
-                    q = p.replace(m.i, m.j, m.new_i, m.new_j)
-                    qkey = frozenset(q.districts)
+                for i, j, a, b in (pa_moves(least) if p is start_masks
+                                   else _move_masks(g, p, slack, pairs, splits, goal, least) if dropped
+                                   else _move_masks(g, p, slack, pairs, splits)):
+                    q = (*p[:i], a, *p[i + 1:j], b, *p[j + 1:])
+                    qkey = frozenset(q)
                     if qkey in parent:
                         continue
-                    if depth + (k - len(qkey & target) + 1) // 2 > bound:
+                    if depth + (k - len(qkey & goal) + 1) // 2 > bound:
                         dropped = True
                         continue
                     if len(parent) >= cap:
                         raise OracleCapError("instance too large: node cap exceeded")
-                    parent[qkey] = (key, m)
+                    parent[qkey] = (key, i, j, a, b)
                     if visit_hook and qkey not in hooked:
                         hooked.add(qkey)
-                        visit_hook(q)
-                    if qkey == target:
+                        visit_hook(Partition(tuple(_vertex_set(d, shared) for d in q)))
+                    if qkey == goal:
                         path = []
-                        cur = qkey
-                        while cur != start:
-                            cur, mv = parent[cur]
-                            path.append(mv)
+                        while qkey != start:
+                            qkey, i, j, a, b = parent[qkey]
+                            path.append(RecombMove(i, j, _vertex_set(a, shared), _vertex_set(b, shared)))
                         path.reverse()
                         return True, path
                     next_frontier.append((qkey, q))
@@ -358,16 +359,18 @@ def recom_walk(
         raise ValueError(f"invalid start partition: {'; '.join(rep.violations)}")
     rng = _splitmix64(seed & 0xFFFFFFFFFFFFFFFF)
     cur = start
+    masks = list(map(_mask, start.districts))
     trace: list[tuple[int, PartitionKey]] = []
     halted = False
     splits: dict = {}
     for _ in range(steps):
-        moves = _move_masks(g, cur, slack, None, splits)
+        moves = _move_masks(g, masks, slack, None, splits)
         if not moves:
             halted = True
             break
         idx = next(rng) % len(moves)
         i, j, a, b = moves[idx]
+        masks[i], masks[j] = a, b
         cur = cur.replace(i, j, _vertex_set(a, {}), _vertex_set(b, {}))
         trace.append((idx, canonical_key(cur)))
     return WalkTrace(seed, canonical_key(start), tuple(trace), halted)

@@ -181,6 +181,10 @@ def apply_move(g: Graph, p: Partition, m: RecombMove, slack: SlackBound) -> Part
     return p.replace(m.i, m.j, m.new_i, m.new_j)
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    return sum(1 << v for v in vertices)
+
+
 def _vertex_set(mask: int, shared: dict) -> frozenset[int]:
     """The frozenset of a vertex mask, made once per `shared` dict.  Copied
     from a set, its table fits its size: 472 bytes for 5-7 vertices, not 728."""
@@ -334,35 +338,23 @@ def _split_masks(g: Graph, union: int, m_min: int, m_max: int, table: dict) -> l
     return table[union]
 
 
-def _move_masks(g: Graph, p: Partition, slack: SlackBound, pairs, table: dict) -> list[tuple]:
-    """enumerate_moves' moves, in its order, as (i, j, mask_i, mask_j); fills `table`."""
-    m_min, m_max = slack.min_size(g.n, p.k), slack.max_size(g.n, p.k)
-    masks = [sum(1 << v for v in d) for d in p.districts]
-    moves = []
-    for i, j in _pair_list(p.k, pairs):
-        splits = _split_masks(g, masks[i] | masks[j], m_min, m_max, table)
-        # A part equal to district i or j makes the identity split.
-        moves += [(i, j, a, b) for a, b in splits if a not in (masks[i], masks[j])]
-    return moves
-
-
-def _moves_toward(g: Graph, p: Partition, slack: SlackBound, pairs, table: dict,
-                  goal: frozenset[int], least: int) -> list[RecombMove]:
-    """enumerate_moves(g, p, slack, pairs, _splits=table), in its order, less
-    the moves whose result shares fewer than `least` districts with the valid
-    (k,s)-BCP whose district masks are `goal`.
+def _move_masks(g: Graph, masks: Sequence[int], slack: SlackBound, pairs, table: dict,
+                goal: frozenset[int] = frozenset(), least: int = 0) -> list[tuple]:
+    """enumerate_moves' moves on the partition whose district masks are
+    `masks`, in its order, as (i, j, mask_i, mask_j); fills `table`.  With
+    `goal`, the district masks of a valid (k,s)-BCP, only the moves whose
+    result shares at least `least` districts with it.
 
     A move on districts i and j keeps the others, so its two parts must be
     `need` goal districts.  need <= 0: any split in the table.  need 1 or 2:
     a goal district inside the union for a part, and for the rest a goal
     district (need 2) or a connected part of admissible size (need 1).
     """
-    m_min, m_max = slack.min_size(g.n, p.k), slack.max_size(g.n, p.k)
-    masks = [sum(1 << v for v in d) for d in p.districts]
+    k = len(masks)
+    m_min, m_max = slack.min_size(g.n, k), slack.max_size(g.n, k)
     have = sum(m in goal for m in masks)
-    shared = table.setdefault(0, {})
     moves = []
-    for i, j in _pair_list(p.k, pairs):
+    for i, j in _pair_list(k, pairs):
         union = masks[i] | masks[j]
         need = least - have + (masks[i] in goal) + (masks[j] in goal)
         if need <= 0:
@@ -377,8 +369,8 @@ def _moves_toward(g: Graph, p: Partition, slack: SlackBound, pairs, table: dict,
             splits = sorted(found, key=lambda split: _mask_order(split[0]))
         else:
             continue
-        moves += [RecombMove(i, j, _vertex_set(a, shared), _vertex_set(b, shared))
-                  for a, b in splits if a not in (masks[i], masks[j])]
+        # A part equal to district i or j makes the identity split.
+        moves += [(i, j, a, b) for a, b in splits if a not in (masks[i], masks[j])]
     return moves
 
 
@@ -399,12 +391,12 @@ def enumerate_moves(
     locality-restricted searches); each must be two distinct labels of p, or
     ValueError is raised.  `_splits` is the split table of one search over
     fixed (g, k, slack): a dict from a union mask to its (part, rest) mask
-    pairs, sorted by the part holding min(union); key 0 keeps the moves' frozensets.
+    pairs, sorted by the part holding min(union).
     """
     table = {} if _splits is None else _splits
-    shared = table.setdefault(0, {})
+    shared: dict = {}
     return [RecombMove(i, j, _vertex_set(a, shared), _vertex_set(b, shared))
-            for i, j, a, b in _move_masks(g, p, slack, pairs, table)]
+            for i, j, a, b in _move_masks(g, [_mask(d) for d in p.districts], slack, pairs, table)]
 
 
 def parse_partition(text: str) -> Partition:

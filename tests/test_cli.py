@@ -252,15 +252,23 @@ def test_gen_ncl_files(tmp_path):
     assert read(prefix + ".map.jsonl").count("\n") > 0
 
 
+_HEADER = "error: first line must be 'ncl <nv> <ne>'\n"
+
+
 @pytest.mark.parametrize(
-    "text", ["ncl 3 2\nv 0 OR\n", "ncl 1 0\nv 5 OR\n"], ids=["truncated", "id-out-of-range"]
+    "text, err", [("ncl 3 2\nv 0 OR\n", "error: "), ("ncl 1 0\nv 5 OR\n", "error: "),
+                  ("ncl -1 0\norient A\norient B\n", _HEADER),
+                  ("ncl 0 0\norient A\norient B\n", "error: an NCL instance needs at least one vertex\n"),
+                  ("ncl 3\n", _HEADER)],
+    ids=["truncated", "id-out-of-range", "negative-count", "no-vertex", "no-edge-count"]
 )
-def test_gen_ncl_bad_input_exit_1(tmp_path, capsys, text):
+def test_gen_ncl_bad_input_exit_1(tmp_path, capsys, text, err):
     nclfile = tmp_path / "bad.ncl"
     write(nclfile, text)
     assert run(["gen", "--family", "ncl", "--ncl", str(nclfile), "--s", "0",
                 "--out", str(tmp_path / "red")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(err)
+    assert os.listdir(tmp_path) == ["bad.ncl"]
 
 
 def test_gen_ncl_refuses_an_orient_block_naming_an_edge_twice(tmp_path, capsys):
@@ -397,10 +405,11 @@ def test_roundtrip_byte_exact(c8):
 
 
 def test_node_cap_env_respected(c8, monkeypatch, capsys):
-    _, gp, _, _, _ = c8
+    _, gp, ap, bp, _ = c8
     monkeypatch.setenv("BCP_NODE_CAP", "1")
-    assert run(["explore", "--graph", gp, "--k", "2", "--slack", "1"]) == 1
-    assert "cap" in capsys.readouterr().err
+    for inputs in (["explore"], ["decide", "--from", ap, "--to", bp]):
+        assert run([*inputs, "--graph", gp, "--k", "2", "--slack", "1"]) == 1
+        assert "cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["explore", "decide"])

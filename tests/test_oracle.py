@@ -27,7 +27,7 @@ from recomb.partitions import (
     SLACK_INF,
     SlackBound,
     _move_masks,
-    _moves_toward,
+    _vertex_set,
     canonical_key,
     enumerate_moves,
     validate,
@@ -561,28 +561,34 @@ def reference_decide_br(g, k, slack, pa, pb, pairs, max_depth, visit_hook, expan
     return False, None
 
 
+def masks_of(p):
+    return tuple(map(mask, p.districts))
+
+
 def record_lister_calls(monkeypatch):
-    """Wrap decide_br's two move listers; the returned list receives the
-    partition and the district pairs (None for all) of each call."""
+    """Wrap decide_br's move lister and enumerate_moves; the returned list
+    receives the district masks, the district pairs (None for all) and
+    whether the call was bound-aware (passed a goal) of each call."""
     calls = []
 
-    def recorded(lister):
+    def recorded(lister, masks):
         def call(g, p, slack, *args, **kwargs):
-            calls.append((p, kwargs["pairs"] if "pairs" in kwargs else args[0]))
+            pairs = kwargs["pairs"] if "pairs" in kwargs else args[0]
+            calls.append((masks(p), pairs, len(args) > 2 or "goal" in kwargs))
             return lister(g, p, slack, *args, **kwargs)
         return call
 
-    monkeypatch.setattr(oracle, "enumerate_moves", recorded(enumerate_moves))
-    monkeypatch.setattr(oracle, "_moves_toward", recorded(_moves_toward))
+    monkeypatch.setattr(oracle, "enumerate_moves", recorded(enumerate_moves, masks_of))
+    monkeypatch.setattr(oracle, "_move_masks", recorded(_move_masks, tuple))
     return calls
 
 
 def expansions(calls, k, pairs):
-    """The partitions expanded, in order, from the lister calls of one
-    decide_br query: an expansion lists each scanned district pair once, so
-    the first pair in exactly one call."""
+    """The states expanded, in order, as district masks, from the lister
+    calls of one decide_br query: an expansion lists each scanned district
+    pair once, so the first pair in exactly one call."""
     first = partitions._pair_list(k, pairs)[0]
-    return [p for p, listed in calls if listed is None or first in listed]
+    return [p for p, listed, _ in calls if listed is None or first in listed]
 
 
 def test_decide_br_matches_reference_rounds(monkeypatch):
@@ -618,8 +624,7 @@ def test_decide_br_matches_reference_rounds(monkeypatch):
         calls.clear()
         assert decide_br(g, k, slack, pa, pb, pairs, max_depth, hooked.append) == want
         assert [p.districts for p in hooked] == [p.districts for p in want_hooked]
-        got_expanded = expansions(calls, k, pairs)
-        assert [p.districts for p in got_expanded] == [p.districts for p in want_expanded]
+        assert expansions(calls, k, pairs) == [masks_of(p) for p in want_expanded]
         rounds[min(sum(p is pa for p in want_expanded), 3), want[0]] += 1
     # Queries of one, two and three or more rounds, both reached and not.
     assert all(rounds[n, ok] for n in (1, 2, 3) for ok in (True, False)), rounds
@@ -629,7 +634,8 @@ def test_decide_br_lists_pa_pair_by_pair_until_the_first_drop(monkeypatch):
     # Until a round's first drop, pa lists one district pair at a time, so a
     # drop among its first pairs spares the split tables of its other unions:
     # the search fills fewer tables (two-part _connected_parts calls) before
-    # it first lists through _moves_toward than pa has connected unions.
+    # its first bound-aware listing (a _move_masks call passed a goal) than
+    # pa has connected unions.
     tables, toward = [], []
     connected_parts = partitions._connected_parts
 
@@ -638,12 +644,13 @@ def test_decide_br_lists_pa_pair_by_pair_until_the_first_drop(monkeypatch):
             tables.append(vertices)
         return connected_parts(g, vertices, parts, *args)
 
-    def counted_toward(*args):
-        toward.append(1)
-        return _moves_toward(*args)
+    def counted_masks(g, masks, slack, pairs, table, *bound):
+        if bound:
+            toward.append(1)
+        return _move_masks(g, masks, slack, pairs, table, *bound)
 
     monkeypatch.setattr(partitions, "_connected_parts", counted_parts)
-    monkeypatch.setattr(oracle, "_moves_toward", counted_toward)
+    monkeypatch.setattr(oracle, "_move_masks", counted_masks)
     g = grid(6, 5)
     pa = Partition.of([[v for v in range(30) if v % 6 == c] for c in range(6)])
     # Columns 0-1 and 3-4 re-split into top and bottom halves, then the top
@@ -658,10 +665,11 @@ def test_decide_br_lists_pa_pair_by_pair_until_the_first_drop(monkeypatch):
     assert toward and len(tables) < len(unions)
 
 
-def test_moves_toward_matches_filtered_enumerate_moves():
-    # decide_br's bound-aware lister against enumerate_moves less the moves
+def test_move_masks_toward_goal_matches_filtered_enumerate_moves():
+    # The move lister with a goal against enumerate_moves less the moves
     # whose result q fails depth + ceil((k - |q & pb|) / 2) <= bound: the same
     # moves in the same order, on random p, pb, depth, bound and pairs=.
+    # Without a goal it lists all of enumerate_moves.
     rng = random.Random(22)
     needs, cases = Counter(), Counter()
     for g, k, s in DIFFERENTIAL:
@@ -683,16 +691,18 @@ def test_moves_toward_matches_filtered_enumerate_moves():
                 pairs = rng.sample(list(itertools.combinations(range(k), 2)), rng.randint(1, k))
             depth = rng.randint(1, 4)
             bound = depth + rng.randint(-1, (k + 1) // 2)
-            want = []
+            every, want = [], []
             for m in enumerate_moves(g, p, slack, pairs):
+                every.append((m.i, m.j, mask(m.new_i), mask(m.new_j)))
                 qkey = frozenset(p.replace(m.i, m.j, m.new_i, m.new_j).districts)
                 if depth + (k - len(qkey & target) + 1) // 2 <= bound:
-                    want.append(m)
+                    want.append(every[-1])
             least = k - 2 * (bound - depth)
             goal = frozenset(map(mask, pb.districts))
-            got = _moves_toward(g, p, slack, pairs, table, goal, least)
+            got = _move_masks(g, masks_of(p), slack, pairs, table, goal, least)
             assert got == want
-            assert _moves_toward(g, p, slack, pairs, {}, goal, least) == want
+            assert _move_masks(g, masks_of(p), slack, pairs, {}, goal, least) == want
+            assert _move_masks(g, masks_of(p), slack, pairs, table) == every
             # The goal districts each scanned pair needs in its two parts.
             have = len(frozenset(p.districts) & target)
             for i, j in partitions._pair_list(k, pairs):
@@ -703,7 +713,8 @@ def test_moves_toward_matches_filtered_enumerate_moves():
                 if 0 < need <= 2 and len(inside) == 2 and frozenset().union(*inside) == di | dj:
                     if inside != {di, dj}:  # both parts qualify: listed once
                         cases["union of two pb districts"] += 1
-                        assert [(m.i, m.j, {m.new_i, m.new_j}) for m in got].count((i, j, inside)) == 1
+                        inside_masks = set(map(mask, inside))
+                        assert [(mi, mj, {a, b}) for mi, mj, a, b in got].count((i, j, inside_masks)) == 1
                 if need == 1 and (di in target or dj in target):
                     cases["pb district is one of p's"] += 1  # the identity split is dropped
     assert all(needs[n] for n in range(4)), needs
@@ -746,6 +757,18 @@ def test_decide_br_hooks_each_state_of_the_component_once(negative, s, size, mon
     assert set(keys) == component
     # More expansions than states: the search took more than one round.
     assert len(expansions(calls, k, None)) > size
+
+
+@pytest.mark.parametrize("negative, s, size", NEGATIVE_COMPONENTS.values(), ids=NEGATIVE_COMPONENTS.keys())
+def test_decide_br_node_cap(negative, s, size, monkeypatch):
+    # The cap bounds the states one round holds: the last round of an
+    # unreachable query holds all of pa's component, and one state fewer fails.
+    g, k, slack, pa, pb, _ = negative_component_query(negative, s, size)
+    monkeypatch.setenv("BCP_NODE_CAP", str(size))
+    assert decide_br(g, k, slack, pa, pb) == (False, None)
+    monkeypatch.setenv("BCP_NODE_CAP", str(size - 1))
+    with pytest.raises(OracleCapError, match="node cap exceeded"):
+        decide_br(g, k, slack, pa, pb)
 
 
 def test_recom_walk_deterministic():
@@ -823,14 +846,23 @@ def test_recom_walk_matches_reference_on_grid8x8(seed):
 def test_split_table_changes_no_moves(monkeypatch):
     # Every move listing of a search reads and fills that search's one split
     # table; what it returns must equal a call without the table.  The walk
-    # lists its moves as masks, the decision search through enumerate_moves
-    # and, once a round has dropped a state, through _moves_toward, which must
-    # return the table-free enumerate_moves list less the moves below its bound.
+    # lists its moves through _move_masks, the decision search through
+    # enumerate_moves (pa before a round's first drop) and _move_masks, which,
+    # once a round has dropped a state, is passed a goal and must return the
+    # table-free enumerate_moves list less the moves below its bound.
     tables, toward = [], []
 
-    def checked_masks(g, p, slack, pairs, table):
-        got = _move_masks(g, p, slack, pairs, table)
-        assert got == _move_masks(g, p, slack, pairs, {})
+    def checked_masks(g, masks, slack, pairs, table, *bound):
+        got = _move_masks(g, masks, slack, pairs, table, *bound)
+        assert got == _move_masks(g, masks, slack, pairs, {}, *bound)
+        if bound:
+            goal, least = bound
+            p = Partition(tuple(_vertex_set(d, {}) for d in masks))
+            assert got == [(m.i, m.j, mask(m.new_i), mask(m.new_j))
+                           for m in enumerate_moves(g, p, slack, pairs)
+                           if sum(mask(d) in goal for d in p.replace(m.i, m.j, m.new_i, m.new_j).districts)
+                           >= least]
+            toward.append(table)
         tables.append(table)
         return got
 
@@ -840,18 +872,8 @@ def test_split_table_changes_no_moves(monkeypatch):
         tables.append(table["_splits"])
         return got
 
-    def checked_toward(g, p, slack, pairs, table, goal, least):
-        got = _moves_toward(g, p, slack, pairs, table, goal, least)
-        assert got == [m for m in enumerate_moves(g, p, slack, pairs)
-                       if sum(mask(d) in goal for d in p.replace(m.i, m.j, m.new_i, m.new_j).districts)
-                       >= least]
-        tables.append(table)
-        toward.append(table)
-        return got
-
     monkeypatch.setattr(oracle, "_move_masks", checked_masks)
     monkeypatch.setattr(oracle, "enumerate_moves", checked)
-    monkeypatch.setattr(oracle, "_moves_toward", checked_toward)
     g = grid(8, 8)
     for seed in range(3):
         tables.clear()

@@ -10,7 +10,7 @@ with a visit hook that stops the search at the first partition that is not
 chord-split (some chord not a bridge inside one district).  A graph whose
 search never stops would be a locked negative instance.
 
-Run from the repository root (about 1.25 s):
+Run from the repository root (about 1.2 s):
 
     python3 tools/certify_negative.py
 
