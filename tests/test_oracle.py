@@ -567,14 +567,13 @@ def masks_of(p):
 
 def record_lister_calls(monkeypatch):
     """Wrap decide_br's move lister and enumerate_moves; the returned list
-    receives the district masks, the district pairs (None for all) and
-    whether the call was bound-aware (passed a goal) of each call."""
+    receives the district masks and the district pairs (None for all) of
+    each call."""
     calls = []
 
     def recorded(lister, masks):
         def call(g, p, slack, *args, **kwargs):
-            pairs = kwargs["pairs"] if "pairs" in kwargs else args[0]
-            calls.append((masks(p), pairs, len(args) > 2 or "goal" in kwargs))
+            calls.append((masks(p), kwargs["pairs"] if "pairs" in kwargs else args[0]))
             return lister(g, p, slack, *args, **kwargs)
         return call
 
@@ -588,7 +587,7 @@ def expansions(calls, k, pairs):
     calls of one decide_br query: an expansion lists each scanned district
     pair once, so the first pair in exactly one call."""
     first = partitions._pair_list(k, pairs)[0]
-    return [p for p, listed, _ in calls if listed is None or first in listed]
+    return [p for p, listed in calls if listed is None or first in listed]
 
 
 def test_decide_br_matches_reference_rounds(monkeypatch):
