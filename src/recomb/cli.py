@@ -27,6 +27,7 @@ from .partitions import (
     SlackBound,
     format_moves,
     format_partition,
+    parse_ints,
     parse_partition,
     validate,
 )
@@ -50,7 +51,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_cycle(path: str, n: int) -> CycleOrder:
-    order = tuple(int(x) for x in _read(path).split())
+    order = tuple(parse_ints(_read(path).split(), "the cycle's vertex at position {}"))
     if len(order) != n:
         raise ValueError(f"cycle file lists {len(order)} vertices, graph has {n}")
     return CycleOrder(order)

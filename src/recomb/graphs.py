@@ -92,12 +92,16 @@ class Graph:
 def reach(adj, start: int, within) -> dict[int, Optional[int]]:
     """BFS from start along adj[u] inside within (which holds start): maps each
     vertex reached to the vertex it was first reached from, start to None, in
-    discovery order.  adj is Graph.adj or a dict of neighbour lists."""
+    discovery order.  adj is Graph.adj or a dict of neighbour lists.  It walks
+    a shrinking copy of within, so each neighbour costs one lookup."""
+    left = set(within)
+    left.discard(start)
     parent: dict[int, Optional[int]] = {start: None}
     order = [start]
     for u in order:
         for w in adj[u]:
-            if w in within and w not in parent:
+            if w in left:
+                left.remove(w)
                 parent[w] = u
                 order.append(w)
     return parent
@@ -107,7 +111,7 @@ def is_connected(g: Graph, s: frozenset[int] | set[int]) -> bool:
     """True iff the subgraph induced by s is connected.  s must be nonempty."""
     if not s:
         raise ValueError("empty subset")
-    return len(reach(g.adj, min(s), s)) == len(s)
+    return len(reach(g.adj, next(iter(s)), s)) == len(s)
 
 
 def connected_components(adj, s: Iterable[int]) -> list[frozenset[int]]:
@@ -145,6 +149,8 @@ def complete_forest(label, candidates) -> list[tuple[int, int]]:
         if ra != rb:
             comp[ra] = rb
             added.append((a, b))
+            if len(added) == len(comp) - 1:
+                break
     if len(comp) - len(added) > 1:
         raise ValueError("induced subgraph not connected")
     return added
@@ -193,8 +199,11 @@ def find_low_degree_block_vertex(adj) -> int:
     """The block vertex of least (degree, id) of the connected graph given by
     neighbour lists keyed by vertex: at most degree 3 on a union of two
     forests.  A leaf is never a cut vertex, so block_cut runs only if none."""
-    leafy = min(map(len, adj.values())) <= 1
-    return min(adj if leafy else adj.keys() - block_cut(adj), key=lambda v: (len(adj[v]), v))
+    low = min(map(len, adj.values()))
+    if low > 1:
+        adj = {v: adj[v] for v in adj.keys() - block_cut(adj)}
+        low = min(map(len, adj.values()))
+    return min(v for v, nbrs in adj.items() if len(nbrs) == low)
 
 
 def spanning_tree(g: Graph, s: Iterable[int]) -> frozenset[tuple[int, int]]:
@@ -206,7 +215,7 @@ def spanning_tree(g: Graph, s: Iterable[int]) -> frozenset[tuple[int, int]]:
     parent = reach(g.adj, min(s), s)
     if len(parent) != len(s):
         raise ValueError("induced subgraph not connected")
-    return frozenset((min(u, p), max(u, p)) for u, p in parent.items() if p is not None)
+    return frozenset((u, p) if u < p else (p, u) for u, p in parent.items() if p is not None)
 
 
 def edge_adjacency(

@@ -41,15 +41,41 @@ class CycleOrder:
                 raise ValueError(f"cycle step ({u},{w}) is not an edge of the graph")
 
 
-def _boundaries(cycle: CycleOrder, p: Partition) -> list[tuple[int, int]]:
-    """Each pair (u, w) of consecutive vertices along C in different
-    districts, in the order of u's position; each w starts a fragment."""
-    labels, order = p.labels, cycle.order
-    return [(u, w) for u, w in zip(order, order[1:] + order[:1]) if labels[u] != labels[w]]
+def _fragment_starts(cycle: CycleOrder, p: Partition, masks: Optional[dict] = None) -> list[int]:
+    """The one scan of C for district boundaries, bit-parallel over cycle
+    positions: per district, the mask of the positions that begin one of its
+    fragments.  masks caches these masks by district."""
+    n, pos = cycle.n, cycle.positions
+    masks = {} if masks is None else masks
+    for d in p.districts:
+        if d not in masks:
+            bits = bytearray(b"0") * n
+            for v in d:
+                bits[n - 1 - pos[v]] = 49  # "1"; the string's last digit is position 0
+            m = int(bits, 2)
+            masks[d] = m & ~(m << 1 | m >> (n - 1))  # in d, with position t - 1 not
+    return [masks[d] for d in p.districts]
 
 
-def fragment_count(cycle: CycleOrder, p: Partition) -> int:
-    return len(_boundaries(cycle, p)) or 1
+def _boundaries(cycle: CycleOrder, p: Partition, masks: Optional[dict] = None) -> list[tuple]:
+    """Each (u, w, du, dw): consecutive vertices u, w along C in districts
+    du != dw, in the order of u's position; each w starts a fragment, and u
+    ends the one that starts before it."""
+    found = []
+    for i, starts in enumerate(_fragment_starts(cycle, p, masks)):
+        while starts:
+            t = starts.bit_length() - 1
+            found.append((t, i))
+            starts ^= 1 << t
+    found.sort()
+    if found and found[0][0] == 0:  # u at position n - 1 comes last
+        found.append(found.pop(0))
+    order = cycle.order
+    return [(order[t - 1], order[t], found[x - 1][1], i) for x, (t, i) in enumerate(found)]
+
+
+def fragment_count(cycle: CycleOrder, p: Partition, *, _masks: Optional[dict] = None) -> int:
+    return sum(starts.bit_count() for starts in _fragment_starts(cycle, p, _masks)) or 1
 
 
 @dataclass(frozen=True)
@@ -128,19 +154,17 @@ def _fragment_tree(g: Graph, cycle: CycleOrder, members: frozenset[int]) -> _Fra
     return _rooted(dict(Counter(label.values())), links, label)
 
 
-def step_light(
-    g: Graph, cycle: CycleOrder, p: Partition, *, _trees: Optional[dict] = None
-) -> Optional[RecombMove]:
+def step_light(g: Graph, cycle: CycleOrder, p: Partition, *, _trees: Optional[dict] = None,
+               _masks: Optional[dict] = None) -> Optional[RecombMove]:
     """A move shedding a light fragment of a large district into an adjacent
     small district, when one exists; scans the boundaries along C in order.
 
-    _trees caches _FragmentTree by district, the donor's after the move too.
+    _trees caches _FragmentTree by district, the donor's after the move too;
+    _masks caches the scan's fragment-start masks by district.
     """
     n, k = cycle.n, p.k
-    labels = p.labels
     trees = {} if _trees is None else _trees
-    for u, w in _boundaries(cycle, p):
-        du, dw = labels[u], labels[w]
+    for u, w, du, dw in _boundaries(cycle, p, _masks):
         for donor_v, donor_d, recv_d in ((u, du, dw), (w, dw, du)):
             # A large donor (more than n/k vertices) sheds into a small receiver.
             if k * len(p.districts[donor_d]) <= n or k * len(p.districts[recv_d]) > n:
@@ -158,12 +182,11 @@ def step_light(
     return None
 
 
-def find_small_adjacent_pair(cycle: CycleOrder, p: Partition) -> tuple[int, int]:
+def find_small_adjacent_pair(cycle: CycleOrder, p: Partition, *,
+                             _masks: Optional[dict] = None) -> tuple[int, int]:
     """First pair of districts adjacent along C with combined size <= 2n/k."""
     n, k = cycle.n, p.k
-    labels = p.labels
-    for u, w in _boundaries(cycle, p):
-        du, dw = labels[u], labels[w]
+    for _, _, du, dw in _boundaries(cycle, p, _masks):
         if k * (len(p.districts[du]) + len(p.districts[dw])) <= 2 * n:
             return du, dw
     raise ValueError("no pair found")
@@ -217,9 +240,9 @@ def steps_singleton(
     singles = sorted(v for d in p.districts if len(d) == 1 for v in d)
     if not singles:
         raise ValueError("no singleton present")
-    labels = p.labels
-    starts = [w for _, w in _boundaries(cycle, p)]
-    frag_counts = Counter(labels[w] for w in starts)
+    labels = {w: dw for _, w, _, dw in _boundaries(cycle, p)}
+    starts = list(labels)
+    frag_counts = Counter(labels.values())
     if all(c == 1 for c in frag_counts.values()):
         raise ValueError("partition already canonical")
     pos = cycle.positions
@@ -252,7 +275,7 @@ def steps_singleton(
     succ = walk[t]
     w = cycle.order[pos[succ] - 1]
     assert cur.districts[walker] == frozenset({w})
-    d2 = cur.district_of(succ)
+    d2 = next(i for i, d in enumerate(cur.districts) if succ in d)
     tree = _fragment_tree(g, cycle, cur.districts[d2])
     assert tree.chords, "target district must have a chord"
     side = _side(tree.links, tree.label[succ], *(tree.label[v] for v in min(tree.chords)))
@@ -266,6 +289,8 @@ def steps_singleton(
 
 
 def _check_preconditions(g: Graph, cycle: CycleOrder, k: int, slack: SlackBound):
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     cycle.check(g)
     n = g.n
     if n % k != 0:
@@ -285,27 +310,29 @@ def canonicalize(
         raise ValueError(f"invalid partition: {'; '.join(rep.violations)}")
     moves: list[RecombMove] = []
     cur = p
-    frags = fragment_count(cycle, cur)
+    # Fragment trees and the scan's fragment-start masks by district, for this call only.
     trees: dict[frozenset[int], _FragmentTree] = {}
+    masks: dict[frozenset[int], int] = {}
+    frags = fragment_count(cycle, cur, _masks=masks)
     while frags > k:
-        m = step_light(g, cycle, cur, _trees=trees)
+        m = step_light(g, cycle, cur, _trees=trees, _masks=masks)
         if m is not None:
             cur = apply_move(g, cur, m, slack)
             moves.append(m)
-            new_frags = fragment_count(cycle, cur)
+            new_frags = fragment_count(cycle, cur, _masks=masks)
         else:
             if all(len(d) > 1 for d in cur.districts):
-                i, j = find_small_adjacent_pair(cycle, cur)
+                i, j = find_small_adjacent_pair(cycle, cur, _masks=masks)
                 m = step_average(g, cycle, cur, i, j, slack)
                 cur = apply_move(g, cur, m, slack)
                 moves.append(m)
-                new_frags = fragment_count(cycle, cur)
+                new_frags = fragment_count(cycle, cur, _masks=masks)
             # A singleton, there before or left by an average step that
             # joined no fragments, walks on.
             if m is None or new_frags == frags:
                 walk, cur = steps_singleton(g, cycle, cur, slack)
                 moves += walk
-                new_frags = fragment_count(cycle, cur)
+                new_frags = fragment_count(cycle, cur, _masks=masks)
         assert new_frags < frags, "fragment count must strictly decrease"
         frags = new_frags
     assert len(moves) <= k * (g.n - k)
@@ -315,7 +342,7 @@ def canonicalize(
 def _arcs_in_cycle_order(cycle: CycleOrder, p: Partition) -> list[list[int]]:
     """The districts' arcs in order along C; each district must be one arc."""
     order, n, pos = cycle.order, cycle.n, cycle.positions
-    cuts = sorted(pos[w] for _, w in _boundaries(cycle, p)) or [0]
+    cuts = sorted(pos[w] for _, w, _, _ in _boundaries(cycle, p)) or [0]
     if len(cuts) != p.k:
         raise ValueError("partition is not canonical")
     return [[order[x % n] for x in range(a, b)] for a, b in zip(cuts, cuts[1:] + [cuts[0] + n])]

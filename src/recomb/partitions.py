@@ -399,6 +399,17 @@ def enumerate_moves(
             for i, j, a, b in _move_masks(g, [_mask(d) for d in p.districts], slack, pairs, table)]
 
 
+def parse_ints(tokens: Sequence[str], what: str) -> list[int]:
+    """The tokens as ints; ValueError names the first that is not one by what.format(its index)."""
+    out = []
+    for t, x in enumerate(tokens):
+        try:
+            out.append(int(x))
+        except ValueError:
+            raise ValueError(f"{what.format(t)} must be an integer, got {x!r}") from None
+    return out
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the `k <k>` + label-line text format."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
@@ -407,8 +418,8 @@ def parse_partition(text: str) -> Partition:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "k":
         raise ValueError("first line must be 'k <k>'")
-    k = int(head[1])
-    labels = [int(x) for x in lines[1].split()]
+    k = parse_ints(head[1:], "k")[0]
+    labels = parse_ints(lines[1].split(), "the label of vertex {}")
     if not 1 <= k <= len(labels):  # before the districts are allocated
         raise ValueError(f"k must be between 1 and the label count {len(labels)}")
     if any(not (0 <= lab < k) for lab in labels):

@@ -26,14 +26,12 @@ def _spanning_union_edges(g: Graph, districts: list[frozenset[int]], trees: dict
     of every district (cached in trees), completed by the first of the sorted
     edges that join two districts: exactly len(districts)-1 of them."""
     label = {v: i for i, d in enumerate(districts) for v in d}
-    union: set[tuple[int, int]] = set()
     for d in districts:
         if d not in trees:
             trees[d] = spanning_tree(g, d)
-        union |= trees[d]
-    added = complete_forest(label, [e for e in edges if label[e[0]] != label[e[1]]])
+    added = complete_forest(label, [(a, b) for a, b in edges if label[a] != label[b]])
     assert len(added) == len(districts) - 1
-    return union.union(added)
+    return set().union(*(trees[d] for d in districts), added)
 
 
 def _singleton_side(adj: dict[int, list[int]], districts: list[frozenset[int]], v: int):
@@ -95,6 +93,8 @@ def transform_unbounded(g: Graph, p1: Partition, p2: Partition) -> list[RecombMo
 def _check_inputs(g: Graph, p1: Partition, p2: Partition):
     if p1.k != p2.k:
         raise ValueError(f"mismatched k: {p1.k} vs {p2.k}")
+    if p1.k < 1:
+        raise ValueError(f"k={p1.k} must be at least 1")
     if g.n and not is_connected(g, g.vertices()):
         raise ValueError("graph not connected")
     for name, p in (("p1", p1), ("p2", p2)):

@@ -84,6 +84,30 @@ def test_validate_k_outside_labels_exit_1(c8, capsys, tmp_path, head):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "part, cycle, err",
+    [
+        ("k x\n0 0 0 0 1 1 1 1\n", None, "k must be an integer, got 'x'"),
+        ("k 2\n0 0 0 0 1 1 one 1\n", None, "the label of vertex 6 must be an integer, got 'one'"),
+        ("k 2\n0 0 0 0 1 1 1 1.0\n", None, "the label of vertex 7 must be an integer, got '1.0'"),
+        (None, "0 1 2 3 4 5 6 v7\n", "the cycle's vertex at position 7 must be an integer, got 'v7'"),
+    ],
+    ids=["k", "label", "float-label", "cycle-vertex"],
+)
+def test_non_integer_fields_named_exit_1(c8, capsys, tmp_path, part, cycle, err):
+    _, gp, ap, bp, cp = c8
+    if part is not None:
+        ap = str(tmp_path / "bad.part")
+        write(ap, part)
+    if cycle is not None:
+        cp = str(tmp_path / "bad.cycle")
+        write(cp, cycle)
+    argv = ["transform", "--mode", "hamiltonian", "--graph", gp, "--from", ap, "--to", bp,
+            "--cycle", cp, "--slack", "4", "--out", str(tmp_path / "m.moves")]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_usage_error_exit_1(capsys):
     assert run(["validate", "--graph", "/nonexistent", "--partition", "/x", "--k", "2", "--slack", "1"]) == 1
     assert run(["frobnicate"]) == 1

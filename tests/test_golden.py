@@ -207,3 +207,48 @@ def test_transform_unbounded_seeded_golden():
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
         "f5b33631f29bff0741c9097c007f77422cd7f0a2183f06825ca908268d317b92"
     )
+
+
+def _balanced_partition(rng, g, k: int) -> Partition:
+    """Region growth from k random seeds, always extending the smallest
+    district that can still grow by a random free neighbour."""
+    label = {v: i for i, v in enumerate(rng.sample(range(g.n), k))}
+    free = [list(g.adj[v]) for v in label]
+    sizes = [1] * k
+    growing = set(range(k))
+    while growing:
+        d = min(growing, key=lambda i: (sizes[i], i))
+        while free[d] and free[d][-1] in label:
+            free[d].pop()
+        if not free[d]:
+            growing.discard(d)
+            continue
+        i = rng.randrange(len(free[d]))
+        free[d][i], free[d][-1] = free[d][-1], free[d][i]
+        w = free[d].pop()
+        if w not in label:
+            label[w] = d
+            sizes[d] += 1
+            free[d] += g.adj[w]
+    return Partition.of([[v for v in label if label[v] == i] for i in range(k)])
+
+
+def test_transform_hamiltonian_benchmark_size_golden():
+    # One seeded pair at the benchmark's size: the 40x40 grid along its
+    # serpentine cycle, k = 5, slack n/k.  It runs 76 light steps, 9
+    # average steps and one singleton walk.
+    rng = random.Random(40)
+    g, cycle = gen_grid(40, 40), _serpentine(40, 40)
+    p1, p2 = _balanced_partition(rng, g, 5), _balanced_partition(rng, g, 5)
+    moves = transform_hamiltonian(g, cycle, p1, p2, SlackBound(320))
+    assert len(moves) == 93
+    assert digest(moves) == "40ef8814779757af664d6ed2cd6f5b32bea9be1011050ed4c17ec2acf35c19b8"
+
+
+def test_transform_unbounded_benchmark_size_golden():
+    # One seeded pair at the benchmark's size: the 24x24 grid, k = 24.
+    rng = random.Random(24)
+    g = gen_grid(24, 24)
+    moves = transform_unbounded(g, _balanced_partition(rng, g, 24), _balanced_partition(rng, g, 24))
+    assert len(moves) == 46
+    assert digest(moves) == "c8df15bd568b30c65371c27165e213ce0830a9f9ee4d04bd8279ee0853b26f7d"

@@ -272,6 +272,19 @@ def reference_tree_center(adj):
     return best[1], parent
 
 
+def reference_reach(adj, start, within):
+    """reach as it was before it walked a shrinking copy of within: two
+    lookups per neighbour.  Returns the parent map's items in discovery order."""
+    parent = {start: None}
+    order = [start]
+    for u in order:
+        for w in adj[u]:
+            if w in within and w not in parent:
+                parent[w] = u
+                order.append(w)
+    return list(parent.items())
+
+
 def test_traversals_match_their_reference_loops():
     rng = random.Random(13)
     disconnected = 0
@@ -280,6 +293,11 @@ def test_traversals_match_their_reference_loops():
         pairs = list(itertools.combinations(range(n), 2))
         g = Graph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n))))
         s = frozenset(rng.sample(range(n), rng.randint(1, n)))
+        start = rng.choice(sorted(s))
+        want_reach = reference_reach(g.adj, start, s)
+        for within in (set(s), s, dict.fromkeys(s, 0)):
+            assert list(reach(g.adj, start, within).items()) == want_reach
+            assert len(within) == len(s)  # reach copies within, never shrinks it
         try:
             want = reference_spanning_tree(g, s)
         except ValueError:

@@ -100,7 +100,7 @@ def test_cycle_order_check():
 def test_boundaries_contiguous():
     c = identity_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
-    assert _boundaries(c, p) == [(2, 3), (5, 0)]
+    assert _boundaries(c, p) == [(2, 3, 0, 1), (5, 0, 1, 0)]
     assert fragment_count(c, p) == 2
     assert _arcs_in_cycle_order(c, p) == [[0, 1, 2], [3, 4, 5]]
 
@@ -108,7 +108,7 @@ def test_boundaries_contiguous():
 def test_boundaries_wraparound():
     c = identity_cycle(6)
     p = Partition.of([[5, 0, 1], [2, 3, 4]])
-    assert _boundaries(c, p) == [(1, 2), (4, 5)]
+    assert _boundaries(c, p) == [(1, 2, 0, 1), (4, 5, 1, 0)]
     assert fragment_count(c, p) == 2
     assert _arcs_in_cycle_order(c, p) == [[2, 3, 4], [5, 0, 1]]
 
@@ -132,11 +132,15 @@ def reference_runs(order, labels):
 
 
 def test_boundaries_match_brute_force():
+    # The bit-parallel scan against a label scan of the cycle, position by
+    # position, on seeded partitions of chorded cycles: n = 1 and k = 1 up to
+    # k = n, and districts that wrap from position n - 1 to 0.
     rng = random.Random(17)
-    canonical = 0
+    canonical = wrapped = 0
+    seen = set()
     for _ in range(3000):
-        n = rng.randint(3, 12)
-        k = rng.randint(1, min(4, n))
+        n = rng.randint(1, 12)
+        k = rng.randint(1, n if rng.random() < 0.2 else min(4, n))
         order = list(range(n))
         rng.shuffle(order)
         if rng.random() < 0.5:
@@ -149,11 +153,20 @@ def test_boundaries_match_brute_force():
         labels = dict(zip(order, lab))
         p = Partition.of([[v for v in order if labels[v] == d] for d in range(k)])
         c = CycleOrder(tuple(order))
-        pairs = [(order[t], order[(t + 1) % n]) for t in range(n)
-                 if labels[order[t]] != labels[order[(t + 1) % n]]]
+        if n >= 3:
+            steps = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:] + order[:1])}
+            chords = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 3))}
+            c.check(Graph(n, steps | chords))
+        pairs = [(order[t], order[(t + 1) % n], labels[order[t]], labels[order[(t + 1) % n]])
+                 for t in range(n) if labels[order[t]] != labels[order[(t + 1) % n]]]
         runs = reference_runs(order, labels)
-        assert _boundaries(c, p) == pairs
+        masks = {}
+        for _ in range(2):  # the second call reads the masks cached by the first
+            assert _boundaries(c, p, masks) == pairs
+            assert fragment_count(c, p, _masks=masks) == len(runs)
         assert fragment_count(c, p) == len(runs)
+        seen.add((n == 1, k == 1, k == n))
+        wrapped += n > 1 and lab[0] == lab[-1] and len(set(lab)) > 1
         if len(runs) == k:
             canonical += 1
             assert _arcs_in_cycle_order(c, p) == runs
@@ -161,6 +174,8 @@ def test_boundaries_match_brute_force():
             with pytest.raises(ValueError):
                 _arcs_in_cycle_order(c, p)
     assert 1000 < canonical < 2500
+    assert wrapped > 500
+    assert {(True, True, True), (False, True, False), (False, False, True), (False, False, False)} <= seen
 
 
 def test_fragment_count_single_district():
@@ -260,10 +275,10 @@ def test_derived_fragment_trees_match_fresh_ones(monkeypatch):
     caches = []
     real = hamiltonian.step_light
 
-    def spy(g, cycle, p, *, _trees):
+    def spy(g, cycle, p, *, _trees, _masks):
         if not caches or caches[-1][2] is not _trees:
-            caches.append((g, cycle, _trees))
-        return real(g, cycle, p, _trees=_trees)
+            caches.append((g, cycle, _trees, _masks))
+        return real(g, cycle, p, _trees=_trees, _masks=_masks)
 
     monkeypatch.setattr(hamiltonian, "step_light", spy)
     rng = random.Random(36)
@@ -277,10 +292,15 @@ def test_derived_fragment_trees_match_fresh_ones(monkeypatch):
         slack = SlackBound(g.n // k)
         canonicalize(g, c, random_partition(rng, g, k, slack), slack)
     derived = 0
-    for g, c, trees in caches:
+    for g, c, trees, masks in caches:
         for members, tree in trees.items():
             assert tree == _fragment_tree(g, c, members)
             derived += len(tree.label) > len(members)
+        # Each cached mask holds the positions along this cycle that start
+        # one of the district's fragments.
+        for members, mask in masks.items():
+            assert mask == sum(1 << t for t, v in enumerate(c.order)
+                               if v in members and c.order[t - 1] not in members)
     assert derived > 100
 
 
@@ -541,3 +561,15 @@ def test_preconditions_enforced_on_equal_inputs(n, order, parts, slack, match):
     p = Partition.of(parts)
     with pytest.raises(ValueError, match=match):
         transform_hamiltonian(cycle_graph(n), CycleOrder(tuple(order)), p, p, SlackBound(slack))
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("slack", [SlackBound(1), SlackBound(None)])
+def test_zero_districts_refused(n, slack):
+    # k = 0 used to reach n % k and raise ZeroDivisionError.
+    g, c, p = cycle_graph(n), identity_cycle(n), Partition(())
+    for call in (lambda: transform_hamiltonian(g, c, p, p, slack),
+                 lambda: canonicalize(g, c, p, slack),
+                 lambda: canonical_transform(g, c, p, p, slack)):
+        with pytest.raises(ValueError, match="k=0 must be at least 1"):
+            call()

@@ -131,6 +131,12 @@ def test_rejects_bad_inputs():
         )
 
 
+@pytest.mark.parametrize("g", [Graph(0, []), cycle(3)], ids=["empty-graph", "c3"])
+def test_rejects_zero_districts(g):
+    with pytest.raises(ValueError, match="k=0 must be at least 1"):
+        transform_unbounded(g, Partition(()), Partition(()))
+
+
 def test_many_districts_do_not_recurse():
     # The pair {0,1} becomes the pair {199,200} across 198 singletons: the
     # driver peels one district per round, and must not spend a stack frame
