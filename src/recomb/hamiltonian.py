@@ -236,7 +236,6 @@ def steps_singleton(
     """At most k-1 moves that walk a singleton district along single-fragment
     districts and absorb one side of a chord split, decreasing fragments;
     returns them with the partition they lead to."""
-    n = cycle.n
     singles = sorted(v for d in p.districts if len(d) == 1 for v in d)
     if not singles:
         raise ValueError("no singleton present")
@@ -245,50 +244,38 @@ def steps_singleton(
     frag_counts = Counter(labels.values())
     if all(c == 1 for c in frag_counts.values()):
         raise ValueError("partition already canonical")
-    pos = cycle.positions
+    order, n, pos = cycle.order, cycle.n, cycle.positions
     u = singles[0]
     # Walk clockwise, fragment by fragment from u's own (a singleton starts
     # one), to the first district with two or more fragments.
     at = starts.index(u)
     walk = starts[at:] + starts[:at]
     t = next(x for x, v in enumerate(walk) if frag_counts[labels[v]] > 1)
-    moves: list[RecombMove] = []
-    cur = p
-    # Shift the chain contents so the singleton ends next to the target.
-    walker = labels[u]
-    for db in (labels[v] for v in walk[1:t]):
-        if len(cur.districts[db]) == 1:
-            # A singleton at the end of its own arc: shifting it would be an
-            # identity move, so it walks on in place of the first one.
-            walker = db
-            continue
-        run = sorted(cur.districts[walker] | cur.districts[db], key=lambda v: ((pos[v] - pos[u]) % n))
-        cut = len(cur.districts[db])
-        part_a = frozenset(run[:cut])
-        part_b = frozenset(run[cut:])
-        m = labelled_move(walker, db, part_a, part_b)
-        cur = apply_move(g, cur, m, slack)
-        moves.append(m)
-        # The label rule may give the walking singleton either label.
-        walker = m.i if m.new_i == part_b else m.j
+    # The chain [u], then each single-fragment district's arc: each shift
+    # moves the singleton to the end of the next arc.
+    arcs = [[order[x % n] for x in range(pos[v], pos[v] + len(p.districts[labels[v]]))] for v in walk[:t]]
+    shifts: list[AbstractMove] = []
+    for a in range(1, t):
+        # A singleton arc walks on in place of the one before it; shifting
+        # it would be an identity move.
+        if len(arcs[a]) > 1:
+            _recombine(arcs, a - 1, a, len(arcs[a]), shifts)
     # Case 1: absorb one side of a chord split of the multi-fragment district.
     succ = walk[t]
-    w = cycle.order[pos[succ] - 1]
-    assert cur.districts[walker] == frozenset({w})
-    d2 = next(i for i, d in enumerate(cur.districts) if succ in d)
-    tree = _fragment_tree(g, cycle, cur.districts[d2])
+    w = order[pos[succ] - 1]
+    assert arcs[-1] == [w]
+    target = p.districts[labels[succ]]
+    tree = _fragment_tree(g, cycle, target)
     assert tree.chords, "target district must have a chord"
     side = _side(tree.links, tree.label[succ], *(tree.label[v] for v in min(tree.chords)))
-    t_minus = frozenset(v for v in cur.districts[d2] if tree.label[v] in side)
-    t_plus = cur.districts[d2] - t_minus
-    part_a = frozenset({w}) | t_minus
-    m = labelled_move(walker, d2, part_a, t_plus)
-    cur = apply_move(g, cur, m, slack)
-    moves.append(m)
-    return moves, cur
+    t_minus = frozenset(v for v in target if tree.label[v] in side)
+    return resolve_moves(g, p, shifts + [(frozenset({w}) | t_minus, target - t_minus)], slack)
 
 
-def _check_preconditions(g: Graph, cycle: CycleOrder, k: int, slack: SlackBound):
+def _check_preconditions(g: Graph, cycle: CycleOrder, p1: Partition, p2: Partition, slack: SlackBound):
+    if p1.k != p2.k:
+        raise ValueError(f"mismatched k: {p1.k} vs {p2.k}")
+    k = p1.k
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
     cycle.check(g)
@@ -304,7 +291,7 @@ def canonicalize(
 ) -> tuple[list[RecombMove], Partition]:
     """Defragment p into a canonical partition in at most k(n-k) moves."""
     k = p.k
-    _check_preconditions(g, cycle, k, slack)
+    _check_preconditions(g, cycle, p, p, slack)
     rep = validate(g, p, k, slack)
     if not rep.ok:
         raise ValueError(f"invalid partition: {'; '.join(rep.violations)}")
@@ -348,19 +335,20 @@ def _arcs_in_cycle_order(cycle: CycleOrder, p: Partition) -> list[list[int]]:
     return [[order[x % n] for x in range(a, b)] for a, b in zip(cuts, cuts[1:] + [cuts[0] + n])]
 
 
+def _recombine(arcs: list[list[int]], a: int, b: int, cut: int, out: list[AbstractMove]) -> None:
+    """Re-split consecutive arcs a and b along C after their first cut
+    vertices, and append the move to out."""
+    run = arcs[a] + arcs[b]
+    arcs[a], arcs[b] = run[:cut], run[cut:]
+    out.append((frozenset(arcs[a]), frozenset(arcs[b])))
+
+
 def _balance_abstract(arcs: list[list[int]], target: int) -> list[AbstractMove]:
     """Bring all cyclically-ordered arcs to the target size, paper-style:
     repeatedly fix the first unbalanced arc by propagating from the first
     below/above sign change. Returns the moves; inverted_abstract undoes them."""
     k = len(arcs)
     out: list[AbstractMove] = []
-
-    def recombine(a: int, b: int, new_len_a: int):
-        combined = arcs[a] + arcs[b]
-        arcs[a] = combined[:new_len_a]
-        arcs[b] = combined[new_len_a:]
-        out.append((frozenset(arcs[a]), frozenset(arcs[b])))
-
     m = 0
     while m < k:
         if len(arcs[m]) == target:
@@ -371,9 +359,9 @@ def _balance_abstract(arcs: list[list[int]], target: int) -> list[AbstractMove]:
         while sign * (len(arcs[j + 1]) - target) > 0:
             j += 1
         assert j + 1 < k, "average arc size must equal the target"
-        recombine(j, j + 1, target)
+        _recombine(arcs, j, j + 1, target, out)
         for i in range(j - 1, m - 1, -1):
-            recombine(i, i + 1, target)
+            _recombine(arcs, i, i + 1, target, out)
         m += 1
     return out
 
@@ -386,10 +374,7 @@ def _shift_abstract(arcs: list[list[int]], delta: int) -> list[AbstractMove]:
     if delta == 0 or k == 1:
         return out
     for a in range(k):
-        b = (a + 1) % k
-        run, cut = arcs[a] + arcs[b], len(arcs[a]) + delta
-        arcs[a], arcs[b] = run[:cut], run[cut:]
-        out.append((frozenset(arcs[a]), frozenset(arcs[b])))
+        _recombine(arcs, a, (a + 1) % k, len(arcs[a]) + delta, out)
     return out
 
 
@@ -400,7 +385,7 @@ def canonical_transform(
     partitions only; returns them with the labelled partition they lead to
     from pc1 (pc1 itself when pc1 and pc2 are the same partition)."""
     k = pc1.k
-    _check_preconditions(g, cycle, k, slack)
+    _check_preconditions(g, cycle, pc1, pc2, slack)
     if canonical_key(pc1) == canonical_key(pc2):
         return [], pc1
     target = cycle.n // k

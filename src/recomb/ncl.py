@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, check_vertex_count
-from .partitions import Partition
+from .partitions import Partition, parse_ints
 
 AND, OR, DEG2 = "AND", "OR", "DEG2"
 RED, BLUE = "red", "blue"
@@ -38,6 +38,9 @@ class NCLInstance:
         return [e for e, (a, b, _) in enumerate(self.edges) if v in (a, b)]
 
     def check(self) -> None:
+        for e, (u, v, _) in enumerate(self.edges):
+            if u == v:
+                raise ValueError(f"edge {e} joins vertex {u} to itself")
         for v, kind in enumerate(self.kinds):
             inc = self.incident(v)
             colors = sorted(self.edges[e][2] for e in inc)
@@ -364,7 +367,7 @@ def parse_ncl(text: str) -> tuple[NCLInstance, dict[str, Orientation]]:
         return parts
 
     def ident(raw: str, size: int, what: str) -> int:
-        x = int(raw)
+        x = parse_ints([raw], f"{what} id")[0]
         if not 0 <= x < size:
             raise ValueError(f"{what} id {x} out of range")
         return x

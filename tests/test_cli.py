@@ -283,8 +283,20 @@ _HEADER = "error: first line must be 'ncl <nv> <ne>'\n"
     "text, err", [("ncl 3 2\nv 0 OR\n", "error: "), ("ncl 1 0\nv 5 OR\n", "error: "),
                   ("ncl -1 0\norient A\norient B\n", _HEADER),
                   ("ncl 0 0\norient A\norient B\n", "error: an NCL instance needs at least one vertex\n"),
-                  ("ncl 3\n", _HEADER)],
-    ids=["truncated", "id-out-of-range", "negative-count", "no-vertex", "no-edge-count"]
+                  ("ncl 3\n", _HEADER),
+                  ("ncl 4 7\n" + "".join(f"v {v} OR\n" for v in range(4))
+                   + "".join(f"e {e} {u} {v} blue\n"
+                             for e, (u, v) in enumerate([(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 3)]))
+                   + "".join(f"orient {x}\n" + "".join(f"{e} uv\n" for e in range(7)) for x in "AB"),
+                   "error: edge 0 joins vertex 0 to itself\n"),
+                  ("ncl 1 0\nv x OR\n", "error: vertex id must be an integer, got 'x'\n"),
+                  ("ncl 2 1\nv 0 DEG2\nv 1 DEG2\ne one 0 1 blue\n", "error: edge id must be an integer, got 'one'\n"),
+                  ("ncl 2 1\nv 0 DEG2\nv 1 DEG2\ne 0 0 1.0 blue\n",
+                   "error: vertex id must be an integer, got '1.0'\n"),
+                  ("ncl 2 1\nv 0 DEG2\nv 1 DEG2\ne 0 0 1 blue\norient A\ne0 uv\n",
+                   "error: edge id must be an integer, got 'e0'\n")],
+    ids=["truncated", "id-out-of-range", "negative-count", "no-vertex", "no-edge-count", "self-loop",
+         "vertex-id-not-integer", "edge-id-not-integer", "endpoint-not-integer", "orient-edge-not-integer"]
 )
 def test_gen_ncl_bad_input_exit_1(tmp_path, capsys, text, err):
     nclfile = tmp_path / "bad.ncl"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,15 +13,18 @@ from recomb.hamiltonian import (
     _boundaries,
     _fragment_tree,
     _shift_abstract,
+    _side,
     canonical_transform,
     canonicalize,
     fragment_count,
     step_average,
     step_light,
+    steps_singleton,
     transform_hamiltonian,
 )
 from recomb.instances import gen_grid
-from recomb.partitions import Partition, SlackBound, canonical_key, validate
+from recomb.oracle import enumerate_partitions
+from recomb.partitions import Partition, SlackBound, apply_move, canonical_key, validate
 from recomb.sequences import labelled_move, replay, resolve_moves
 from tree_reference import tree_center
 
@@ -530,6 +534,90 @@ def test_singleton_walk_regressions():
     assert canonical_key(replay(g, cols, moves, SlackBound(8))) == canonical_key(rows)
 
 
+def reference_steps_singleton(g, cycle, p, slack):
+    """steps_singleton as it tracked the walker's label itself: each shift is
+    labelled and applied in turn, and the label rule decides which label the
+    walking singleton carries next."""
+    n = cycle.n
+    singles = sorted(v for d in p.districts if len(d) == 1 for v in d)
+    if not singles:
+        raise ValueError("no singleton present")
+    labels = {w: dw for _, w, _, dw in _boundaries(cycle, p)}
+    starts = list(labels)
+    frag_counts = Counter(labels.values())
+    if all(c == 1 for c in frag_counts.values()):
+        raise ValueError("partition already canonical")
+    pos = cycle.positions
+    u = singles[0]
+    at = starts.index(u)
+    walk = starts[at:] + starts[:at]
+    t = next(x for x, v in enumerate(walk) if frag_counts[labels[v]] > 1)
+    moves = []
+    cur = p
+    walker = labels[u]
+    for db in (labels[v] for v in walk[1:t]):
+        if len(cur.districts[db]) == 1:
+            walker = db
+            continue
+        run = sorted(cur.districts[walker] | cur.districts[db], key=lambda v: ((pos[v] - pos[u]) % n))
+        cut = len(cur.districts[db])
+        part_a, part_b = frozenset(run[:cut]), frozenset(run[cut:])
+        m = labelled_move(walker, db, part_a, part_b)
+        cur = apply_move(g, cur, m, slack)
+        moves.append(m)
+        walker = m.i if m.new_i == part_b else m.j
+    succ = walk[t]
+    w = cycle.order[pos[succ] - 1]
+    assert cur.districts[walker] == frozenset({w})
+    d2 = next(i for i, d in enumerate(cur.districts) if succ in d)
+    tree = _fragment_tree(g, cycle, cur.districts[d2])
+    assert tree.chords, "target district must have a chord"
+    side = _side(tree.links, tree.label[succ], *(tree.label[v] for v in min(tree.chords)))
+    t_minus = frozenset(v for v in cur.districts[d2] if tree.label[v] in side)
+    m = labelled_move(walker, d2, frozenset({w}) | t_minus, cur.districts[d2] - t_minus)
+    cur = apply_move(g, cur, m, slack)
+    moves.append(m)
+    return moves, cur
+
+
+def outcome(call):
+    """call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except (AssertionError, ValueError) as e:
+        return type(e), str(e)
+
+
+def test_steps_singleton_matches_label_tracking_walk():
+    # Every slack-n/k partition of seeded chorded cycles that holds a
+    # singleton, its districts in a seeded random order, so the label rule
+    # meets both orders of each shifted pair.
+    rng = random.Random(35)
+    seen = Counter()
+    for n, k in [(6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 5), (12, 4), (12, 6)] * 2:
+        g, c = random_cycle_with_chords(rng, n, rng.randint(1, 4))
+        slack = SlackBound(n // k)
+        for p in enumerate_partitions(g, k, slack):
+            if all(len(d) > 1 for d in p.districts):
+                continue
+            p = Partition(tuple(rng.sample(p.districts, k)))
+            got = outcome(lambda: steps_singleton(g, c, p, slack))
+            assert got == outcome(lambda: reference_steps_singleton(g, c, p, slack))
+            if isinstance(got[0], list):
+                # t: the single-fragment districts the walk crosses, its own
+                # included; fewer than t - 1 shifts means a singleton arc.
+                labels = {w: dw for _, w, _, dw in _boundaries(c, p)}
+                counts = Counter(labels.values())
+                u = min(v for d in p.districts if len(d) == 1 for v in d)
+                at = c.positions[u]
+                walk = [v for v in c.order[at:] + c.order[:at] if v in labels]
+                t = next(x for x, v in enumerate(walk) if counts[labels[v]] > 1)
+                seen["walks"] += 1
+                seen["t=1"] += t == 1
+                seen["singleton arc"] += len(got[0]) - 1 < t - 1
+    assert seen["walks"] > 3000 and seen["t=1"] > 1000 and seen["singleton arc"] > 500, seen
+
+
 def test_preconditions_enforced():
     g = cycle_graph(6)
     c = identity_cycle(6)
@@ -573,3 +661,14 @@ def test_zero_districts_refused(n, slack):
                  lambda: canonical_transform(g, c, p, p, slack)):
         with pytest.raises(ValueError, match="k=0 must be at least 1"):
             call()
+
+
+def test_mismatched_k_refused():
+    # canonical_transform checked pc1's k only, and unequal k reached an
+    # IndexError.
+    g, c = cycle_graph(12), identity_cycle(12)
+    p2 = Partition.of([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]])
+    p3 = Partition.of([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
+    for call in (canonical_transform, transform_hamiltonian):
+        with pytest.raises(ValueError, match="mismatched k: 2 vs 3"):
+            call(g, c, p2, p3, SlackBound(6))

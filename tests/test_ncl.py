@@ -4,7 +4,9 @@ import pytest
 
 from recomb.graphs import is_connected
 from recomb.ncl import (
+    AND,
     BLUE,
+    RED,
     NCLInstance,
     OR,
     Orientation,
@@ -65,6 +67,36 @@ def test_reduction_structure():
     # weight profile of the heavy vertices
     weights = Counter(w for w, _ in r.heavy.values())
     assert weights == Counter({5: 20, 24: 12, 27: 4, 45: 4})
+
+
+def test_and_gadget_reduction():
+    import json
+
+    # K4 with a red triangle on AND vertices 0, 1, 2 and blue edges to OR
+    # vertex 3; both orientations satisfy it and differ on edge 0.
+    edges = ((0, 1, RED), (0, 2, RED), (1, 2, RED), (0, 3, BLUE), (1, 3, BLUE), (2, 3, BLUE))
+    ncl = NCLInstance((AND, AND, AND, OR), edges)
+    a = Orientation(("uv", "uv", "uv", "vu", "vu", "uv"))
+    b = a.flip(0)
+    r = reduce_ncl(ncl, a, b, s=0)
+    assert (r.graph.n, r.k) == (550, 11)  # 10 subdivided vertices + 1 extra OR district
+    for p in (r.pi_a, r.pi_b):
+        rep = validate(r.graph, p, r.k, SlackBound(0))
+        assert rep.ok, rep.violations
+        assert all(len(d) == 50 for d in p.districts)
+    for v in range(3):
+        assert sorted(r.heavy[base][0] for base in r.gadget_vertices[v].values()) == [5, 5, 37]
+    # The half-edges follow their edge, and the partitions read back as them.
+    for o, p in ((a, r.pi_a), (b, r.pi_b)):
+        assert partition_to_orientation(r, p).dirs == tuple(d for d in o.dirs for _ in range(2))
+    seen = set()
+    kinds = Counter()
+    for line in format_map(r).splitlines():
+        rec = json.loads(line)
+        kinds[rec["kind"]] += 1
+        seen.update(rec["graph_vertices"])
+    assert seen == set(range(r.graph.n))
+    assert kinds == Counter({"edge": 12, "and": 3, "or": 1, "deg2": 6})
 
 
 def test_reduction_round_trip():

@@ -12,7 +12,7 @@ replays each sequence through apply_move, and checks that it ends at p2
 and has at most 6(k-1) (unbounded) or 2k(n-k)+k^2+1 (Hamiltonian) moves:
 18 and 113 on the 4x4 grid.
 
-Run from the repository root (about 27 s):
+Run from the repository root (about 14 s):
 
     python3 tools/certify_bounds.py
 
