@@ -287,11 +287,13 @@ def _check_preconditions(g: Graph, cycle: CycleOrder, p1: Partition, p2: Partiti
 
 
 def canonicalize(
-    g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound
+    g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound, *, _checked: bool = False
 ) -> tuple[list[RecombMove], Partition]:
-    """Defragment p into a canonical partition in at most k(n-k) moves."""
+    """Defragment p into a canonical partition in at most k(n-k) moves.
+    _checked: the caller has already run _check_preconditions on p."""
     k = p.k
-    _check_preconditions(g, cycle, p, p, slack)
+    if not _checked:
+        _check_preconditions(g, cycle, p, p, slack)
     rep = validate(g, p, k, slack)
     if not rep.ok:
         raise ValueError(f"invalid partition: {'; '.join(rep.violations)}")
@@ -379,13 +381,16 @@ def _shift_abstract(arcs: list[list[int]], delta: int) -> list[AbstractMove]:
 
 
 def canonical_transform(
-    g: Graph, cycle: CycleOrder, pc1: Partition, pc2: Partition, slack: SlackBound
+    g: Graph, cycle: CycleOrder, pc1: Partition, pc2: Partition, slack: SlackBound, *,
+    _checked: bool = False,
 ) -> tuple[list[RecombMove], Partition]:
     """At most k^2+1 moves between canonical partitions, through canonical
     partitions only; returns them with the labelled partition they lead to
-    from pc1 (pc1 itself when pc1 and pc2 are the same partition)."""
+    from pc1 (pc1 itself when pc1 and pc2 are the same partition).
+    _checked: the caller has already run _check_preconditions on pc1 and pc2."""
     k = pc1.k
-    _check_preconditions(g, cycle, pc1, pc2, slack)
+    if not _checked:
+        _check_preconditions(g, cycle, pc1, pc2, slack)
     if canonical_key(pc1) == canonical_key(pc2):
         return [], pc1
     target = cycle.n // k
@@ -409,19 +414,22 @@ def transform_hamiltonian(
     g: Graph, cycle: CycleOrder, p1: Partition, p2: Partition, slack: SlackBound
 ) -> list[RecombMove]:
     """Transform p1 into p2 via canonical form; at most 2k(n-k) + k^2 + 1 moves."""
-    if p1.k != p2.k:
-        raise ValueError(f"mismatched k: {p1.k} vs {p2.k}")
+    # The preconditions (the Hamilton cycle among them) are checked once, here.
+    _check_preconditions(g, cycle, p1, p2, slack)
     k, n = p1.k, g.n
-    # canonicalize checks the preconditions, so it runs before the shortcut.
-    m1, c1 = canonicalize(g, cycle, p1, slack)
+    # canonicalize validates p1, so it runs before the shortcut.
+    m1, c1 = canonicalize(g, cycle, p1, slack, _checked=True)
     if canonical_key(p1) == canonical_key(p2):
         return []
-    m2, c2 = canonicalize(g, cycle, p2, slack)
-    mid, cur = canonical_transform(g, cycle, c1, c2, slack)
+    m2, c2 = canonicalize(g, cycle, p2, slack, _checked=True)
+    mid, cur = canonical_transform(g, cycle, c1, c2, slack, _checked=True)
     # m1 and mid already carry the labels resolve_moves would give them;
     # only the reverse of m2 is resolved, from where mid ends.
     undo = inverted_abstract(p2.districts, [(m.new_i, m.new_j) for m in m2])
-    back, final = resolve_moves(g, cur, undo, slack)
+    # Its parts are districts of p2, which canonicalize validated, or parts
+    # of m2, which apply_move checked there: none needs a second BFS.
+    connected = {*p2.districts, *(part for m in m2 for part in (m.new_i, m.new_j))}
+    back, final = resolve_moves(g, cur, undo, slack, _connected=connected)
     assert canonical_key(final) == canonical_key(p2)
     moves = m1 + mid + back
     assert len(moves) <= 2 * k * (n - k) + k * k + 1

@@ -38,9 +38,11 @@ class NCLInstance:
         return [e for e, (a, b, _) in enumerate(self.edges) if v in (a, b)]
 
     def check(self) -> None:
-        for e, (u, v, _) in enumerate(self.edges):
+        for e, (u, v, color) in enumerate(self.edges):
             if u == v:
                 raise ValueError(f"edge {e} joins vertex {u} to itself")
+            if color not in (RED, BLUE):
+                raise ValueError(f"edge {e} ({u},{v}) has colour {color!r}, not {RED} or {BLUE}")
         for v, kind in enumerate(self.kinds):
             inc = self.incident(v)
             colors = sorted(self.edges[e][2] for e in inc)

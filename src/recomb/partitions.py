@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .graphs import Graph, is_connected
 
@@ -161,8 +161,14 @@ def validate(g: Graph, p: Partition, k: int, slack: SlackBound) -> ValidationRep
     return ValidationReport(not bad, tuple(bad))
 
 
-def apply_move(g: Graph, p: Partition, m: RecombMove, slack: SlackBound) -> Partition:
-    """Apply a recombination move, checking all of its invariants."""
+def apply_move(g: Graph, p: Partition, m: RecombMove, slack: SlackBound, *,
+               _connected: Collection[frozenset[int]] = ()) -> Partition:
+    """Apply a recombination move, checking all of its invariants.
+
+    `_connected` holds vertex sets that the caller has already found to
+    induce connected subgraphs of g; a part listed there skips only its
+    connectivity BFS, and every other check still runs on it.
+    """
     if not (0 <= m.i < m.j < p.k):
         raise MoveError("bad-labels", f"bad district labels ({m.i},{m.j})")
     old_u = p.districts[m.i] | p.districts[m.j]
@@ -171,7 +177,7 @@ def apply_move(g: Graph, p: Partition, m: RecombMove, slack: SlackBound) -> Part
     if not m.new_i or not m.new_j:
         raise MoveError("disconnected-part", "empty part")
     for part in (m.new_i, m.new_j):
-        if not is_connected(g, part):
+        if part not in _connected and not is_connected(g, part):
             raise MoveError("disconnected-part", f"part {sorted(part)} disconnected")
     if {m.new_i, m.new_j} == {p.districts[m.i], p.districts[m.j]}:
         raise MoveError("identity-move", "resulting partition equals the original")
@@ -437,11 +443,22 @@ def format_partition(p: Partition, n: int) -> str:
     return f"k {p.k}\n" + " ".join(str(labels[v]) for v in range(n)) + "\n"
 
 
+class _Names(dict):
+    """The decimal string of each int looked up, made on its first lookup."""
+
+    def __missing__(self, v: int) -> str:
+        self[v] = name = str(v)
+        return name
+
+
 def format_moves(moves: Sequence[RecombMove]) -> str:
+    """One `m i j | part | part` line per move, each part's ids ascending;
+    each id is turned into a string once per call."""
+    name = _Names().__getitem__
     out = []
     for m in moves:
-        a = " ".join(str(v) for v in sorted(m.new_i))
-        b = " ".join(str(v) for v in sorted(m.new_j))
+        a = " ".join(map(name, sorted(m.new_i)))
+        b = " ".join(map(name, sorted(m.new_j)))
         out.append(f"m {m.i} {m.j} | {a} | {b}")
     return "\n".join(out) + ("\n" if out else "")
 

@@ -294,9 +294,13 @@ _HEADER = "error: first line must be 'ncl <nv> <ne>'\n"
                   ("ncl 2 1\nv 0 DEG2\nv 1 DEG2\ne 0 0 1.0 blue\n",
                    "error: vertex id must be an integer, got '1.0'\n"),
                   ("ncl 2 1\nv 0 DEG2\nv 1 DEG2\ne 0 0 1 blue\norient A\ne0 uv\n",
-                   "error: edge id must be an integer, got 'e0'\n")],
+                   "error: edge id must be an integer, got 'e0'\n"),
+                  ("ncl 2 2\nv 0 DEG2\nv 1 DEG2\ne 0 0 1 green\ne 1 0 1 green\n"
+                   "orient A\n0 uv\n1 vu\norient B\n0 vu\n1 uv\n",
+                   "error: edge 0 (0,1) has colour 'green', not red or blue\n")],
     ids=["truncated", "id-out-of-range", "negative-count", "no-vertex", "no-edge-count", "self-loop",
-         "vertex-id-not-integer", "edge-id-not-integer", "endpoint-not-integer", "orient-edge-not-integer"]
+         "vertex-id-not-integer", "edge-id-not-integer", "endpoint-not-integer", "orient-edge-not-integer",
+         "colour-outside-red-blue"]
 )
 def test_gen_ncl_bad_input_exit_1(tmp_path, capsys, text, err):
     nclfile = tmp_path / "bad.ncl"

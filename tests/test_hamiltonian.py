@@ -480,6 +480,29 @@ def test_transform_hamiltonian_end_to_end():
         assert canonical_key(cur) == canonical_key(p2)
 
 
+def test_transform_hamiltonian_checks_the_cycle_once(monkeypatch):
+    checks = []
+    real = CycleOrder.check
+    monkeypatch.setattr(CycleOrder, "check", lambda self, g: checks.append(self) or real(self, g))
+    rng = random.Random(34)
+    lengths = []
+    for _ in range(20):
+        n = rng.choice([8, 9, 12])
+        k = rng.choice([d for d in (2, 3, 4) if n % d == 0])
+        g, c = random_cycle_with_chords(rng, n, rng.randint(0, 4))
+        slack = SlackBound(n // k)
+        p1, p2 = random_partition(rng, g, k, slack), random_partition(rng, g, k, slack)
+        checks.clear()
+        lengths.append(len(transform_hamiltonian(g, c, p1, p2, slack)))
+        assert checks == [c]
+        # Called on their own, both steps still check the cycle themselves.
+        (_, c1), (_, c2) = canonicalize(g, c, p1, slack), canonicalize(g, c, p2, slack)
+        assert checks == [c, c, c]
+        canonical_transform(g, c, c1, c2, slack)
+        assert checks == [c, c, c, c]
+    assert max(lengths) > 0
+
+
 @st.composite
 def hamiltonian_instances(draw):
     """An even grid with its serpentine cycle or a cycle with chords (n <= 16),

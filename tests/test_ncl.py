@@ -6,6 +6,7 @@ from recomb.graphs import is_connected
 from recomb.ncl import (
     AND,
     BLUE,
+    DEG2,
     RED,
     NCLInstance,
     OR,
@@ -36,6 +37,22 @@ def test_k4_instance_checks():
     # a and b differ in exactly the two half-edges of one original edge
     diff = [e for e in range(sub.ne) if a.dirs[e] != b.dirs[e]]
     assert len(diff) == 2
+
+
+def test_check_refuses_colours_other_than_red_and_blue():
+    # Between two degree-2 vertices no AND/OR colour list sees the edges, so
+    # only the per-edge check can refuse them.
+    for color in (RED, BLUE):
+        NCLInstance((DEG2, DEG2), ((0, 1, color), (0, 1, color))).check()
+    for color in ("green", "Red", ""):
+        bad = NCLInstance((DEG2, DEG2), ((0, 1, RED), (1, 0, color)))
+        with pytest.raises(ValueError, match=rf"^edge 1 \(1,0\) has colour '{color}', not red or blue$"):
+            bad.check()
+    ncl, _, _ = k4_all_blue()
+    edges = list(ncl.edges)
+    edges[4] = (*edges[4][:2], "green")
+    with pytest.raises(ValueError, match="^edge 4 "):
+        NCLInstance(ncl.kinds, tuple(edges)).check()
 
 
 def test_check_orientation_rejects_starved_vertices():

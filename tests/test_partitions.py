@@ -162,6 +162,46 @@ def test_apply_move_error_codes():
     )
 
 
+def test_apply_move_connected_skips_only_the_bfs_of_listed_parts(monkeypatch):
+    g = cycle(6)
+    p = Partition.of([[0, 1, 2], [3, 4, 5]])
+    bfs = []
+    real = partitions.is_connected
+    monkeypatch.setattr(partitions, "is_connected", lambda g, s: bfs.append(s) or real(g, s))
+
+    def code(m, connected, slack=SLACK_INF):
+        with pytest.raises(MoveError) as exc:
+            apply_move(g, p, m, slack, _connected=connected)
+        return exc.value.code
+
+    # A disconnected part that is not listed is still refused, whatever is listed.
+    split = RecombMove(0, 1, frozenset({0, 1, 3}), frozenset({2, 4, 5}))
+    for connected in ((), {split.new_i}, {split.new_j}, {frozenset({0, 1}), frozenset({3})}, {p.districts[0]}):
+        assert code(split, connected) == "disconnected-part"
+    # Every check but the BFS still runs on listed parts.
+    cases = [
+        (RecombMove(1, 0, frozenset({0}), frozenset({1, 2, 3, 4, 5})), SLACK_INF, "bad-labels"),
+        (RecombMove(0, 1, frozenset({0, 1}), frozenset({2, 3, 4})), SLACK_INF, "union-mismatch"),
+        (RecombMove(0, 1, frozenset({0, 1, 2}), frozenset({2, 3, 4, 5})), SLACK_INF, "union-mismatch"),
+        (RecombMove(0, 1, frozenset(), frozenset(range(6))), SLACK_INF, "disconnected-part"),
+        (RecombMove(0, 1, p.districts[0], p.districts[1]), SLACK_INF, "identity-move"),
+        (RecombMove(0, 1, p.districts[1], p.districts[0]), SLACK_INF, "identity-move"),
+        (RecombMove(0, 1, frozenset({0}), frozenset({1, 2, 3, 4, 5})), SlackBound(1), "slack-violation"),
+    ]
+    bfs.clear()
+    for m, slack, want in cases:
+        assert code(m, {m.new_i, m.new_j}, slack) == want
+    assert bfs == []
+    # A listed part is not searched again; the other part is, once.
+    good = RecombMove(0, 1, frozenset({0, 1}), frozenset({2, 3, 4, 5}))
+    for connected, searched in (((), [good.new_i, good.new_j]), ({good.new_i}, [good.new_j]),
+                                ({good.new_j}, [good.new_i]), ({good.new_i, good.new_j}, [])):
+        bfs.clear()
+        q = apply_move(g, p, good, SLACK_INF, _connected=connected)
+        assert bfs == searched
+        assert q == apply_move(g, p, good, SLACK_INF)
+
+
 # --- enumerate_moves against brute force ---
 
 
@@ -440,6 +480,44 @@ def test_partition_parse_errors():
         parse_partition("x 2\n0 1\n")
     with pytest.raises(ValueError):
         parse_partition("k 2\n")
+
+
+def reference_format_moves(moves):
+    """format_moves as it was before its id table: one str() call per id."""
+    out = []
+    for m in moves:
+        a = " ".join(str(v) for v in sorted(m.new_i))
+        b = " ".join(str(v) for v in sorted(m.new_j))
+        out.append(f"m {m.i} {m.j} | {a} | {b}")
+    return "\n".join(out) + ("\n" if out else "")
+
+
+def test_format_moves_matches_reference_formatter():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(60):
+        moves = []
+        for _ in range(rng.randint(1, 8)):
+            n = rng.choice([2, 10, 101, 1000, 10000])
+            size = rng.randint(2, min(n, 400))
+            vs = rng.sample(range(n), size)
+            cut = rng.randint(1, size - 1)
+            i = rng.randrange(12)
+            moves.append(RecombMove(i, rng.randrange(i + 1, 13), frozenset(vs[:cut]), frozenset(vs[cut:])))
+            seen.update(vs)
+        text = format_moves(moves)
+        assert text == reference_format_moves(moves)
+        assert parse_moves(text) == moves
+    assert {0, 9, 10, 99, 100, 999, 1000, 9999} <= seen
+    every = [RecombMove(0, 1, frozenset(range(0, 10000, 2)), frozenset(range(1, 10000, 2)))]
+    # parse_moves reads an empty part as the empty set.
+    empty = [RecombMove(0, 1, frozenset(), frozenset({3, 1, 2})), RecombMove(2, 5, frozenset({7}), frozenset())]
+    for moves in (every, empty, []):
+        text = format_moves(moves)
+        assert text == reference_format_moves(moves)
+        assert parse_moves(text) == moves
+    assert format_moves(empty) == "m 0 1 |  | 1 2 3\nm 2 5 | 7 | \n"
+    assert format_moves([]) == ""
 
 
 def test_moves_roundtrip():

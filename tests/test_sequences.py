@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from recomb import hamiltonian, partitions, unbounded
 from recomb.graphs import Graph
 from recomb.hamiltonian import CycleOrder, transform_hamiltonian
 from recomb.instances import gen_grid
 from recomb.oracle import enumerate_partitions, recom_walk
 from recomb.partitions import (
+    MoveError,
     Partition,
     RecombMove,
     SLACK_INF,
@@ -126,3 +128,90 @@ def test_inversion_round_trip(source):
         assert [set(pair) for pair in again] == [set(pair) for pair in pairs]
         lengths.append(len(pairs))
     assert max(lengths) >= 3
+
+
+def test_resolve_moves_passes_connected_to_apply_move():
+    g = cycle(6)
+    p = Partition.of([[0, 1, 2], [3, 4, 5]])
+    split = (frozenset({0, 1, 3}), frozenset({2, 4, 5}))
+    for connected in ((), {split[1]}):
+        with pytest.raises(MoveError) as exc:
+            resolve_moves(g, p, [split], SLACK_INF, _connected=connected)
+        assert exc.value.code == "disconnected-part"
+    # Listing both parts skips both searches, so only a caller that found
+    # them connected may list them.
+    moves, _ = resolve_moves(g, p, [split], SLACK_INF, _connected=set(split))
+    assert moves == [RecombMove(0, 1, *split)]
+
+
+def transform_cases():
+    """Seeded (graph, Hamilton cycle, p1, p2, slack n/k) cases: random pairs of
+    balanced partitions of a grid and of a chorded cycle."""
+    rng = random.Random(23)
+    instances = [(gen_grid(4, 4), 4, (0, 1, 2, 3, 7, 6, 5, 9, 10, 11, 15, 14, 13, 12, 8, 4)),
+                 (cycle(15, [(0, 7), (3, 11), (5, 13)]), 3, tuple(range(15)))]
+    for g, k, order in instances:
+        parts = enumerate_partitions(g, k, SlackBound(0))
+        for _ in range(25):
+            yield g, CycleOrder(order), rng.choice(parts), rng.choice(parts), SlackBound(g.n // k)
+
+
+@pytest.mark.parametrize("mode", ["unbounded", "hamiltonian"])
+def test_transform_replays_search_only_parts_not_yet_found_connected(monkeypatch, mode):
+    """Each replay given `_connected` lists only sets that is_connected,
+    spanning_tree or validate accepted earlier in the same transform, searches
+    every other part once, and resolves the moves a full-check replay does."""
+    module = unbounded if mode == "unbounded" else hamiltonian
+    accepted, searched, replays = set(), [], []
+    real_is_connected, real_tree = partitions.is_connected, unbounded.spanning_tree
+    real_validate, real_resolve = partitions.validate, module.resolve_moves
+
+    def is_connected(g, s):
+        searched.append(frozenset(s))
+        found = real_is_connected(g, s)
+        if found:
+            accepted.add(frozenset(s))
+        return found
+
+    def spanning_tree(g, s):
+        tree = real_tree(g, s)
+        accepted.add(frozenset(s))
+        return tree
+
+    def validate(g, p, k, slack):
+        report = real_validate(g, p, k, slack)
+        if report.ok:
+            accepted.update(p.districts)
+        return report
+
+    def resolve(g, p, abstract, slack, **kw):
+        if "_connected" not in kw:
+            return real_resolve(g, p, abstract, slack)
+        connected = set(kw["_connected"])
+        assert connected <= accepted
+        start = len(searched)
+        moves, final = real_resolve(g, p, abstract, slack, **kw)
+        parts = [part for m in moves for part in (m.new_i, m.new_j)]
+        assert searched[start:] == [part for part in parts if part not in connected]
+        replays.append((len(parts), len(searched) - start))
+        assert (moves, final) == real_resolve(g, p, abstract, slack)
+        return moves, final
+
+    for name, wrapper in (("is_connected", is_connected), ("validate", validate)):
+        monkeypatch.setattr(partitions, name, wrapper)
+    monkeypatch.setattr(unbounded, "is_connected", is_connected)
+    monkeypatch.setattr(unbounded, "spanning_tree", spanning_tree)
+    monkeypatch.setattr(module, "validate", validate)
+    monkeypatch.setattr(module, "resolve_moves", resolve)
+    for g, c, p1, p2, slack in transform_cases():
+        accepted.clear()
+        if mode == "unbounded":
+            moves, slack = transform_unbounded(g, p1, p2), SLACK_INF
+        else:
+            moves = transform_hamiltonian(g, c, p1, p2, slack)
+        assert canonical_key(replay(g, p1, moves, slack)) == canonical_key(p2)
+    parts = sum(n for n, _ in replays)
+    if mode == "hamiltonian":
+        assert all(n == 0 for _, n in replays) and parts > 100
+    else:
+        assert 0 < sum(n for _, n in replays) < parts / 2

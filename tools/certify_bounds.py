@@ -12,7 +12,12 @@ replays each sequence through apply_move, and checks that it ends at p2
 and has at most 6(k-1) (unbounded) or 2k(n-k)+k^2+1 (Hamiltonian) moves:
 18 and 113 on the 4x4 grid.
 
-Run from the repository root (about 14 s):
+The replay is sequences.replay, which passes apply_move no `_connected`
+sets, so every part of every move gets its own connectivity BFS here, also
+the parts that the transforms' own replays take as already found connected.
+
+Run from the repository root (33-38 s of CPU on a 2-vCPU Xeon VM whose
+speed varies; about 14 s when it runs fast):
 
     python3 tools/certify_bounds.py
 
