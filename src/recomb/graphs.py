@@ -1,12 +1,15 @@
 """Undirected simple graphs: connectivity, cut vertices, spanning trees.
 
-Vertices are always 0..n-1.  All functions are pure and a Graph is immutable
-once constructed.  Every set-based walk is reach's BFS; the cut-vertex and
-tree helpers take neighbour lists keyed by vertex.
+Vertices are always 0..n-1, and a Graph's vertices and edges never change.
+All functions are pure but for one record: a frozenset that a BFS of
+is_connected or spanning_tree found connected joins its graph's weak set,
+which is_connected looks in first.  Every set-based walk is reach's BFS; the
+cut-vertex and tree helpers take neighbour lists keyed by vertex.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Optional
 
 MAX_VERTICES = 1 << 20
@@ -41,7 +44,7 @@ class GraphFormatError(ValueError):
 class Graph:
     """Undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "adj", "_nbr")
+    __slots__ = ("n", "edges", "adj", "_nbr", "_proved")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -62,6 +65,7 @@ class Graph:
             adj[v].append(u)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self._nbr = None
+        self._proved = weakref.WeakSet()  # the frozensets a BFS found connected in it
 
     @property
     def nbr(self) -> tuple[int, ...]:
@@ -107,11 +111,24 @@ def reach(adj, start: int, within) -> dict[int, Optional[int]]:
     return parent
 
 
+def _spanned(g: Graph, start: int, s) -> Optional[dict[int, Optional[int]]]:
+    """reach's BFS tree of G[s] from start if it spans s (a frozenset s then
+    joins g's record), else None; ValueError names a vertex of s outside 0..n-1."""
+    parent = reach(g.adj, start, s) if 0 <= start < g.n else {}
+    if len(parent) == len(s):  # so every vertex of s is one of g's
+        if type(s) is frozenset:
+            g._proved.add(s)
+        return parent
+    if bad := [v for v in s if not 0 <= v < g.n]:
+        raise ValueError(f"vertex {bad[0]} is not in 0..{g.n - 1}")
+    return None
+
+
 def is_connected(g: Graph, s: frozenset[int] | set[int]) -> bool:
     """True iff the subgraph induced by s is connected.  s must be nonempty."""
     if not s:
         raise ValueError("empty subset")
-    return len(reach(g.adj, next(iter(s)), s)) == len(s)
+    return type(s) is frozenset and s in g._proved or _spanned(g, next(iter(s)), s) is not None
 
 
 def connected_components(adj, s: Iterable[int]) -> list[frozenset[int]]:
@@ -212,8 +229,8 @@ def spanning_tree(g: Graph, s: Iterable[int]) -> frozenset[tuple[int, int]]:
     s = frozenset(s)
     if not s:
         raise ValueError("empty subset")
-    parent = reach(g.adj, min(s), s)
-    if len(parent) != len(s):
+    parent = _spanned(g, min(s), s)
+    if parent is None:
         raise ValueError("induced subgraph not connected")
     return frozenset((u, p) if u < p else (p, u) for u, p in parent.items() if p is not None)
 

@@ -32,13 +32,19 @@ class CycleOrder:
         """The position of each vertex along the cycle, built once per order."""
         return {v: i for i, v in enumerate(self.order)}
 
+    @cached_property
+    def _passed(self) -> set[Graph]:
+        return set()  # the graphs check has passed: a Graph never changes, nor does its answer
+
     def check(self, g: Graph) -> None:
-        if sorted(self.order) != list(range(g.n)):
-            raise ValueError("cycle order is not a permutation of the vertices")
-        for i, u in enumerate(self.order):
-            w = self.order[(i + 1) % self.n]
-            if not g.has_edge(u, w):
-                raise ValueError(f"cycle step ({u},{w}) is not an edge of the graph")
+        if g not in self._passed:
+            if sorted(self.order) != list(range(g.n)):
+                raise ValueError("cycle order is not a permutation of the vertices")
+            for i, u in enumerate(self.order):
+                w = self.order[(i + 1) % self.n]
+                if not g.has_edge(u, w):
+                    raise ValueError(f"cycle step ({u},{w}) is not an edge of the graph")
+            self._passed.add(g)
 
 
 def _fragment_starts(cycle: CycleOrder, p: Partition, masks: Optional[dict] = None) -> list[int]:
@@ -286,14 +292,11 @@ def _check_preconditions(g: Graph, cycle: CycleOrder, p1: Partition, p2: Partiti
         raise ValueError(f"slack {slack} is below n/k = {n // k}")
 
 
-def canonicalize(
-    g: Graph, cycle: CycleOrder, p: Partition, slack: SlackBound, *, _checked: bool = False
-) -> tuple[list[RecombMove], Partition]:
-    """Defragment p into a canonical partition in at most k(n-k) moves.
-    _checked: the caller has already run _check_preconditions on p."""
+def canonicalize(g: Graph, cycle: CycleOrder, p: Partition,
+                 slack: SlackBound) -> tuple[list[RecombMove], Partition]:
+    """Defragment p into a canonical partition in at most k(n-k) moves."""
     k = p.k
-    if not _checked:
-        _check_preconditions(g, cycle, p, p, slack)
+    _check_preconditions(g, cycle, p, p, slack)
     rep = validate(g, p, k, slack)
     if not rep.ok:
         raise ValueError(f"invalid partition: {'; '.join(rep.violations)}")
@@ -380,17 +383,13 @@ def _shift_abstract(arcs: list[list[int]], delta: int) -> list[AbstractMove]:
     return out
 
 
-def canonical_transform(
-    g: Graph, cycle: CycleOrder, pc1: Partition, pc2: Partition, slack: SlackBound, *,
-    _checked: bool = False,
-) -> tuple[list[RecombMove], Partition]:
+def canonical_transform(g: Graph, cycle: CycleOrder, pc1: Partition, pc2: Partition,
+                        slack: SlackBound) -> tuple[list[RecombMove], Partition]:
     """At most k^2+1 moves between canonical partitions, through canonical
     partitions only; returns them with the labelled partition they lead to
-    from pc1 (pc1 itself when pc1 and pc2 are the same partition).
-    _checked: the caller has already run _check_preconditions on pc1 and pc2."""
+    from pc1 (pc1 itself when pc1 and pc2 are the same partition)."""
     k = pc1.k
-    if not _checked:
-        _check_preconditions(g, cycle, pc1, pc2, slack)
+    _check_preconditions(g, cycle, pc1, pc2, slack)
     if canonical_key(pc1) == canonical_key(pc2):
         return [], pc1
     target = cycle.n // k
@@ -414,22 +413,18 @@ def transform_hamiltonian(
     g: Graph, cycle: CycleOrder, p1: Partition, p2: Partition, slack: SlackBound
 ) -> list[RecombMove]:
     """Transform p1 into p2 via canonical form; at most 2k(n-k) + k^2 + 1 moves."""
-    # The preconditions (the Hamilton cycle among them) are checked once, here.
     _check_preconditions(g, cycle, p1, p2, slack)
     k, n = p1.k, g.n
     # canonicalize validates p1, so it runs before the shortcut.
-    m1, c1 = canonicalize(g, cycle, p1, slack, _checked=True)
+    m1, c1 = canonicalize(g, cycle, p1, slack)
     if canonical_key(p1) == canonical_key(p2):
         return []
-    m2, c2 = canonicalize(g, cycle, p2, slack, _checked=True)
-    mid, cur = canonical_transform(g, cycle, c1, c2, slack, _checked=True)
+    m2, c2 = canonicalize(g, cycle, p2, slack)
+    mid, cur = canonical_transform(g, cycle, c1, c2, slack)
     # m1 and mid already carry the labels resolve_moves would give them;
     # only the reverse of m2 is resolved, from where mid ends.
     undo = inverted_abstract(p2.districts, [(m.new_i, m.new_j) for m in m2])
-    # Its parts are districts of p2, which canonicalize validated, or parts
-    # of m2, which apply_move checked there: none needs a second BFS.
-    connected = {*p2.districts, *(part for m in m2 for part in (m.new_i, m.new_j))}
-    back, final = resolve_moves(g, cur, undo, slack, _connected=connected)
+    back, final = resolve_moves(g, cur, undo, slack)
     assert canonical_key(final) == canonical_key(p2)
     moves = m1 + mid + back
     assert len(moves) <= 2 * k * (n - k) + k * k + 1

@@ -234,9 +234,8 @@ def decide_br(
             least = k - 2 * (bound - depth)  # districts a state here must share with pb
             next_frontier = []
             for key, p in frontier:
-                for i, j, a, b in (pa_moves(least) if p is start_masks
-                                   else _move_masks(g, p, slack, pairs, splits, goal, least) if dropped
-                                   else _move_masks(g, p, slack, pairs, splits)):
+                for i, j, a, b in (pa_moves(least) if p is start_masks else
+                                   _move_masks(g, p, slack, pairs, splits, goal, least if dropped else 0)):
                     q = (*p[:i], a, *p[i + 1:j], b, *p[j + 1:])
                     qkey = frozenset(q)
                     if qkey in parent:

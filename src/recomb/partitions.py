@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, is_connected
 
@@ -161,14 +161,8 @@ def validate(g: Graph, p: Partition, k: int, slack: SlackBound) -> ValidationRep
     return ValidationReport(not bad, tuple(bad))
 
 
-def apply_move(g: Graph, p: Partition, m: RecombMove, slack: SlackBound, *,
-               _connected: Collection[frozenset[int]] = ()) -> Partition:
-    """Apply a recombination move, checking all of its invariants.
-
-    `_connected` holds vertex sets that the caller has already found to
-    induce connected subgraphs of g; a part listed there skips only its
-    connectivity BFS, and every other check still runs on it.
-    """
+def apply_move(g: Graph, p: Partition, m: RecombMove, slack: SlackBound) -> Partition:
+    """Apply a recombination move, checking all of its invariants."""
     if not (0 <= m.i < m.j < p.k):
         raise MoveError("bad-labels", f"bad district labels ({m.i},{m.j})")
     old_u = p.districts[m.i] | p.districts[m.j]
@@ -177,7 +171,7 @@ def apply_move(g: Graph, p: Partition, m: RecombMove, slack: SlackBound, *,
     if not m.new_i or not m.new_j:
         raise MoveError("disconnected-part", "empty part")
     for part in (m.new_i, m.new_j):
-        if part not in _connected and not is_connected(g, part):
+        if not is_connected(g, part):
             raise MoveError("disconnected-part", f"part {sorted(part)} disconnected")
     if {m.new_i, m.new_j} == {p.districts[m.i], p.districts[m.j]}:
         raise MoveError("identity-move", "resulting partition equals the original")

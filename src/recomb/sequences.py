@@ -9,7 +9,7 @@ undone by `inverted_abstract`, the only inverse.
 
 from __future__ import annotations
 
-from typing import Collection, Sequence
+from typing import Sequence
 
 from .graphs import Graph
 from .partitions import Partition, RecombMove, SlackBound, apply_move
@@ -44,18 +44,15 @@ def _touched(districts: Sequence[frozenset], union: frozenset) -> tuple[int, int
     return a, b
 
 
-def resolve_moves(
-    g: Graph, p: Partition, abstract: Sequence[AbstractMove], slack: SlackBound, *,
-    _connected: Collection[frozenset] = (),
-) -> tuple[list[RecombMove], Partition]:
-    """Turn abstract moves into labeled RecombMoves by replaying from p.
-    `_connected` is passed to every apply_move: parts already found connected in g."""
+def resolve_moves(g: Graph, p: Partition, abstract: Sequence[AbstractMove],
+                  slack: SlackBound) -> tuple[list[RecombMove], Partition]:
+    """Turn abstract moves into labeled RecombMoves by replaying from p."""
     cur = p
     out: list[RecombMove] = []
     for part_a, part_b in abstract:
         a, b = _touched(cur.districts, part_a | part_b)
         m = labelled_move(a, b, part_a, part_b)
-        cur = apply_move(g, cur, m, slack, _connected=_connected)
+        cur = apply_move(g, cur, m, slack)
         out.append(m)
     return out, cur
 

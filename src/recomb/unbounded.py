@@ -84,9 +84,7 @@ def transform_unbounded(g: Graph, p1: Partition, p2: Partition) -> list[RecombMo
         active = active - {v}
         edges = [e for e in edges if v not in e]
     abstract = forward1 + inverted_abstract(p2.districts, forward2)
-    # Every district of every round is a key of trees, and spanning_tree
-    # refuses a disconnected one: the replay re-checks only the other parts.
-    moves, final = resolve_moves(g, p1, abstract, SLACK_INF, _connected=trees.keys())
+    moves, final = resolve_moves(g, p1, abstract, SLACK_INF)
     assert canonical_key(final) == canonical_key(p2)
     assert len(moves) <= 6 * (p1.k - 1)
     return moves

@@ -1,8 +1,10 @@
+import gc
 import itertools
 import random
 
 import pytest
 
+from recomb import graphs
 from recomb.graphs import (
     Graph,
     GraphFormatError,
@@ -70,6 +72,69 @@ def test_connectivity():
     two = Graph(4, {(0, 1), (2, 3)})
     comps = connected_components(two.adj, {0, 1, 2, 3})
     assert comps == [frozenset({0, 1}), frozenset({2, 3})]
+
+
+def test_vertex_ids_outside_the_graph_are_refused():
+    # A negative id used to index adj from the end, so spanning_tree(path(6),
+    # {-1, 4}) returned the non-edge (-1, 4); an id >= n raised IndexError.
+    g = path(6)
+    for s, bad in (({-1, 4}, -1), ({-2}, -2), ({4, 6}, 6), ({0, 9}, 9), ({7}, 7)):
+        for fn in (is_connected, spanning_tree):
+            for within in (s, frozenset(s)):
+                with pytest.raises(ValueError, match=rf"^vertex {bad} is not in 0\.\.5$"):
+                    fn(g, within)
+    assert len(g._proved) == 0
+
+
+def bfs_log(monkeypatch):
+    """The within argument of each graphs.reach call from here on."""
+    searched = []
+    real = graphs.reach
+    monkeypatch.setattr(graphs, "reach",
+                        lambda adj, start, within: searched.append(within) or real(adj, start, within))
+    return searched
+
+
+def test_is_connected_searches_all_but_the_frozensets_its_graph_proved(monkeypatch):
+    searched = bfs_log(monkeypatch)
+    g = path(6)
+
+    def check(graph, s):
+        """is_connected(graph, s) and the BFS it ran."""
+        searched.clear()
+        return is_connected(graph, s), len(searched)
+
+    s = frozenset({1, 2, 3})
+    assert check(g, s) == (True, 1)
+    assert check(g, s) == (True, 0)
+    assert check(g, frozenset([3, 2, 1])) == (True, 0)  # an equal frozenset
+    assert check(g, {1, 2, 3}) == (True, 1)  # a set
+    assert check(g, [1, 2, 3]) == (True, 1)  # a list
+    assert check(path(6), s) == (True, 1)  # another Graph object, though equal to g
+    gap = frozenset({1, 3})
+    assert check(g, gap) == (False, 1) and check(g, gap) == (False, 1)  # a failed BFS proves nothing
+    # spanning_tree always searches, and a set it spans is proved.
+    tail = frozenset({4, 5})
+    for _ in range(2):
+        searched.clear()
+        assert spanning_tree(g, tail) == {(4, 5)} and searched == [tail]
+    assert check(g, tail) == (True, 0)
+    with pytest.raises(ValueError, match="not connected"):
+        spanning_tree(g, gap)
+    assert set(g._proved) == {s, tail}
+
+
+def test_the_record_keeps_no_set_alive():
+    g = path(6)
+    s, t = frozenset({1, 2, 3}), frozenset({4, 5})
+    assert is_connected(g, s) and spanning_tree(g, t)
+    assert set(g._proved) == {s, t}
+    del s
+    gc.collect()
+    assert set(g._proved) == {t}
+    del t
+    gc.collect()
+    assert len(g._proved) == 0
 
 
 def test_reach_stays_inside_within():

@@ -480,10 +480,10 @@ def test_transform_hamiltonian_end_to_end():
         assert canonical_key(cur) == canonical_key(p2)
 
 
-def test_transform_hamiltonian_checks_the_cycle_once(monkeypatch):
-    checks = []
-    real = CycleOrder.check
-    monkeypatch.setattr(CycleOrder, "check", lambda self, g: checks.append(self) or real(self, g))
+def test_transform_hamiltonian_scans_the_cycle_once_per_graph(monkeypatch):
+    steps = []
+    real = Graph.has_edge
+    monkeypatch.setattr(Graph, "has_edge", lambda g, u, w: steps.append((u, w)) or real(g, u, w))
     rng = random.Random(34)
     lengths = []
     for _ in range(20):
@@ -492,14 +492,20 @@ def test_transform_hamiltonian_checks_the_cycle_once(monkeypatch):
         g, c = random_cycle_with_chords(rng, n, rng.randint(0, 4))
         slack = SlackBound(n // k)
         p1, p2 = random_partition(rng, g, k, slack), random_partition(rng, g, k, slack)
-        checks.clear()
+        steps.clear()
         lengths.append(len(transform_hamiltonian(g, c, p1, p2, slack)))
-        assert checks == [c]
-        # Called on their own, both steps still check the cycle themselves.
-        (_, c1), (_, c2) = canonicalize(g, c, p1, slack), canonicalize(g, c, p2, slack)
-        assert checks == [c, c, c]
+        assert len(steps) == n
+        # Both steps still check the cycle, on this graph or an equal one, with no second scan.
+        (_, c1), (_, c2) = canonicalize(g, c, p1, slack), canonicalize(Graph(n, g.edges), c, p2, slack)
         canonical_transform(g, c, c1, c2, slack)
-        assert checks == [c, c, c, c]
+        assert transform_hamiltonian(g, c, p1, p2, slack) == transform_hamiltonian(g, c, p1, p2, slack)
+        assert len(steps) == n
+        # A graph missing a step of the cycle is refused on every call.
+        u, w = c.order[0], c.order[1]
+        broken = Graph(n, g.edges - {(min(u, w), max(u, w))})
+        for _ in range(2):
+            with pytest.raises(ValueError, match=rf"cycle step \({u},{w}\) is not an edge"):
+                canonicalize(broken, c, p1, slack)
     assert max(lengths) > 0
 
 

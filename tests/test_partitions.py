@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from recomb import partitions
+from recomb import graphs, partitions
 from recomb.graphs import Graph, is_connected
 from recomb.instances import gen_grid
 from recomb.partitions import (
@@ -162,23 +162,33 @@ def test_apply_move_error_codes():
     )
 
 
-def test_apply_move_connected_skips_only_the_bfs_of_listed_parts(monkeypatch):
-    g = cycle(6)
+def test_apply_move_runs_every_check_on_parts_its_graph_proved(monkeypatch):
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
-    bfs = []
-    real = partitions.is_connected
-    monkeypatch.setattr(partitions, "is_connected", lambda g, s: bfs.append(s) or real(g, s))
+    searched = []
+    real = graphs.reach
+    monkeypatch.setattr(graphs, "reach",
+                        lambda adj, start, within: searched.append(within) or real(adj, start, within))
 
-    def code(m, connected, slack=SLACK_INF):
+    def proved(*sets):
+        """A fresh 6-cycle after is_connected has searched each of sets."""
+        g = cycle(6)
+        for s in sets:
+            is_connected(g, s)
+        return g
+
+    def code(g, m, slack=SLACK_INF):
         with pytest.raises(MoveError) as exc:
-            apply_move(g, p, m, slack, _connected=connected)
+            apply_move(g, p, m, slack)
         return exc.value.code
 
-    # A disconnected part that is not listed is still refused, whatever is listed.
+    # A disconnected part is refused whatever was proved before: a failed
+    # search records nothing.
     split = RecombMove(0, 1, frozenset({0, 1, 3}), frozenset({2, 4, 5}))
-    for connected in ((), {split.new_i}, {split.new_j}, {frozenset({0, 1}), frozenset({3})}, {p.districts[0]}):
-        assert code(split, connected) == "disconnected-part"
-    # Every check but the BFS still runs on listed parts.
+    for sets in ((), (split.new_i,), (split.new_j,), (frozenset({0, 1}), frozenset({3})), (p.districts[0],)):
+        g = proved(*sets)
+        assert code(g, split) == "disconnected-part"
+        assert split.new_i not in g._proved and split.new_j not in g._proved
+    # Every check but the BFS still runs on proved parts.
     cases = [
         (RecombMove(1, 0, frozenset({0}), frozenset({1, 2, 3, 4, 5})), SLACK_INF, "bad-labels"),
         (RecombMove(0, 1, frozenset({0, 1}), frozenset({2, 3, 4})), SLACK_INF, "union-mismatch"),
@@ -188,18 +198,23 @@ def test_apply_move_connected_skips_only_the_bfs_of_listed_parts(monkeypatch):
         (RecombMove(0, 1, p.districts[1], p.districts[0]), SLACK_INF, "identity-move"),
         (RecombMove(0, 1, frozenset({0}), frozenset({1, 2, 3, 4, 5})), SlackBound(1), "slack-violation"),
     ]
-    bfs.clear()
     for m, slack, want in cases:
-        assert code(m, {m.new_i, m.new_j}, slack) == want
-    assert bfs == []
-    # A listed part is not searched again; the other part is, once.
+        g = proved(*(part for part in (m.new_i, m.new_j) if part))
+        searched.clear()
+        assert code(g, m, slack) == want
+        assert searched == []
+    # A proved part is not searched again; the other one is, once, and then
+    # neither is.
     good = RecombMove(0, 1, frozenset({0, 1}), frozenset({2, 3, 4, 5}))
-    for connected, searched in (((), [good.new_i, good.new_j]), ({good.new_i}, [good.new_j]),
-                                ({good.new_j}, [good.new_i]), ({good.new_i, good.new_j}, [])):
-        bfs.clear()
-        q = apply_move(g, p, good, SLACK_INF, _connected=connected)
-        assert bfs == searched
-        assert q == apply_move(g, p, good, SLACK_INF)
+    for sets, want in (((), [good.new_i, good.new_j]), ((good.new_i,), [good.new_j]),
+                       ((good.new_j,), [good.new_i]), ((good.new_i, good.new_j), [])):
+        g = proved(*sets)
+        searched.clear()
+        q = apply_move(g, p, good, SLACK_INF)
+        assert searched == want
+        assert q == apply_move(cycle(6), p, good, SLACK_INF)
+        searched.clear()
+        assert apply_move(g, p, good, SLACK_INF) == q and searched == []
 
 
 # --- enumerate_moves against brute force ---

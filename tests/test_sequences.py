@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from recomb import hamiltonian, partitions, unbounded
-from recomb.graphs import Graph
+from recomb import graphs, hamiltonian, unbounded
+from recomb.graphs import Graph, is_connected
 from recomb.hamiltonian import CycleOrder, transform_hamiltonian
 from recomb.instances import gen_grid
 from recomb.oracle import enumerate_partitions, recom_walk
@@ -130,18 +130,37 @@ def test_inversion_round_trip(source):
     assert max(lengths) >= 3
 
 
-def test_resolve_moves_passes_connected_to_apply_move():
+def logged_reach(monkeypatch, log):
+    """Replace graphs.reach by a wrapper that calls log(adj, within, parent) after each BFS."""
+    real = graphs.reach
+
+    def reach(adj, start, within):
+        parent = real(adj, start, within)
+        log(adj, within, parent)
+        return parent
+
+    monkeypatch.setattr(graphs, "reach", reach)
+
+
+def test_resolve_moves_searches_the_parts_its_graph_has_not_proved(monkeypatch):
+    searched = []
+    logged_reach(monkeypatch, lambda adj, within, parent: searched.append(within))
     g = cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
+    # A disconnected split is refused, whatever the graph proved before.
     split = (frozenset({0, 1, 3}), frozenset({2, 4, 5}))
-    for connected in ((), {split[1]}):
-        with pytest.raises(MoveError) as exc:
-            resolve_moves(g, p, [split], SLACK_INF, _connected=connected)
-        assert exc.value.code == "disconnected-part"
-    # Listing both parts skips both searches, so only a caller that found
-    # them connected may list them.
-    moves, _ = resolve_moves(g, p, [split], SLACK_INF, _connected=set(split))
-    assert moves == [RecombMove(0, 1, *split)]
+    for s in (frozenset({0, 1}), frozenset({3}), p.districts[0], *split):
+        is_connected(g, s)
+    with pytest.raises(MoveError) as exc:
+        resolve_moves(g, p, [split], SLACK_INF)
+    assert exc.value.code == "disconnected-part"
+    # Each part is searched once per Graph object: an equal graph shares no proofs.
+    good = (frozenset({0, 1}), frozenset({2, 3, 4, 5}))
+    for graph, want in ((g, list(good)), (g, []), (cycle(6), list(good))):
+        searched.clear()
+        moves, final = resolve_moves(graph, p, [good], SLACK_INF)
+        assert (moves, final) == ([RecombMove(0, 1, *good)], Partition(good))
+        assert searched == want
 
 
 def transform_cases():
@@ -157,61 +176,52 @@ def transform_cases():
 
 
 @pytest.mark.parametrize("mode", ["unbounded", "hamiltonian"])
-def test_transform_replays_search_only_parts_not_yet_found_connected(monkeypatch, mode):
-    """Each replay given `_connected` lists only sets that is_connected,
-    spanning_tree or validate accepted earlier in the same transform, searches
-    every other part once, and resolves the moves a full-check replay does."""
+def test_transform_replays_search_only_sets_no_bfs_of_the_graph_proved(monkeypatch, mode):
+    """Within one transform call on a fresh Graph, each replay searches
+    exactly the parts that no earlier BFS of that Graph reached in full (the
+    test holds every such set, so none leaves the record), none in the
+    Hamiltonian back replay, and resolves what a full-check replay on another
+    fresh Graph does."""
     module = unbounded if mode == "unbounded" else hamiltonian
-    accepted, searched, replays = set(), [], []
-    real_is_connected, real_tree = partitions.is_connected, unbounded.spanning_tree
-    real_validate, real_resolve = partitions.validate, module.resolve_moves
+    proved, searched, replays = set(), [], []
+    current = {}  # "g": the Graph of the transform call under way
+    real_resolve = module.resolve_moves
 
-    def is_connected(g, s):
-        searched.append(frozenset(s))
-        found = real_is_connected(g, s)
-        if found:
-            accepted.add(frozenset(s))
-        return found
+    def log(adj, within, parent):
+        if adj is current["g"].adj:
+            searched.append(within)
+            if len(parent) == len(within):
+                proved.add(within)
 
-    def spanning_tree(g, s):
-        tree = real_tree(g, s)
-        accepted.add(frozenset(s))
-        return tree
-
-    def validate(g, p, k, slack):
-        report = real_validate(g, p, k, slack)
-        if report.ok:
-            accepted.update(p.districts)
-        return report
-
-    def resolve(g, p, abstract, slack, **kw):
-        if "_connected" not in kw:
-            return real_resolve(g, p, abstract, slack)
-        connected = set(kw["_connected"])
-        assert connected <= accepted
-        start = len(searched)
-        moves, final = real_resolve(g, p, abstract, slack, **kw)
-        parts = [part for m in moves for part in (m.new_i, m.new_j)]
-        assert searched[start:] == [part for part in parts if part not in connected]
-        replays.append((len(parts), len(searched) - start))
-        assert (moves, final) == real_resolve(g, p, abstract, slack)
+    def resolve(g, p, abstract, slack):
+        assert g is current["g"]
+        before, start = set(proved), len(searched)
+        moves, final = real_resolve(g, p, abstract, slack)
+        want = []
+        for part in (part for m in moves for part in (m.new_i, m.new_j)):
+            if part not in before:
+                want.append(part)
+                before.add(part)
+        assert searched[start:] == want
+        replays.append((2 * len(moves), len(want)))
+        assert (moves, final) == real_resolve(Graph(g.n, g.edges), p, abstract, slack)
         return moves, final
 
-    for name, wrapper in (("is_connected", is_connected), ("validate", validate)):
-        monkeypatch.setattr(partitions, name, wrapper)
-    monkeypatch.setattr(unbounded, "is_connected", is_connected)
-    monkeypatch.setattr(unbounded, "spanning_tree", spanning_tree)
-    monkeypatch.setattr(module, "validate", validate)
+    logged_reach(monkeypatch, log)
     monkeypatch.setattr(module, "resolve_moves", resolve)
+    back = []  # (parts, searched) of each Hamiltonian back replay
     for g, c, p1, p2, slack in transform_cases():
-        accepted.clear()
+        current["g"] = g = Graph(g.n, g.edges)
+        proved.clear()
         if mode == "unbounded":
             moves, slack = transform_unbounded(g, p1, p2), SLACK_INF
         else:
             moves = transform_hamiltonian(g, c, p1, p2, slack)
+            if canonical_key(p1) != canonical_key(p2):  # the back replay ran last
+                back.append(replays[-1])
         assert canonical_key(replay(g, p1, moves, slack)) == canonical_key(p2)
     parts = sum(n for n, _ in replays)
     if mode == "hamiltonian":
-        assert all(n == 0 for _, n in replays) and parts > 100
+        assert all(n == 0 for _, n in back) and sum(n for n, _ in back) > 100
     else:
         assert 0 < sum(n for _, n in replays) < parts / 2

@@ -12,9 +12,10 @@ replays each sequence through apply_move, and checks that it ends at p2
 and has at most 6(k-1) (unbounded) or 2k(n-k)+k^2+1 (Hamiltonian) moves:
 18 and 113 on the 4x4 grid.
 
-The replay is sequences.replay, which passes apply_move no `_connected`
-sets, so every part of every move gets its own connectivity BFS here, also
-the parts that the transforms' own replays take as already found connected.
+Each sequence is replayed through sequences.replay on a fresh copy of the
+graph, Graph(g.n, g.edges), whose record of connected sets starts empty: a
+part's connectivity is trusted only after a BFS of this replay found it, never
+because the transform under test searched it in g.
 
 Run from the repository root (33-38 s of CPU on a 2-vCPU Xeon VM whose
 speed varies; about 14 s when it runs fast):
@@ -82,7 +83,7 @@ def certify(name, transform, g, parts, slack, bound, pinned) -> bool:
         for b, p2 in enumerate(parts):
             try:
                 moves = transform(p1, p2)
-                if canonical_key(replay(g, p1, moves, slack)) != canonical_key(p2):
+                if canonical_key(replay(Graph(g.n, g.edges), p1, moves, slack)) != canonical_key(p2):
                     raise AssertionError("sequence does not end at p2")
                 if len(moves) > bound:
                     raise AssertionError(f"{len(moves)} moves exceed the bound {bound}")
