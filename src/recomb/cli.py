@@ -1,7 +1,8 @@
 """Command-line interface: validate / transform / explore / decide / gen / sample.
 
 Exit codes: 0 success, 2 validation failure (report on stderr), 1 usage or
-input errors.
+input errors.  Each command writes its files before it prints its result, so
+a write that fails leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def _inputs(args, *names):
 
 def cmd_validate(args) -> int:
     g, p, _ = _inputs(args, "partition")
-    print("OK")
     if args.dot:
         _write(args.dot, dot_export(g, p))
+    print("OK")
     return 0
 
 
@@ -123,33 +124,30 @@ def cmd_transform(args) -> int:
         cycle = _load_cycle(args.cycle, g.n)
         moves = transform_hamiltonian(g, cycle, p1, p2, slack)
     _write(args.out, format_moves(moves))
-    print(len(moves))
     if args.dot:
         _write(args.dot, dot_export(g, p2))
+    print(len(moves))
     return 0
 
 
 def cmd_explore(args) -> int:
     g, slack = _inputs(args)
     st = space_stats(build_space(g, args.k, slack))
+    if args.dot:
+        _write(args.dot, dot_export(g))
     print(f"nodes {st.node_count}")
     print(f"edges {st.edge_count}")
     print(f"components {st.component_count}")
     print("diameters " + " ".join(str(d) for d in st.diameters))
-    if args.dot:
-        _write(args.dot, dot_export(g))
     return 0
 
 
 def cmd_decide(args) -> int:
     g, p1, p2, slack = _inputs(args, "from", "to")
     reachable, path = decide_br(g, args.k, slack, p1, p2)
-    if reachable:
-        print(f"REACHABLE {len(path)}")
-        if args.out:
-            _write(args.out, format_moves(path))
-    else:
-        print("UNREACHABLE")
+    if reachable and args.out:
+        _write(args.out, format_moves(path))
+    print(f"REACHABLE {len(path)}" if reachable else "UNREACHABLE")
     return 0
 
 
@@ -209,15 +207,15 @@ def cmd_sample(args) -> int:
         raise ValueError("--steps must be at least 0")
     g, p, slack = _inputs(args, "partition")
     trace = recom_walk(g, args.k, slack, p, args.steps, args.seed)
-    print(f"seed {trace.seed}")
-    print(f"steps {len(trace.steps)}")
-    print(f"halted {'yes' if trace.halted_early else 'no'}")
     if args.out:
         lines = []
         for idx, key in trace.steps:
             flat = ";".join(",".join(str(v) for v in d) for d in key)
             lines.append(f"s {idx} {flat}")
         _write(args.out, "\n".join(lines) + ("\n" if lines else ""))
+    print(f"seed {trace.seed}")
+    print(f"steps {len(trace.steps)}")
+    print(f"halted {'yes' if trace.halted_early else 'no'}")
     return 0
 
 

@@ -7,19 +7,22 @@ shifted into each other.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+import weakref
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .graphs import Graph, complete_forest, reach
-from .partitions import Partition, RecombMove, SlackBound, apply_move, canonical_key, validate
+from .partitions import Partition, RecombMove, SlackBound, apply_move, validate
 from .sequences import AbstractMove, inverted_abstract, labelled_move, resolve_moves
 
 
 @dataclass(frozen=True)
 class CycleOrder:
-    """A Hamilton cycle given as a cyclic vertex order."""
+    """A Hamilton cycle given as a cyclic vertex order.  Its maps, weakly keyed
+    by the district's frozenset so that an entry dies with its district, keep
+    each district's fragment-start mask and, per graph, its fragment tree."""
 
     order: tuple[int, ...]
 
@@ -46,29 +49,38 @@ class CycleOrder:
                     raise ValueError(f"cycle step ({u},{w}) is not an edge of the graph")
             self._passed.add(g)
 
+    @cached_property
+    def _starts(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()  # district -> its _fragment_starts mask
 
-def _fragment_starts(cycle: CycleOrder, p: Partition, masks: Optional[dict] = None) -> list[int]:
+    @cached_property
+    def _trees(self) -> defaultdict:
+        return defaultdict(weakref.WeakKeyDictionary)  # graph -> district -> _FragmentTree
+
+
+def _fragment_starts(cycle: CycleOrder, p: Partition) -> list[int]:
     """The one scan of C for district boundaries, bit-parallel over cycle
     positions: per district, the mask of the positions that begin one of its
-    fragments.  masks caches these masks by district."""
-    n, pos = cycle.n, cycle.positions
-    masks = {} if masks is None else masks
+    fragments, kept in the cycle's map."""
+    n, pos, known = cycle.n, cycle.positions, cycle._starts
+    out = []
     for d in p.districts:
-        if d not in masks:
+        if (m := known.get(d)) is None:
             bits = bytearray(b"0") * n
             for v in d:
                 bits[n - 1 - pos[v]] = 49  # "1"; the string's last digit is position 0
             m = int(bits, 2)
-            masks[d] = m & ~(m << 1 | m >> (n - 1))  # in d, with position t - 1 not
-    return [masks[d] for d in p.districts]
+            m = known[d] = m & ~(m << 1 | m >> (n - 1))  # in d, with position t - 1 not
+        out.append(m)
+    return out
 
 
-def _boundaries(cycle: CycleOrder, p: Partition, masks: Optional[dict] = None) -> list[tuple]:
+def _boundaries(cycle: CycleOrder, p: Partition) -> list[tuple]:
     """Each (u, w, du, dw): consecutive vertices u, w along C in districts
     du != dw, in the order of u's position; each w starts a fragment, and u
     ends the one that starts before it."""
     found = []
-    for i, starts in enumerate(_fragment_starts(cycle, p, masks)):
+    for i, starts in enumerate(_fragment_starts(cycle, p)):
         while starts:
             t = starts.bit_length() - 1
             found.append((t, i))
@@ -80,8 +92,8 @@ def _boundaries(cycle: CycleOrder, p: Partition, masks: Optional[dict] = None) -
     return [(order[t - 1], order[t], found[x - 1][1], i) for x, (t, i) in enumerate(found)]
 
 
-def fragment_count(cycle: CycleOrder, p: Partition, *, _masks: Optional[dict] = None) -> int:
-    return sum(starts.bit_count() for starts in _fragment_starts(cycle, p, _masks)) or 1
+def fragment_count(cycle: CycleOrder, p: Partition) -> int:
+    return sum(starts.bit_count() for starts in _fragment_starts(cycle, p)) or 1
 
 
 @dataclass(frozen=True)
@@ -89,19 +101,18 @@ class _FragmentTree:
     """A district's fragments, keyed by their first vertex along C, joined by
     the chords of its minimum-chord tree and rooted at the heavy fragment:
     size[f] is f's length, links[f][h] the chord joining f and h, up[f] f's
-    parent (None at the root), label[v] v's fragment (shared by the trees
-    shed() leaves, so it may hold shed vertices)."""
+    parent (None at the root), label[v] the fragment of each member v."""
 
     size: dict[int, int]
     links: dict[int, dict[int, tuple[int, int]]]
     up: dict[int, Optional[int]]
-    label: dict[int, int] = field(compare=False)
+    label: dict[int, int]
 
     @property
     def chords(self) -> list[tuple[int, int]]:
         return [c for nbrs in self.links.values() for c in nbrs.values()]
 
-    def shed(self, v: int, members: frozenset[int]):
+    def shed(self, v: int):
         """The members in v's light subtree (v's fragment and those below it,
         cut off by the chord to its parent) and the tree of the rest; None in
         the root fragment.  Removing a pendant subtree from a minimum spanning
@@ -112,8 +123,9 @@ class _FragmentTree:
         light = _side(self.links, f, f, top)
         links = {h: nbrs for h, nbrs in self.links.items() if h not in light}
         links[top] = {h: c for h, c in links[top].items() if h != f}
-        rest = _rooted({h: n for h, n in self.size.items() if h not in light}, links, self.label)
-        return frozenset(w for w in members if self.label[w] in light), rest
+        label = {w: h for w, h in self.label.items() if h not in light}
+        rest = _rooted({h: n for h, n in self.size.items() if h not in light}, links, label)
+        return frozenset(self.label.keys() - label.keys()), rest
 
 
 def _side(links, f: int, a: int, b: int) -> dict[int, Optional[int]]:
@@ -140,9 +152,13 @@ def _rooted(size, links, label) -> _FragmentTree:
 
 
 def _fragment_tree(g: Graph, cycle: CycleOrder, members: frozenset[int]) -> _FragmentTree:
-    """The district's fragment tree: each fragment labelled by walking it once
-    along C, then joined by Kruskal over the sorted induced edges between
-    fragments, so each link is the lexicographically least chord it can be."""
+    """The district's fragment tree, kept in the cycle's map for g: each
+    fragment labelled by walking it once along C, then joined by Kruskal over
+    the sorted induced edges between fragments, so each link is the
+    lexicographically least chord it can be."""
+    trees = cycle._trees[g]
+    if (tree := trees.get(members)) is not None:
+        return tree
     order, n, pos = cycle.order, cycle.n, cycle.positions
     label: dict[int, int] = {}
     for v in members:
@@ -151,48 +167,39 @@ def _fragment_tree(g: Graph, cycle: CycleOrder, members: frozenset[int]) -> _Fra
             while (w := order[t % n]) in members:
                 label[w] = v
                 t += 1
-    candidates = sorted(
-        (v, w) for v in members for w in g.adj[v] if v < w and w in members and label[v] != label[w]
-    )
+    candidates = sorted((v, w) for v in members for w in g.adj[v]
+                        if v < w and w in members and label[v] != label[w])
     links: dict[int, dict[int, tuple[int, int]]] = {f: {} for f in label.values()}
     for a, b in complete_forest(label, candidates):
         links[label[a]][label[b]] = links[label[b]][label[a]] = (a, b)
-    return _rooted(dict(Counter(label.values())), links, label)
+    tree = trees[members] = _rooted(dict(Counter(label.values())), links, label)
+    return tree
 
 
-def step_light(g: Graph, cycle: CycleOrder, p: Partition, *, _trees: Optional[dict] = None,
-               _masks: Optional[dict] = None) -> Optional[RecombMove]:
+def step_light(g: Graph, cycle: CycleOrder, p: Partition) -> Optional[RecombMove]:
     """A move shedding a light fragment of a large district into an adjacent
     small district, when one exists; scans the boundaries along C in order.
-
-    _trees caches _FragmentTree by district, the donor's after the move too;
-    _masks caches the scan's fragment-start masks by district.
-    """
+    The donor's tree after the move joins the cycle's map."""
     n, k = cycle.n, p.k
-    trees = {} if _trees is None else _trees
-    for u, w, du, dw in _boundaries(cycle, p, _masks):
+    for u, w, du, dw in _boundaries(cycle, p):
         for donor_v, donor_d, recv_d in ((u, du, dw), (w, dw, du)):
             # A large donor (more than n/k vertices) sheds into a small receiver.
             if k * len(p.districts[donor_d]) <= n or k * len(p.districts[recv_d]) > n:
                 continue
             donor = p.districts[donor_d]
-            if donor not in trees:
-                trees[donor] = _fragment_tree(g, cycle, donor)
-            if (cut := trees[donor].shed(donor_v, donor)) is None:
+            if (cut := _fragment_tree(g, cycle, donor).shed(donor_v)) is None:
                 continue
             shed, rest = cut
             part_donor = donor - shed
-            trees[part_donor] = rest
-            part_recv = p.districts[recv_d] | shed
-            return labelled_move(donor_d, recv_d, part_donor, part_recv)
+            cycle._trees[g][part_donor] = rest
+            return labelled_move(donor_d, recv_d, part_donor, p.districts[recv_d] | shed)
     return None
 
 
-def find_small_adjacent_pair(cycle: CycleOrder, p: Partition, *,
-                             _masks: Optional[dict] = None) -> tuple[int, int]:
+def find_small_adjacent_pair(cycle: CycleOrder, p: Partition) -> tuple[int, int]:
     """First pair of districts adjacent along C with combined size <= 2n/k."""
     n, k = cycle.n, p.k
-    for _, _, du, dw in _boundaries(cycle, p, _masks):
+    for _, _, du, dw in _boundaries(cycle, p):
         if k * (len(p.districts[du]) + len(p.districts[dw])) <= 2 * n:
             return du, dw
     raise ValueError("no pair found")
@@ -302,29 +309,21 @@ def canonicalize(g: Graph, cycle: CycleOrder, p: Partition,
         raise ValueError(f"invalid partition: {'; '.join(rep.violations)}")
     moves: list[RecombMove] = []
     cur = p
-    # Fragment trees and the scan's fragment-start masks by district, for this call only.
-    trees: dict[frozenset[int], _FragmentTree] = {}
-    masks: dict[frozenset[int], int] = {}
-    frags = fragment_count(cycle, cur, _masks=masks)
+    frags = fragment_count(cycle, cur)
     while frags > k:
-        m = step_light(g, cycle, cur, _trees=trees, _masks=masks)
+        m = step_light(g, cycle, cur)
+        if m is None and all(len(d) > 1 for d in cur.districts):
+            m = step_average(g, cycle, cur, *find_small_adjacent_pair(cycle, cur), slack)
         if m is not None:
             cur = apply_move(g, cur, m, slack)
             moves.append(m)
-            new_frags = fragment_count(cycle, cur, _masks=masks)
-        else:
-            if all(len(d) > 1 for d in cur.districts):
-                i, j = find_small_adjacent_pair(cycle, cur, _masks=masks)
-                m = step_average(g, cycle, cur, i, j, slack)
-                cur = apply_move(g, cur, m, slack)
-                moves.append(m)
-                new_frags = fragment_count(cycle, cur, _masks=masks)
-            # A singleton, there before or left by an average step that
-            # joined no fragments, walks on.
-            if m is None or new_frags == frags:
-                walk, cur = steps_singleton(g, cycle, cur, slack)
-                moves += walk
-                new_frags = fragment_count(cycle, cur, _masks=masks)
+            new_frags = fragment_count(cycle, cur)
+        # A singleton, there before or left by an average step that joined no
+        # fragments (a light step always joins some), walks on.
+        if m is None or new_frags == frags:
+            walk, cur = steps_singleton(g, cycle, cur, slack)
+            moves += walk
+            new_frags = fragment_count(cycle, cur)
         assert new_frags < frags, "fragment count must strictly decrease"
         frags = new_frags
     assert len(moves) <= k * (g.n - k)
@@ -390,7 +389,7 @@ def canonical_transform(g: Graph, cycle: CycleOrder, pc1: Partition, pc2: Partit
     from pc1 (pc1 itself when pc1 and pc2 are the same partition)."""
     k = pc1.k
     _check_preconditions(g, cycle, pc1, pc2, slack)
-    if canonical_key(pc1) == canonical_key(pc2):
+    if set(pc1.districts) == set(pc2.districts):
         return [], pc1
     target = cycle.n // k
     arcs1 = _arcs_in_cycle_order(cycle, pc1)
@@ -404,7 +403,7 @@ def canonical_transform(g: Graph, cycle: CycleOrder, pc1: Partition, pc2: Partit
     # Rotate bookkeeping so arcs1[0] starts the shift.
     shift = _shift_abstract(arcs1, delta)
     moves, final = resolve_moves(g, pc1, bal1 + shift + unbal2, slack)
-    assert canonical_key(final) == canonical_key(pc2)
+    assert set(final.districts) == set(pc2.districts)
     assert len(moves) <= k * k + 1
     return moves, final
 
@@ -417,7 +416,7 @@ def transform_hamiltonian(
     k, n = p1.k, g.n
     # canonicalize validates p1, so it runs before the shortcut.
     m1, c1 = canonicalize(g, cycle, p1, slack)
-    if canonical_key(p1) == canonical_key(p2):
+    if set(p1.districts) == set(p2.districts):
         return []
     m2, c2 = canonicalize(g, cycle, p2, slack)
     mid, cur = canonical_transform(g, cycle, c1, c2, slack)
@@ -425,7 +424,7 @@ def transform_hamiltonian(
     # only the reverse of m2 is resolved, from where mid ends.
     undo = inverted_abstract(p2.districts, [(m.new_i, m.new_j) for m in m2])
     back, final = resolve_moves(g, cur, undo, slack)
-    assert canonical_key(final) == canonical_key(p2)
+    assert set(final.districts) == set(p2.districts)
     moves = m1 + mid + back
     assert len(moves) <= 2 * k * (n - k) + k * k + 1
     return moves

@@ -459,16 +459,15 @@ def format_moves(moves: Sequence[RecombMove]) -> str:
 
 def parse_moves(text: str) -> list[RecombMove]:
     moves = []
-    for ln in text.split("\n"):
+    for lineno, ln in enumerate(text.split("\n"), 1):
         if not ln.strip():
             continue
         fields = ln.split("|")
         parts = fields[0].split()
         if not ln.startswith("m ") or len(fields) != 3 or len(parts) != 3:
             raise ValueError(f"bad move line: {ln!r}")
-        _, a, b = fields
-        i, j = int(parts[1]), int(parts[2])
-        moves.append(
-            RecombMove(i, j, frozenset(int(x) for x in a.split()), frozenset(int(x) for x in b.split()))
-        )
+        i, j = parse_ints(parts[1:], f"district label {{}} on move line {lineno}")
+        a, b = (frozenset(parse_ints(f.split(), f"vertex {{}} of part {x} on move line {lineno}"))
+                for x, f in enumerate(fields[1:]))
+        moves.append(RecombMove(i, j, a, b))
     return moves

@@ -394,7 +394,7 @@ def test_criterion_9_property_suites():
             for i in range(k):
                 tree = _fragment_tree(g, cycle, p.districts[i])
                 for v in p.districts[i]:
-                    cut = tree.shed(v, p.districts[i])
+                    cut = tree.shed(v)
                     sub = None if cut is None else cut[0]
                     if sub is not None and len(sub) > len(p.districts[i]) / 2:
                         ok = False

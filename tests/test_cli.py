@@ -436,6 +436,27 @@ def test_dot_refused_where_nothing_is_rendered(c8, tmp_path, capsys, command):
     assert sorted(os.listdir(tmp_path)) == before
 
 
+@pytest.mark.parametrize("command", ["validate", "explore", "transform", "decide", "sample"])
+def test_failed_write_prints_no_result(c8, tmp_path, capsys, command):
+    # Each command writes its files before it prints: a path in a missing
+    # directory gives exit 1, the error on stderr and nothing on stdout.
+    _, gp, ap, bp, cp = c8
+    missing = str(tmp_path / "missing" / "o.txt")
+    argv = {
+        "validate": ["--partition", ap, "--k", "2", "--slack", "1", "--dot", missing],
+        "explore": ["--k", "2", "--slack", "1", "--dot", missing],
+        "transform": ["--mode", "hamiltonian", "--from", ap, "--to", bp, "--slack", "4", "--cycle", cp,
+                      "--out", str(tmp_path / "moves.txt"), "--dot", missing],
+        "decide": ["--from", ap, "--to", bp, "--k", "2", "--slack", "1", "--out", missing],
+        "sample": ["--partition", ap, "--k", "2", "--slack", "1", "--steps", "3", "--seed", "1",
+                   "--out", missing],
+    }[command]
+    assert run([command, "--graph", gp, *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "o.txt" in err
+
+
 def test_roundtrip_byte_exact(c8):
     _, gp, ap, _, _ = c8
     from recomb.graphs import format_graph, parse_graph

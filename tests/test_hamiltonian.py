@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -50,9 +51,9 @@ def serpentine(w, h):
     return CycleOrder(tuple(order))
 
 
-def light_vertices(tree, members, v):
-    """The vertices of v's light subtree in members' fragment tree, or None."""
-    cut = tree.shed(v, members)
+def light_vertices(tree, v):
+    """The vertices of v's light subtree in the fragment tree, or None."""
+    cut = tree.shed(v)
     return None if cut is None else cut[0]
 
 
@@ -164,11 +165,15 @@ def test_boundaries_match_brute_force():
         pairs = [(order[t], order[(t + 1) % n], labels[order[t]], labels[order[(t + 1) % n]])
                  for t in range(n) if labels[order[t]] != labels[order[(t + 1) % n]]]
         runs = reference_runs(order, labels)
-        masks = {}
-        for _ in range(2):  # the second call reads the masks cached by the first
-            assert _boundaries(c, p, masks) == pairs
-            assert fragment_count(c, p, _masks=masks) == len(runs)
-        assert fragment_count(c, p) == len(runs)
+        for _ in range(2):  # the second call reads the masks the first kept on the cycle
+            assert _boundaries(c, p) == pairs
+            assert fragment_count(c, p) == len(runs)
+        # Each kept mask holds the positions along C that start one of the
+        # district's fragments.
+        assert {d: c._starts[d] for d in p.districts} == {
+            d: sum(1 << t for t, v in enumerate(order) if v in d and order[t - 1] not in d)
+            for d in p.districts}
+        assert fragment_count(CycleOrder(c.order), p) == len(runs)
         seen.add((n == 1, k == 1, k == n))
         wrapped += n > 1 and lab[0] == lab[-1] and len(set(lab)) > 1
         if len(runs) == k:
@@ -194,7 +199,7 @@ def test_fragment_tree_weights():
     p = Partition.of([[0, 1, 4, 5], [2, 3], [6, 7]])
     members = p.districts[0]
     tree = _fragment_tree(g, c, members)
-    subtrees = {v: light_vertices(tree, members, v) for v in members}
+    subtrees = {v: light_vertices(tree, v) for v in members}
     # The centre's fragment is heavy; the cut sheds the other one, whole.
     heavy = frozenset(v for v, sub in subtrees.items() if sub is None)
     assert heavy in (frozenset({0, 1}), frozenset({4, 5}))
@@ -243,7 +248,7 @@ def test_fragment_tree_matches_vertex_level_rule():
         for members in p.districts:
             tree = _fragment_tree(g, c, members)
             want = reference_light_subtrees(g, c, members)
-            assert {v: light_vertices(tree, members, v) for v in members} == want
+            assert {v: light_vertices(tree, v) for v in members} == want
             checked += len(tree.size) > 1
     assert checked > 200
 
@@ -269,23 +274,27 @@ def test_fragment_tree_root_when_a_chord_halves_the_district(order):
     g = Graph(12, {(order[t], order[(t + 1) % 12]) for t in range(12)} | {(min(a, b), max(a, b))})
     members = frozenset(order[t] for t in (0, 1, 2, 6, 7, 8))
     tree = _fragment_tree(g, c, members)
-    lights = {v: light_vertices(tree, members, v) for v in members}
+    lights = {v: light_vertices(tree, v) for v in members}
     assert lights == reference_light_subtrees(g, c, members)
     heavy = frozenset(v for v, sub in lights.items() if sub is None)
     assert min(a, b) in heavy and len(heavy) == 3
 
 
 def test_derived_fragment_trees_match_fresh_ones(monkeypatch):
-    caches = []
-    real = hamiltonian.step_light
+    # Every tree in the cycle's map, the ones step_light derived by a shed
+    # included, equals a fresh build on a new cycle, label and all.
+    derived = {}
+    real = hamiltonian._FragmentTree.shed
 
-    def spy(g, cycle, p, *, _trees, _masks):
-        if not caches or caches[-1][2] is not _trees:
-            caches.append((g, cycle, _trees, _masks))
-        return real(g, cycle, p, _trees=_trees, _masks=_masks)
+    def spy(tree, v):
+        cut = real(tree, v)
+        if cut is not None:
+            derived[id(cut[1])] = cut[1]  # kept alive, so no id is reused
+        return cut
 
-    monkeypatch.setattr(hamiltonian, "step_light", spy)
+    monkeypatch.setattr(hamiltonian._FragmentTree, "shed", spy)
     rng = random.Random(36)
+    checked = 0
     for case in range(40):
         if case % 2:
             w, h = rng.choice([(6, 4), (8, 6), (8, 8), (12, 8)])
@@ -294,18 +303,66 @@ def test_derived_fragment_trees_match_fresh_ones(monkeypatch):
             g, c = random_cycle_with_chords(rng, rng.choice([24, 30, 36, 48]), rng.randint(2, 10))
         k = rng.choice([d for d in (2, 3, 4, 6, 8) if g.n % d == 0])
         slack = SlackBound(g.n // k)
-        canonicalize(g, c, random_partition(rng, g, k, slack), slack)
-    derived = 0
-    for g, c, trees, masks in caches:
-        for members, tree in trees.items():
-            assert tree == _fragment_tree(g, c, members)
-            derived += len(tree.label) > len(members)
-        # Each cached mask holds the positions along this cycle that start
-        # one of the district's fragments.
-        for members, mask in masks.items():
-            assert mask == sum(1 << t for t, v in enumerate(c.order)
-                               if v in members and c.order[t - 1] not in members)
-    assert derived > 100
+        moves, _ = canonicalize(g, c, random_partition(rng, g, k, slack), slack)
+        for members, tree in c._trees[g].items():
+            assert tree == _fragment_tree(g, CycleOrder(c.order), members)
+            assert tree.label.keys() == members
+            checked += id(tree) in derived
+    assert checked > 100
+
+
+def test_cycle_keeps_each_graphs_own_trees():
+    # One cycle checked against two graphs whose chords differ: the same
+    # district gets each graph's own tree.
+    c = identity_cycle(8)
+    g1, g2 = cycle_graph(8, chords=[(1, 4)]), cycle_graph(8, chords=[(0, 5)])
+    c.check(g1)
+    c.check(g2)
+    members = frozenset({0, 1, 4, 5})
+    t1, t2 = _fragment_tree(g1, c, members), _fragment_tree(g2, c, members)
+    assert set(t1.chords) == {(1, 4)} and set(t2.chords) == {(0, 5)}
+    assert _fragment_tree(g1, c, members) is t1 and _fragment_tree(g2, c, members) is t2
+
+
+def test_cycle_maps_let_go_of_dropped_districts():
+    g, c = gen_grid(6, 4), serpentine(6, 4)
+    slack = SlackBound(6)
+    rng = random.Random(37)
+    p1, p2 = random_partition(rng, g, 4, slack), random_partition(rng, g, 4, slack)
+    moves = transform_hamiltonian(g, c, p1, p2, slack)
+    held = (len(moves), len(c._starts), len(c._trees[g]))
+    assert min(held) > 0
+    del p1, p2, moves
+    gc.collect()
+    assert len(c._starts) == 0 and sum(map(len, c._trees.values())) == 0
+
+
+def test_shared_cycle_gives_the_moves_of_fresh_copies():
+    # Pairs on one shared graph and cycle reuse the masks and trees earlier
+    # pairs left there, in forward and in reverse order, and get the moves
+    # that fresh Graph and CycleOrder copies give.  Two graphs with different
+    # chords share one cycle order.
+    rng = random.Random(38)
+    order = list(range(24))
+    rng.shuffle(order)
+    steps = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:] + order[:1])}
+    cycle = CycleOrder(tuple(order))
+    cases = [(gen_grid(6, 4), serpentine(6, 4), 4), (gen_grid(8, 6), serpentine(8, 6), 6)]
+    for chords in ({(order[0], order[12]), (order[3], order[17])}, {(order[5], order[20])}):
+        cases.append((Graph(24, steps | {(min(e), max(e)) for e in chords}), cycle, 3))
+    pairs = []
+    for g, c, k in cases:
+        slack = SlackBound(g.n // k)
+        parts = [random_partition(rng, g, k, slack) for _ in range(5)]
+        pairs += [(g, c, a, b, slack) for a in parts for b in parts]
+    want = [transform_hamiltonian(Graph(g.n, g.edges), CycleOrder(c.order), a, b, slack)
+            for g, c, a, b, slack in pairs]
+    assert sum(map(len, want)) > 0
+    for forward in (True, False):
+        shared = {id(c): CycleOrder(c.order) for _, c, _, _, _ in pairs}
+        seq = list(zip(pairs, want))
+        for (g, c, a, b, slack), moves in seq if forward else seq[::-1]:
+            assert transform_hamiltonian(g, shared[id(c)], a, b, slack) == moves
 
 
 def rotations_and_reflections(n):

@@ -543,6 +543,12 @@ def test_moves_roundtrip():
     text = format_moves(moves)
     assert parse_moves(text) == moves
     assert parse_moves("") == []
-    for bad in ("z 0 1 | 0 | 1", "m 0 | 0 | 1", "m | 0 | 1", "m 0 1 2 | 0 | 1", "m 0 1 | 0"):
+    for bad in ("z 0 1 | 0 | 1", "m 0 | 0 | 1", "m | 0 | 1", "m 0 1 2 | 0 | 1", "m 0 1 | 0",
+                "m 0 x | 1 | 2", "m 0 1 | 1 y | 2", "m 0 1 | 1 | 2.5"):
         with pytest.raises(ValueError):
             parse_moves(bad)
+    # Ids are read by parse_ints, which names the bad token and its line.
+    with pytest.raises(ValueError, match=r"^district label 1 on move line 2 must be an integer, got 'x'$"):
+        parse_moves("m 0 1 | 0 | 1\nm 0 x | 1 | 2")
+    with pytest.raises(ValueError, match=r"^vertex 1 of part 0 on move line 1 must be an integer, got 'y'$"):
+        parse_moves("m 0 1 | 1 y | 2")
