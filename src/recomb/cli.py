@@ -2,13 +2,16 @@
 
 Exit codes: 0 success, 2 validation failure (report on stderr), 1 usage or
 input errors.  Each command writes its files before it prints its result, so
-a write that fails leaves stdout empty.
+a write that fails leaves stdout empty.  A command that writes several files
+opens each of them before it writes any, so a path that cannot be opened
+leaves every one of them as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .graphs import Graph, GraphFormatError, format_graph, parse_graph
@@ -46,9 +49,25 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+def _write(*files: tuple[str, str]) -> None:
+    """Write each (path, text) pair, or none of them.  With several, every
+    path is first opened for appending, which changes no file, and the files
+    that this created are removed again when a path cannot be opened."""
+    if len(files) > 1:
+        created = []
+        try:
+            for path, _ in files:
+                existed = os.path.lexists(path)
+                open(path, "a").close()
+                if not existed:
+                    created.append(path)
+        except OSError:
+            for path in created:
+                os.remove(path)
+            raise
+    for path, text in files:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def _load_cycle(path: str, n: int) -> CycleOrder:
@@ -104,7 +123,7 @@ def _inputs(args, *names):
 def cmd_validate(args) -> int:
     g, p, _ = _inputs(args, "partition")
     if args.dot:
-        _write(args.dot, dot_export(g, p))
+        _write((args.dot, dot_export(g, p)))
     print("OK")
     return 0
 
@@ -123,9 +142,10 @@ def cmd_transform(args) -> int:
             )
         cycle = _load_cycle(args.cycle, g.n)
         moves = transform_hamiltonian(g, cycle, p1, p2, slack)
-    _write(args.out, format_moves(moves))
+    files = [(args.out, format_moves(moves))]
     if args.dot:
-        _write(args.dot, dot_export(g, p2))
+        files.append((args.dot, dot_export(g, p2)))
+    _write(*files)
     print(len(moves))
     return 0
 
@@ -134,7 +154,7 @@ def cmd_explore(args) -> int:
     g, slack = _inputs(args)
     st = space_stats(build_space(g, args.k, slack))
     if args.dot:
-        _write(args.dot, dot_export(g))
+        _write((args.dot, dot_export(g)))
     print(f"nodes {st.node_count}")
     print(f"edges {st.edge_count}")
     print(f"components {st.component_count}")
@@ -146,7 +166,7 @@ def cmd_decide(args) -> int:
     g, p1, p2, slack = _inputs(args, "from", "to")
     reachable, path = decide_br(g, args.k, slack, p1, p2)
     if reachable and args.out:
-        _write(args.out, format_moves(path))
+        _write((args.out, format_moves(path)))
     print(f"REACHABLE {len(path)}" if reachable else "UNREACHABLE")
     return 0
 
@@ -172,12 +192,13 @@ def cmd_gen(args) -> int:
     prefix = args.out
     if args.family == "negative":
         g, pa, cycle = gen(*values)
-        _write(prefix + ".graph", format_graph(g))
-        _write(prefix + ".a.part", format_partition(pa, g.n))
-        _write(prefix + ".b.part", format_partition(arc_partition(g.n, args.k), g.n))
-        _write(prefix + ".cycle", format_cycle(cycle))
+        files = [(prefix + ".graph", format_graph(g)),
+                 (prefix + ".a.part", format_partition(pa, g.n)),
+                 (prefix + ".b.part", format_partition(arc_partition(g.n, args.k), g.n)),
+                 (prefix + ".cycle", format_cycle(cycle))]
         if args.dot:
-            _write(args.dot, dot_export(g, pa))
+            files.append((args.dot, dot_export(g, pa)))
+        _write(*files)
         print(f"n {g.n}")
         return 0
     if args.family == "ncl":
@@ -185,19 +206,21 @@ def cmd_gen(args) -> int:
         if "A" not in orients or "B" not in orients:
             raise ValueError("NCL file must contain 'orient A' and 'orient B' blocks")
         r = reduce_ncl(ncl, orients["A"], orients["B"], args.s)
-        _write(prefix + ".graph", format_graph(r.graph))
-        _write(prefix + ".a.part", format_partition(r.pi_a, r.graph.n))
-        _write(prefix + ".b.part", format_partition(r.pi_b, r.graph.n))
-        _write(prefix + ".map.jsonl", format_map(r))
+        files = [(prefix + ".graph", format_graph(r.graph)),
+                 (prefix + ".a.part", format_partition(r.pi_a, r.graph.n)),
+                 (prefix + ".b.part", format_partition(r.pi_b, r.graph.n)),
+                 (prefix + ".map.jsonl", format_map(r))]
         if args.dot:
-            _write(args.dot, dot_export(r.graph, r.pi_a))
+            files.append((args.dot, dot_export(r.graph, r.pi_a)))
+        _write(*files)
         print(f"n {r.graph.n}")
         print(f"k {r.k}")
         return 0
     g = gen(*values)
-    _write(prefix + ".graph", format_graph(g))
+    files = [(prefix + ".graph", format_graph(g))]
     if args.dot:
-        _write(args.dot, dot_export(g))
+        files.append((args.dot, dot_export(g)))
+    _write(*files)
     print(f"n {g.n}")
     return 0
 
@@ -205,6 +228,8 @@ def cmd_gen(args) -> int:
 def cmd_sample(args) -> int:
     if args.steps < 0:
         raise ValueError("--steps must be at least 0")
+    if not 0 <= args.seed < 1 << 64:
+        raise ValueError(f"--seed must be in 0..{(1 << 64) - 1}")
     g, p, slack = _inputs(args, "partition")
     trace = recom_walk(g, args.k, slack, p, args.steps, args.seed)
     if args.out:
@@ -212,7 +237,7 @@ def cmd_sample(args) -> int:
         for idx, key in trace.steps:
             flat = ";".join(",".join(str(v) for v in d) for d in key)
             lines.append(f"s {idx} {flat}")
-        _write(args.out, "\n".join(lines) + ("\n" if lines else ""))
+        _write((args.out, "\n".join(lines) + ("\n" if lines else "")))
     print(f"seed {trace.seed}")
     print(f"steps {len(trace.steps)}")
     print(f"halted {'yes' if trace.halted_early else 'no'}")

@@ -105,7 +105,7 @@ def enumerate_partitions(
         return []
     m_min = slack.min_size(n, k)
     m_max = slack.max_size(n, k)
-    found = list(islice(_connected_parts(g, (1 << n) - 1, k, m_min, m_max), cap + 1))
+    found = list(islice(_connected_parts(g.nbr, (1 << n) - 1, k, m_min, m_max), cap + 1))
     if len(found) > cap:
         raise OracleCapError("instance too large: node cap exceeded")
     # The search yields districts in order of their least vertex, and

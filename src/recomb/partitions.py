@@ -200,25 +200,26 @@ def _vertex_set(mask: int, shared: dict) -> frozenset[int]:
 
 def _spread(adj, seed: int, within: int) -> int:
     """Mask of the vertices reachable from the vertices of `seed` inside
-    `within`; adj[v] is the neighbour mask of vertex v."""
-    seen = frontier = seed
+    `within`, which holds them; adj[v] is the neighbour mask of vertex v."""
+    left, frontier = within ^ seed, seed
     while frontier:
         low = frontier & -frontier
-        new = adj[low.bit_length() - 1] & within & ~seen
-        seen |= new
+        new = adj[low.bit_length() - 1] & left
+        left ^= new
         frontier ^= low | new
-    return seen
+    return within ^ left
 
 
-def _contracted_union(g: Graph, union: int, m_min: int):
+def _contracted_union(nbr, union: int, m_min: int):
     """Merge every forced pendant of G[union] into its neighbour: a vertex of
     induced degree 1 whose group is lighter than m_min can never be cut off.
+    nbr[v] is the neighbour mask of vertex v, for every vertex of union.
     Returns (group, adj, start): the vertex mask merged into each vertex, its
     neighbour mask among the vertices left, and the one that holds min(union)."""
-    adj = [m & union for m in g.nbr]
-    group = [1 << v for v in range(g.n)]
+    adj = [m & union for m in nbr]
+    group = [1 << v for v in range(len(nbr))]
     start = (union & -union).bit_length() - 1
-    stack = [v for v in range(g.n) if union >> v & 1 and adj[v].bit_count() == 1]
+    stack = [v for v in range(start, len(nbr)) if union >> v & 1 and adj[v].bit_count() == 1]
     while stack:
         v = stack.pop()
         if adj[v].bit_count() == 1 and group[v].bit_count() < m_min:
@@ -242,9 +243,10 @@ def _fits(nbr, vertices: int, m_min: int, m_max: int) -> bool:
     return True
 
 
-def _connected_parts(g: Graph, vertices: int, parts: int, m_min: int, m_max: int, _tails=None):
+def _connected_parts(nbr, vertices: int, parts: int, m_min: int, m_max: int, _tails=None):
     """Every partition of G[vertices] (a vertex mask) into `parts` connected
-    parts with sizes in [m_min, m_max], each yielded once as a list of masks.
+    parts with sizes in [m_min, m_max], each yielded once as a list of masks;
+    nbr[v] is the neighbour mask of vertex v, for every vertex of `vertices`.
 
     The first part holds min(vertices).  It is grown ESU-style (Wernicke
     2006) on the pendant-contracted graph and kept only if every component of
@@ -254,14 +256,18 @@ def _connected_parts(g: Graph, vertices: int, parts: int, m_min: int, m_max: int
     call, in `_tails`, a dict from the rest's mask that the recursion passes
     down.
 
-    With two parts the growth also cuts dead branches.  A group it has
-    passed over can only lie in the rest, which must be connected.  So a
-    part is kept or grown only if all passed groups lie in one piece of what
-    it leaves and at most `hi` vertices lie outside that piece, since they
-    all must end in the part.  Parts of `hi` - 1 vertices or more are not
-    tested: their children are leaves, and the rest of each is tested below.
+    With two parts the rest must be connected, and one flood fill of it per
+    growth node both checks that and cuts dead branches.  A group the growth
+    has passed over can only lie in the rest.  So the fill starts from the
+    passed groups (from the rest's least vertex when none is passed), and a
+    part is kept only if the fill reaches the whole rest.  A part that is
+    not kept is still grown, unless some passed group lies outside the
+    piece the fill reached, or more than `hi` vertices do, since they all
+    must end in the part.  Parts of `hi` - 1 vertices or more that are too
+    small to keep are not filled: their children are leaves, each filled
+    for itself.
     """
-    size, nbr = vertices.bit_count(), g.nbr
+    size = vertices.bit_count()
     lo = max(m_min, size - (parts - 1) * m_max)
     hi = min(m_max, size - (parts - 1) * m_min)
     if parts == 1:
@@ -270,18 +276,28 @@ def _connected_parts(g: Graph, vertices: int, parts: int, m_min: int, m_max: int
         return
     if parts > 3 and _tails is None:
         _tails = {}
-    group, adj, start = _contracted_union(g, vertices, m_min)
+    group, adj, start = _contracted_union(nbr, vertices, m_min)
     firsts = []
 
     def grow(first: int, ext: int, excl: int):
         # first: vertices taken; ext: groups to try next; excl: groups taken or passed.
-        passed = excl & ~first
-        if parts == 2 and passed and first.bit_count() < hi - 1:  # see the docstring
-            piece = _spread(nbr, passed & -passed, vertices ^ first)
-            if passed & ~piece or size - piece.bit_count() > hi:
-                return
-        if first.bit_count() >= lo:
-            firsts.append(first)
+        count = first.bit_count()
+        if parts > 2:
+            if count >= lo:
+                firsts.append(first)
+        else:  # see the docstring
+            passed = excl & ~first
+            if count >= lo or passed and count < hi - 1:
+                rest = vertices ^ first
+                seed = passed or rest
+                piece = _spread(nbr, seed & -seed, rest)
+                if piece == rest:
+                    if count >= lo:
+                        firsts.append(first)
+                elif passed and (passed & ~piece or size - piece.bit_count() > hi):
+                    return
+        if count == hi:  # every group holds a vertex
+            return
         while ext:
             low = ext & -ext
             ext ^= low
@@ -294,17 +310,16 @@ def _connected_parts(g: Graph, vertices: int, parts: int, m_min: int, m_max: int
         grow(group[start], adj[start], 1 << start)
     for first in firsts:
         rest = vertices ^ first
-        if parts == 2:
-            if _spread(nbr, rest & -rest, rest) == rest:
-                yield [first, rest]
+        if parts == 2:  # grow checked the rest
+            yield [first, rest]
         elif parts == 3 and _tails is not None:
             if rest not in _tails:
                 fits = _fits(nbr, rest, m_min, m_max)
-                _tails[rest] = list(_connected_parts(g, rest, 2, m_min, m_max)) if fits else []
+                _tails[rest] = list(_connected_parts(nbr, rest, 2, m_min, m_max)) if fits else []
             for tail in _tails[rest]:
                 yield [first, *tail]
         elif _fits(nbr, rest, m_min, m_max):
-            for tail in _connected_parts(g, rest, parts - 1, m_min, m_max, _tails):
+            for tail in _connected_parts(nbr, rest, parts - 1, m_min, m_max, _tails):
                 yield [first, *tail]
 
 
@@ -330,11 +345,19 @@ def _pair_list(k: int, pairs) -> list[tuple[int, int]]:
 
 def _split_masks(g: Graph, union: int, m_min: int, m_max: int, table: dict) -> list[tuple[int, int]]:
     """The (part, rest) splits of a union mask, sorted by the part holding
-    min(union); computed once per `table`."""
+    min(union); computed once per `table`.
+
+    The union is enumerated in its own vertex window: its masks and its
+    vertices' neighbour masks are shifted down by min(union), and each split
+    is shifted back before the sort."""
     if union not in table:
-        connected = _spread(g.nbr, union & -union, union) == union
-        found = _connected_parts(g, union, 2, m_min, m_max) if connected else ()
-        table[union] = sorted(map(tuple, found), key=lambda split: _mask_order(split[0]))
+        low = (union & -union).bit_length() - 1
+        window = union >> low
+        nbr = [m >> low & window for m in g.nbr[low:low + window.bit_length()]]
+        connected = _spread(nbr, 1, window) == window
+        found = _connected_parts(nbr, window, 2, m_min, m_max) if connected else ()
+        splits = [(a << low, b << low) for a, b in found]
+        table[union] = sorted(splits, key=lambda split: _mask_order(split[0]))
     return table[union]
 
 

@@ -457,6 +457,57 @@ def test_failed_write_prints_no_result(c8, tmp_path, capsys, command):
     assert err.startswith("error: ") and "o.txt" in err
 
 
+def test_failed_transform_write_changes_no_file(c8, tmp_path, capsys):
+    # --out is writable and --dot is not: the moves file keeps its old text,
+    # and no new file is left beside it.
+    _, gp, ap, bp, cp = c8
+    moves = tmp_path / "m.moves"
+    write(moves, "old\n")
+    before = sorted(os.listdir(tmp_path))
+    assert run(["transform", "--mode", "hamiltonian", "--graph", gp, "--from", ap, "--to", bp,
+                "--slack", "4", "--cycle", cp, "--out", str(moves),
+                "--dot", str(tmp_path / "nodir" / "x.dot")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "x.dot" in err
+    assert read(moves) == "old\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_failed_gen_write_creates_no_file(tmp_path, capsys):
+    # gen --family negative writes four files and the DOT rendering: with an
+    # unwritable --dot it writes none of them.
+    assert run(["gen", "--family", "negative", "--k", "4", "--s", "1", "--out", str(tmp_path / "neg"),
+                "--dot", str(tmp_path / "nodir" / "x.dot")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "x.dot" in err
+    assert os.listdir(tmp_path) == []
+    # A directory in place of a file is refused before any file is replaced.
+    os.mkdir(tmp_path / "neg.cycle")
+    assert run(["gen", "--family", "negative", "--k", "4", "--s", "1", "--out", str(tmp_path / "neg")]) == 1
+    assert "neg.cycle" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["neg.cycle"]
+    assert run(["gen", "--family", "negative", "--k", "4", "--s", "1", "--out", str(tmp_path / "x"),
+                "--dot", str(tmp_path / "x.dot")]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["neg.cycle", "x.a.part", "x.b.part", "x.cycle", "x.dot",
+                                            "x.graph"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64) + 7])
+def test_sample_seed_out_of_range_exit_1(c8, tmp_path, capsys, seed):
+    # The walk reads a seed as 64 bits, so a seed outside 0..2^64-1 would
+    # walk the walk of another seed under a different `seed` line.
+    _, gp, ap, _, _ = c8
+    out = tmp_path / "w.txt"
+    assert run(["sample", "--graph", gp, "--partition", ap, "--k", "2", "--slack", "1",
+                "--steps", "3", "--seed", str(seed), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: --seed must be in 0..18446744073709551615\n")
+    assert not out.exists()
+    assert run(["sample", "--graph", gp, "--partition", ap, "--k", "2", "--slack", "1",
+                "--steps", "3", "--seed", str((1 << 64) - 1)]) == 0
+    assert capsys.readouterr().out.startswith("seed 18446744073709551615\n")
+
+
 def test_roundtrip_byte_exact(c8):
     _, gp, ap, _, _ = c8
     from recomb.graphs import format_graph, parse_graph

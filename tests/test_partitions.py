@@ -15,6 +15,7 @@ from recomb.partitions import (
     SlackBound,
     _connected_parts,
     _mask_order,
+    _split_masks,
     _vertex_set,
     apply_move,
     canonical_key,
@@ -404,7 +405,7 @@ def balanced_partition(rng, g, k, m_min, m_max):
 
 
 def check_connected_parts(g, vertices, parts, m_min, m_max):
-    got = sorted(tuple(ds) for ds in _connected_parts(g, vertices, parts, m_min, m_max))
+    got = sorted(tuple(ds) for ds in _connected_parts(g.nbr, vertices, parts, m_min, m_max))
     assert got == brute_parts(g, vertices, parts, m_min, m_max)
     return got
 
@@ -467,6 +468,63 @@ def test_connected_parts_on_random_graphs():
         rests = Counter((1 << n) - 1 ^ a ^ b for a, b in {(a, b) for a, b, _, _ in got})
         repeats += sum(count > 1 for count in rests.values())
     assert repeats > 0
+
+
+def check_split_masks(g, union, m_min, m_max):
+    # The table of one union against the brute-force splits, in the order of
+    # the part's sorted vertex list.
+    got = _split_masks(g, union, m_min, m_max, {})
+    want = brute_parts(g, union, 2, m_min, m_max) if mask_connected(g, union) else []
+    assert got == sorted(want, key=lambda split: _mask_order(split[0]))
+    return got
+
+
+def test_split_masks_in_windows_past_bit_30():
+    # Each union is enumerated in its own vertex window, shifted down by its
+    # least vertex.  Unions high in the masks of larger graphs: grid 12x12
+    # with its rows and each row's columns in a seeded order, and random
+    # graphs on 40-70 vertices, which have pendants to contract.
+    rng = random.Random(30)
+    rows = rng.sample(range(12), 12)
+    label = {12 * y + x: 12 * rows[y] + c for y in range(12) for x, c in enumerate(rng.sample(range(12), 12))}
+    g = Graph(144, {tuple(sorted((label[a], label[b]))) for a, b in gen_grid(12, 12).edges})
+    blocks = [sum(1 << label[12 * (y + dy) + x + dx] for dy in range(3) for dx in range(2))
+              for y in range(0, 12, 3) for x in range(0, 12, 2)]
+    lows, sizes = Counter(), Counter()
+    for m_min, m_max in ((6, 6), (5, 7)):  # k = 24 at s = 0 and s = 1
+        masks = blocks if m_min == m_max else balanced_partition(rng, g, 24, m_min, m_max)
+        unions = [a | b for a, b in itertools.combinations(masks, 2)]
+        for union in filter(lambda u: mask_connected(g, u), unions):
+            assert union.bit_length() > 31
+            lows[union & 1 == 0] += 1
+            sizes[m_min == m_max, len(check_split_masks(g, union, m_min, m_max)) > 0] += 1
+        # Two districts that do not touch: no split.
+        apart = next(u for u in unions if not mask_connected(g, u))
+        assert check_split_masks(g, apart, m_min, m_max) == []
+    assert lows[True] >= 70, lows  # windows that do not start at 0
+    assert all(sizes[s0, True] for s0 in (True, False)), sizes
+    pendants = 0  # unions with a vertex of induced degree 1
+    for case in range(40):
+        n = rng.randint(45, 70)
+        g = random_connected(rng, n, extra=rng.choice([0, 3, 8]))
+        size = rng.randint(10, 14) if case % 2 else 2 * rng.randint(5, 7)
+        inside = [rng.randrange(n)]
+        while len(inside) < size:  # a connected vertex set grown at random
+            inside.append(rng.choice([w for v in inside for w in g.adj[v] if w not in inside]))
+        # Relabel it onto ids from 31 up, the other vertices around it.
+        ids = rng.sample(range(31, n), size)
+        ids += rng.sample([v for v in range(n) if v not in ids], n - size)
+        new = dict(zip(inside + [v for v in range(n) if v not in inside], ids))
+        g = Graph(n, {tuple(sorted((new[a], new[b]))) for a, b in g.edges})
+        union = sum(1 << new[v] for v in inside)
+        pendants += any(union >> v & 1 and (g.nbr[v] & union).bit_count() == 1 for v in range(n))
+        if case % 2:
+            m_min = rng.randint(1, size // 2)
+            m_max = rng.randint(size - size // 2, size - m_min)
+        else:
+            m_min = m_max = size // 2
+        check_split_masks(g, union, m_min, m_max)
+    assert pendants >= 30, pendants
 
 
 def test_vertex_set_reads_every_set_bit():
