@@ -219,7 +219,7 @@ def _contracted_union(nbr, union: int, m_min: int):
     adj = [m & union for m in nbr]
     group = [1 << v for v in range(len(nbr))]
     start = (union & -union).bit_length() - 1
-    stack = [v for v in range(start, len(nbr)) if union >> v & 1 and adj[v].bit_count() == 1]
+    stack = [v for v in range(len(nbr)) if union >> v & 1 and adj[v].bit_count() == 1]
     while stack:
         v = stack.pop()
         if adj[v].bit_count() == 1 and group[v].bit_count() < m_min:
@@ -256,16 +256,17 @@ def _connected_parts(nbr, vertices: int, parts: int, m_min: int, m_max: int, _ta
     call, in `_tails`, a dict from the rest's mask that the recursion passes
     down.
 
-    With two parts the rest must be connected, and one flood fill of it per
-    growth node both checks that and cuts dead branches.  A group the growth
-    has passed over can only lie in the rest.  So the fill starts from the
-    passed groups (from the rest's least vertex when none is passed), and a
-    part is kept only if the fill reaches the whole rest.  A part that is
+    With two parts the rest must be connected, and one flood fill of the
+    rest at a growth node both checks that and cuts dead branches.  A group
+    the growth has passed over can only lie in the rest, so the fill starts
+    from the passed groups, or from the rest's least vertex when none is
+    passed.  A part of `lo` vertices or more is kept only if the fill
+    reaches the whole rest: that fill is its final check.  A part that is
     not kept is still grown, unless some passed group lies outside the
     piece the fill reached, or more than `hi` vertices do, since they all
-    must end in the part.  Parts of `hi` - 1 vertices or more that are too
-    small to keep are not filled: their children are leaves, each filled
-    for itself.
+    must end in the part.  A part too small to keep is filled only if it
+    has passed groups and fewer than `hi` - 1 vertices: the children of a
+    larger one are leaves, each filled for itself.
     """
     size = vertices.bit_count()
     lo = max(m_min, size - (parts - 1) * m_max)
