@@ -13,18 +13,14 @@ import argparse
 import functools
 import os
 import sys
+from typing import TYPE_CHECKING
 
+# graphs, oracle, partitions and unbounded (which loads sequences) stay
+# imported at load time: perfbench/tracing.py looks up each module it wraps
+# in sys.modules when it installs, and wraps parse_graph, parse_partition and
+# format_moves in this module's namespace. hamiltonian, instances and ncl are
+# imported by the commands that call them.
 from .graphs import Graph, GraphFormatError, format_graph, parse_graph
-from .hamiltonian import CycleOrder, transform_hamiltonian
-from .instances import (
-    arc_partition,
-    gen_cycle,
-    gen_grid,
-    gen_negative,
-    gen_path,
-    gen_random_connected,
-)
-from .ncl import format_map, parse_ncl, reduce_ncl
 from .oracle import OracleCapError, build_space, decide_br, recom_walk, space_stats
 from .partitions import (
     Partition,
@@ -36,6 +32,9 @@ from .partitions import (
     validate,
 )
 from .unbounded import transform_unbounded
+
+if TYPE_CHECKING:
+    from .hamiltonian import CycleOrder
 
 _DOT_COLORS = [
     "lightblue", "lightcoral", "palegreen", "khaki", "plum", "lightsalmon",
@@ -71,6 +70,8 @@ def _write(*files: tuple[str, str]) -> None:
 
 
 def _load_cycle(path: str, n: int) -> CycleOrder:
+    from .hamiltonian import CycleOrder
+
     order = tuple(parse_ints(_read(path).split(), "the cycle's vertex at position {}"))
     if len(order) != n:
         raise ValueError(f"cycle file lists {len(order)} vertices, graph has {n}")
@@ -140,6 +141,8 @@ def cmd_transform(args) -> int:
                 "--mode hamiltonian requires --cycle; it applies the bounded-slack "
                 "transformation along a Hamilton cycle with s >= n/k"
             )
+        from .hamiltonian import transform_hamiltonian
+
         cycle = _load_cycle(args.cycle, g.n)
         moves = transform_hamiltonian(g, cycle, p1, p2, slack)
     files = [(args.out, format_moves(moves))]
@@ -171,37 +174,29 @@ def cmd_decide(args) -> int:
     return 0
 
 
-# Each family's generator and the options it reads (only --seed has a default).
-# negative and ncl write several files, each in a branch of its own.
+# Each family's generator in recomb.instances and the options it reads (only
+# --seed has a default). negative and ncl write several files, each in a
+# branch of its own.
 _FAMILIES = {
-    "cycle": (gen_cycle, ("n",)),
-    "path": (gen_path, ("n",)),
-    "grid": (gen_grid, ("width", "height")),
-    "random": (gen_random_connected, ("n", "m", "seed")),
-    "negative": (gen_negative, ("k", "s")),
+    "cycle": ("gen_cycle", ("n",)),
+    "path": ("gen_path", ("n",)),
+    "grid": ("gen_grid", ("width", "height")),
+    "random": ("gen_random_connected", ("n", "m", "seed")),
+    "negative": ("gen_negative", ("k", "s")),
     "ncl": (None, ("ncl", "s")),
 }
 
 
 def cmd_gen(args) -> int:
-    gen, names = _FAMILIES[args.family]
+    gen_name, names = _FAMILIES[args.family]
     values = [getattr(args, name) for name in names]
     missing = [f"--{name}" for name, value in zip(names, values) if value is None]
     if missing:
         raise ValueError(f"--family {args.family} requires {' and '.join(missing)}")
     prefix = args.out
-    if args.family == "negative":
-        g, pa, cycle = gen(*values)
-        files = [(prefix + ".graph", format_graph(g)),
-                 (prefix + ".a.part", format_partition(pa, g.n)),
-                 (prefix + ".b.part", format_partition(arc_partition(g.n, args.k), g.n)),
-                 (prefix + ".cycle", format_cycle(cycle))]
-        if args.dot:
-            files.append((args.dot, dot_export(g, pa)))
-        _write(*files)
-        print(f"n {g.n}")
-        return 0
     if args.family == "ncl":
+        from .ncl import format_map, parse_ncl, reduce_ncl
+
         ncl, orients = parse_ncl(_read(args.ncl))
         if "A" not in orients or "B" not in orients:
             raise ValueError("NCL file must contain 'orient A' and 'orient B' blocks")
@@ -215,6 +210,20 @@ def cmd_gen(args) -> int:
         _write(*files)
         print(f"n {r.graph.n}")
         print(f"k {r.k}")
+        return 0
+    from . import instances
+
+    gen = getattr(instances, gen_name)
+    if args.family == "negative":
+        g, pa, cycle = gen(*values)
+        files = [(prefix + ".graph", format_graph(g)),
+                 (prefix + ".a.part", format_partition(pa, g.n)),
+                 (prefix + ".b.part", format_partition(instances.arc_partition(g.n, args.k), g.n)),
+                 (prefix + ".cycle", format_cycle(cycle))]
+        if args.dot:
+            files.append((args.dot, dot_export(g, pa)))
+        _write(*files)
+        print(f"n {g.n}")
         return 0
     g = gen(*values)
     files = [(prefix + ".graph", format_graph(g))]
