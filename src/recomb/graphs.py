@@ -44,7 +44,7 @@ class GraphFormatError(ValueError):
 class Graph:
     """Undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "adj", "_nbr", "_proved")
+    __slots__ = ("n", "edges", "adj", "_nbr", "_proved", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:

@@ -113,7 +113,7 @@ def enumerate_partitions(
     # the canonical-key order, with one order string per distinct district.
     order = {d: _mask_order(d) for d in set(chain.from_iterable(found))}
     found.sort(key=lambda ds: tuple(map(order.__getitem__, ds)))
-    sets = {d: _vertex_set(d, {}) for d in order}
+    sets = {d: _vertex_set(d) for d in order}
     if _keys is not None:
         vertex_tuples = {d: tuple(sorted(vs)) for d, vs in sets.items()}
         _keys += [tuple(map(vertex_tuples.__getitem__, ds)) for ds in found]
@@ -203,22 +203,20 @@ def decide_br(
     cap = _node_cap()
     if visit_hook:
         visit_hook(pa)
-    pa_pairs = _pair_list(k, pairs)
-    pairs = None if pairs is None else pa_pairs
+    pairs = _pair_list(k, pairs)
     start_masks = tuple(map(_mask, pa.districts))
     start, goal = frozenset(start_masks), frozenset(map(_mask, pb.districts))
     if start == goal:
         return True, []
     splits: dict = {}
     hooked = {start}
-    shared: dict = {}
     bound = (k - len(start & goal) + 1) // 2
 
     def pa_moves(least: int):
         # pa's pairs one at a time, so that the round's first drop switches the rest.
-        for n, pair in enumerate(pa_pairs):
+        for n, pair in enumerate(pairs):
             if dropped:
-                yield from _move_masks(g, start_masks, slack, pa_pairs[n:], splits, goal, least)
+                yield from _move_masks(g, start_masks, slack, pairs[n:], splits, goal, least)
                 return
             for m in enumerate_moves(g, pa, slack, pairs=[pair], _splits=splits):
                 yield m.i, m.j, _mask(m.new_i), _mask(m.new_j)
@@ -248,12 +246,12 @@ def decide_br(
                     parent[qkey] = (key, i, j, a, b)
                     if visit_hook and qkey not in hooked:
                         hooked.add(qkey)
-                        visit_hook(Partition(tuple(_vertex_set(d, shared) for d in q)))
+                        visit_hook(Partition(tuple(map(_vertex_set, q))))
                     if qkey == goal:
                         path = []
                         while qkey != start:
                             qkey, i, j, a, b = parent[qkey]
-                            path.append(RecombMove(i, j, _vertex_set(a, shared), _vertex_set(b, shared)))
+                            path.append(RecombMove(i, j, _vertex_set(a), _vertex_set(b)))
                         path.reverse()
                         return True, path
                     next_frontier.append((qkey, q))
@@ -362,14 +360,15 @@ def recom_walk(
     trace: list[tuple[int, PartitionKey]] = []
     halted = False
     splits: dict = {}
+    pairs = _pair_list(k, None)
     for _ in range(steps):
-        moves = _move_masks(g, masks, slack, None, splits)
+        moves = _move_masks(g, masks, slack, pairs, splits)
         if not moves:
             halted = True
             break
         idx = next(rng) % len(moves)
         i, j, a, b = moves[idx]
         masks[i], masks[j] = a, b
-        cur = cur.replace(i, j, _vertex_set(a, {}), _vertex_set(b, {}))
+        cur = cur.replace(i, j, _vertex_set(a), _vertex_set(b))
         trace.append((idx, canonical_key(cur)))
     return WalkTrace(seed, canonical_key(start), tuple(trace), halted)

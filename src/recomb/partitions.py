@@ -185,17 +185,15 @@ def _mask(vertices: Iterable[int]) -> int:
     return sum(1 << v for v in vertices)
 
 
-def _vertex_set(mask: int, shared: dict) -> frozenset[int]:
-    """The frozenset of a vertex mask, made once per `shared` dict.  Copied
-    from a set, its table fits its size: 472 bytes for 5-7 vertices, not 728."""
-    if mask not in shared:
-        vs, left = set(), mask
-        while left:
-            low = left & -left
-            vs.add(low.bit_length() - 1)
-            left ^= low
-        shared[mask] = frozenset(vs)
-    return shared[mask]
+def _vertex_set(mask: int) -> frozenset[int]:
+    """The frozenset of a vertex mask, made afresh on each call.  Copied from
+    a set, its table fits its size: 472 bytes for 5-7 vertices, not 728."""
+    vs, left = set(), mask
+    while left:
+        low = left & -left
+        vs.add(low.bit_length() - 1)
+        left ^= low
+    return frozenset(vs)
 
 
 def _spread(adj, seed: int, within: int) -> int:
@@ -362,12 +360,12 @@ def _split_masks(g: Graph, union: int, m_min: int, m_max: int, table: dict) -> l
     return table[union]
 
 
-def _move_masks(g: Graph, masks: Sequence[int], slack: SlackBound, pairs, table: dict,
-                goal: frozenset[int] = frozenset(), least: int = 0) -> list[tuple]:
-    """enumerate_moves' moves on the partition whose district masks are
-    `masks`, in its order, as (i, j, mask_i, mask_j); fills `table`.  With
-    `goal`, the district masks of a valid (k,s)-BCP, only the moves whose
-    result shares at least `least` districts with it.
+def _move_masks(g: Graph, masks: Sequence[int], slack: SlackBound, pairs: list[tuple[int, int]],
+                table: dict, goal: frozenset[int] = frozenset(), least: int = 0) -> list[tuple]:
+    """enumerate_moves' moves, in its order, over `pairs` (one _pair_list per
+    search) on the partition of district masks `masks`, as (i, j, mask_i,
+    mask_j); fills `table`.  With `goal`, the district masks of a valid
+    (k,s)-BCP, only the moves whose result shares >= `least` districts with it.
 
     A move on districts i and j keeps the others, so its two parts must be
     `need` goal districts.  need <= 0: any split in the table.  need 1 or 2:
@@ -378,7 +376,7 @@ def _move_masks(g: Graph, masks: Sequence[int], slack: SlackBound, pairs, table:
     m_min, m_max = slack.min_size(g.n, k), slack.max_size(g.n, k)
     have = sum(m in goal for m in masks)
     moves = []
-    for i, j in _pair_list(k, pairs):
+    for i, j in pairs:
         union = masks[i] | masks[j]
         need = least - have + (masks[i] in goal) + (masks[j] in goal)
         if need <= 0:
@@ -418,9 +416,9 @@ def enumerate_moves(
     pairs, sorted by the part holding min(union).
     """
     table = {} if _splits is None else _splits
-    shared: dict = {}
-    return [RecombMove(i, j, _vertex_set(a, shared), _vertex_set(b, shared))
-            for i, j, a, b in _move_masks(g, [_mask(d) for d in p.districts], slack, pairs, table)]
+    masks = [_mask(d) for d in p.districts]
+    return [RecombMove(i, j, _vertex_set(a), _vertex_set(b))
+            for i, j, a, b in _move_masks(g, masks, slack, _pair_list(p.k, pairs), table)]
 
 
 def parse_ints(tokens: Sequence[str], what: str) -> list[int]:

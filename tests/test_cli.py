@@ -685,6 +685,70 @@ def _k4_ncl():
 _K4_NCL = _k4_ncl()
 
 
+_TWO_DEG2 = "ncl 2 1\nv 0 DEG2\nv 1 DEG2\ne 0 0 1 blue\n"
+
+
+@pytest.mark.parametrize(
+    "text, args, err",
+    [("ncl 1 0\nv 0\n", [], "expected vertex line, got 'v 0'"),
+     ("ncl 1 0\nx 0 OR\n", [], "expected vertex line, got 'x 0 OR'"),
+     ("ncl 2 1\nv 0 DEG2\nv 1 DEG2\nf 0 0 1 blue\n", [], "expected edge line, got 'f 0 0 1 blue'"),
+     ("ncl 2 1\nv 0 DEG2\nv 1 DEG2\ne 0 0 1\n", [], "expected edge line, got 'e 0 0 1'"),
+     (_TWO_DEG2 + "block A\n0 uv\n", [], "expected orient block, got 'block A'"),
+     (_TWO_DEG2 + "orient A\n", [], "unexpected end of file: expected direction line"),
+     (_TWO_DEG2 + "orient A\n0 up\n", [], "bad direction 'up'"),
+     ("ncl 2 0\nv 0 OR\nv 0 OR\n", [], "missing vertex or edge declarations"),
+     (_K4_NCL.split("orient B\n")[0], [], "NCL file must contain 'orient A' and 'orient B' blocks"),
+     (_K4_NCL.replace("orient A\n", "orient C\n"), [],
+      "NCL file must contain 'orient A' and 'orient B' blocks"),
+     (_K4_NCL, ["--s", "-1"], "slack must be >= 0"),
+     (_K4_NCL.split("orient A\n")[0] + "orient A\n" + "".join(f"{e} uv\n" for e in range(6))
+      + "orient B" + _K4_NCL.split("orient B")[1], [], "orientation A does not satisfy the constraints")],
+    ids=["vertex-fields", "vertex-tag", "edge-tag", "edge-fields", "orient-tag", "orient-truncated",
+         "direction", "undeclared-vertex", "no-block-b", "no-block-a", "negative-slack", "unsatisfied"],
+)
+def test_gen_ncl_names_the_fault_in_one_line_exit_1(tmp_path, capsys, text, args, err):
+    nclfile = tmp_path / "bad.ncl"
+    write(nclfile, text)
+    argv = ["gen", "--family", "ncl", "--ncl", str(nclfile), "--s", "0", "--out", str(tmp_path / "red")]
+    assert run(argv + args) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert os.listdir(tmp_path) == ["bad.ncl"]
+
+
+def test_gen_ncl_accepts_declared_degree_2_vertices(tmp_path, capsys):
+    # The K4 with edge (0,1) subdivided by a declared DEG2 vertex 4: the
+    # reduction subdivides every edge again, 12 + 14 = 16 districts.
+    text = ("ncl 5 7\n" + "".join(f"v {v} OR\n" for v in range(4)) + "v 4 DEG2\n"
+            + "".join(f"e {e} {u} {v} blue\n"
+                      for e, (u, v) in enumerate([(0, 4), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])))
+    for name, flipped in (("A", ()), ("B", (4,))):
+        heads = ["uv", "uv", "uv", "vu", "uv", "uv", "uv"]
+        text += f"orient {name}\n" + "".join(
+            f"{e} {('vu' if d == 'uv' else 'uv') if e in flipped else d}\n" for e, d in enumerate(heads))
+    nclfile = tmp_path / "deg2.ncl"
+    write(nclfile, text)
+    prefix = str(tmp_path / "red")
+    assert run(["gen", "--family", "ncl", "--ncl", str(nclfile), "--s", "0", "--out", prefix]) == 0
+    assert capsys.readouterr() == ("n 800\nk 16\n", "")
+    g = parse_graph(read(prefix + ".graph"))
+    for side in "ab":
+        assert validate(g, parse_partition(read(f"{prefix}.{side}.part")), 16, SlackBound(0)).ok
+
+
+def test_cycle_file_of_the_wrong_length_exit_1(c8, capsys, tmp_path):
+    _, gp, ap, bp, _ = c8
+    for order in ("0 1 2 3 4 5 6\n", "0 1 2 3 4 5 6 7 0\n"):
+        cp = str(tmp_path / "short.cycle")
+        write(cp, order)
+        argv = ["transform", "--mode", "hamiltonian", "--graph", gp, "--from", ap, "--to", bp,
+                "--cycle", cp, "--slack", "4", "--out", str(tmp_path / "m.moves")]
+        assert run(argv) == 1
+        count = len(order.split())
+        assert capsys.readouterr() == ("", f"error: cycle file lists {count} vertices, graph has 8\n")
+        assert not os.path.exists(tmp_path / "m.moves")
+
+
 @st.composite
 def _instance(draw):
     """Well-formed texts of one small instance: graph (a path, or a cycle,

@@ -62,6 +62,16 @@ def test_graph_rejects_bad_edges():
         Graph(3, {(0, 3)})
     with pytest.raises(ValueError):
         Graph(3, {(1, 1)})
+    with pytest.raises(ValueError, match="^negative vertex count$"):
+        Graph(-1, ())
+
+
+def test_empty_subsets_are_refused():
+    g = path(3)
+    for fn in (is_connected, spanning_tree):
+        for s in (set(), frozenset()):
+            with pytest.raises(ValueError, match="^empty subset$"):
+                fn(g, s)
 
 
 def test_connectivity():
@@ -395,3 +405,18 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(GraphFormatError) as exc:
         parse_graph("q 3 1\n")
     assert exc.value.lineno == 1
+
+
+@pytest.mark.parametrize(
+    "text, lineno, err",
+    [("p three 0\n", 1, "non-integer counts"), ("p 3 1.5\n", 1, "non-integer counts"),
+     ("p -3 0\n", 1, "negative counts"), ("p 3 -1\n", 1, "negative counts"),
+     ("p 3 2\ne 0 1\ne 1 x\n", 3, "non-integer endpoint"),
+     ("p 3 3\ne 0 1\ne 1 2\ne 0 1\n", 4, r"duplicate edge \(0,1\)")],
+    ids=["count-word", "count-float", "negative-n", "negative-m", "endpoint-word", "duplicate-edge"],
+)
+def test_parse_errors_name_the_field(text, lineno, err):
+    with pytest.raises(GraphFormatError, match=rf"^line {lineno}: {err}$") as exc:
+        parse_graph(text)
+    assert exc.value.lineno == lineno
+

@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -304,7 +305,8 @@ def test_derived_fragment_trees_match_fresh_ones(monkeypatch):
         k = rng.choice([d for d in (2, 3, 4, 6, 8) if g.n % d == 0])
         slack = SlackBound(g.n // k)
         moves, _ = canonicalize(g, c, random_partition(rng, g, k, slack), slack)
-        for members, tree in c._trees[g].items():
+        for members, (graph, tree) in c._trees.items():
+            assert graph is g
             assert tree == _fragment_tree(g, CycleOrder(c.order), members)
             assert tree.label.keys() == members
             checked += id(tree) in derived
@@ -313,15 +315,22 @@ def test_derived_fragment_trees_match_fresh_ones(monkeypatch):
 
 def test_cycle_keeps_each_graphs_own_trees():
     # One cycle checked against two graphs whose chords differ: the same
-    # district gets each graph's own tree.
+    # district gets each graph's own tree, and a tree built in one graph is
+    # never returned for the other, nor for an equal copy of it.
     c = identity_cycle(8)
     g1, g2 = cycle_graph(8, chords=[(1, 4)]), cycle_graph(8, chords=[(0, 5)])
     c.check(g1)
     c.check(g2)
     members = frozenset({0, 1, 4, 5})
-    t1, t2 = _fragment_tree(g1, c, members), _fragment_tree(g2, c, members)
-    assert set(t1.chords) == {(1, 4)} and set(t2.chords) == {(0, 5)}
-    assert _fragment_tree(g1, c, members) is t1 and _fragment_tree(g2, c, members) is t2
+    for _ in range(2):
+        t1 = _fragment_tree(g1, c, members)
+        assert set(t1.chords) == {(1, 4)} and _fragment_tree(g1, c, members) is t1
+        assert c._trees[members] == (g1, t1)
+        t2 = _fragment_tree(g2, c, members)
+        assert set(t2.chords) == {(0, 5)} and t2 is not t1
+        assert c._trees[members] == (g2, t2)
+    copy = Graph(g2.n, g2.edges)
+    assert copy == g2 and _fragment_tree(copy, c, members) is not t2
 
 
 def test_cycle_maps_let_go_of_dropped_districts():
@@ -330,11 +339,33 @@ def test_cycle_maps_let_go_of_dropped_districts():
     rng = random.Random(37)
     p1, p2 = random_partition(rng, g, 4, slack), random_partition(rng, g, 4, slack)
     moves = transform_hamiltonian(g, c, p1, p2, slack)
-    held = (len(moves), len(c._starts), len(c._trees[g]))
+    held = (len(moves), len(c._starts), len(c._trees))
     assert min(held) > 0
     del p1, p2, moves
     gc.collect()
-    assert len(c._starts) == 0 and sum(map(len, c._trees.values())) == 0
+    assert len(c._starts) == 0 and len(c._trees) == 0
+
+
+def test_shared_cycle_holds_no_dropped_graph():
+    # One cycle shared by chorded 6x6 grids, one extra chord each: once the
+    # graphs, partitions and moves are dropped, the cycle's memos hold none
+    # of them, and nothing else keeps a graph alive.
+    c, slack = serpentine(6, 6), SlackBound(9)
+    grid = gen_grid(6, 6)
+    rng = random.Random(39)
+    runs = []
+    for i in range(6):
+        g = Graph(36, grid.edges | {(0, 7 + i)})
+        p1, p2 = random_partition(rng, g, 4, slack), random_partition(rng, g, 4, slack)
+        runs.append((g, p1, p2, transform_hamiltonian(g, c, p1, p2, slack)))
+    graphs = [weakref.ref(run[0]) for run in runs]
+    assert all(moves for *_, moves in runs)
+    assert len(c._passed) == 6
+    assert {id(graph) for graph, _ in c._trees.values()} == {id(run[0]) for run in runs}
+    del g, p1, p2, runs
+    gc.collect()
+    assert len(c._trees) == 0 and len(c._passed) == 0 and len(c._starts) == 0
+    assert all(ref() is None for ref in graphs)
 
 
 def test_shared_cycle_gives_the_moves_of_fresh_copies():
@@ -735,6 +766,22 @@ def test_preconditions_enforced_on_equal_inputs(n, order, parts, slack, match):
     p = Partition.of(parts)
     with pytest.raises(ValueError, match=match):
         transform_hamiltonian(cycle_graph(n), CycleOrder(tuple(order)), p, p, SlackBound(slack))
+
+
+def test_step_preconditions_refused():
+    # Along C9 the large district A alternates with B and C, so every
+    # C-adjacent pair is A with one of them: 7 vertices, past 2n/k = 6.
+    c = identity_cycle(9)
+    labels = "ABACABACA"
+    p = Partition.of([[v for v in range(9) if labels[v] == x] for x in "ABC"])
+    with pytest.raises(ValueError, match="^no pair found$"):
+        hamiltonian.find_small_adjacent_pair(c, p)
+    g, c = cycle_graph(6), identity_cycle(6)
+    p = Partition.of([[0, 1, 2], [3, 4], [5]])
+    with pytest.raises(ValueError, match=r"^combined district size exceeds n/k \+ s$"):
+        step_average(g, c, p, 0, 1, SlackBound(2))  # 5 vertices, n/k + s = 4
+    with pytest.raises(ValueError, match="^no singleton present$"):
+        steps_singleton(g, c, Partition.of([[0, 1, 2], [3, 4, 5]]), SlackBound(3))
 
 
 @pytest.mark.parametrize("n", [0, 3])

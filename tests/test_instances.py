@@ -24,7 +24,7 @@ def test_gen_path():
     g = gen_path(4)
     assert g.n == 4 and len(g.edges) == 3
     assert gen_path(1).n == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^path needs n >= 1$"):
         gen_path(0)
 
 
@@ -48,6 +48,8 @@ def test_gen_random_connected():
         gen_random_connected(5, 3, seed=0)
     with pytest.raises(ValueError):
         gen_random_connected(5, 11, seed=0)
+    with pytest.raises(ValueError, match=r"^need n >= 1$"):
+        gen_random_connected(0, 0, seed=0)
 
 
 def test_arc_partition():

@@ -13,6 +13,7 @@ from recomb.ncl import (
     Orientation,
     ReductionShapeError,
     check_orientation,
+    expand_orientation,
     flip_pairs,
     format_map,
     format_ncl,
@@ -23,7 +24,7 @@ from recomb.ncl import (
     subdivide_ncl,
 )
 from recomb.oracle import decide_br
-from recomb.partitions import SlackBound, canonical_key, validate
+from recomb.partitions import Partition, SlackBound, canonical_key, validate
 
 
 def test_k4_instance_checks():
@@ -53,6 +54,43 @@ def test_check_refuses_colours_other_than_red_and_blue():
     edges[4] = (*edges[4][:2], "green")
     with pytest.raises(ValueError, match="^edge 4 "):
         NCLInstance(ncl.kinds, tuple(edges)).check()
+
+
+@pytest.mark.parametrize(
+    "kinds, edges, err",
+    [((OR, DEG2, DEG2, DEG2), ((0, 1, BLUE), (0, 2, BLUE), (0, 3, RED)), "OR vertex 0 must have three blue edges"),
+     ((OR, DEG2, DEG2), ((0, 1, BLUE), (0, 2, BLUE)), "OR vertex 0 must have three blue edges"),
+     ((AND, DEG2, DEG2, DEG2), ((0, 1, RED), (0, 2, BLUE), (0, 3, BLUE)),
+      "AND vertex 0 must have two red and one blue edge"),
+     ((DEG2, DEG2, DEG2), ((0, 1, RED), (0, 2, RED), (1, 2, RED), (0, 1, RED)),
+      "degree-2 vertex 0 must have exactly two edges"),
+     ((DEG2, "XOR", DEG2), ((0, 1, RED), (1, 2, RED), (2, 0, RED)), "unknown vertex kind 'XOR'")],
+    ids=["or-red", "or-degree-2", "and-one-red", "deg2-degree-3", "unknown-kind"],
+)
+def test_check_names_the_first_bad_vertex(kinds, edges, err):
+    with pytest.raises(ValueError, match=rf"^{err}$"):
+        NCLInstance(kinds, edges).check()
+
+
+def test_orientations_must_cover_every_edge():
+    ncl, a, _ = k4_all_blue()
+    sub = subdivide_ncl(ncl)
+    for short in (Orientation(a.dirs[:-1]), Orientation(a.dirs + ("uv",))):
+        with pytest.raises(ValueError, match="^orientation does not cover all edges$"):
+            check_orientation(sub, short)
+    with pytest.raises(ValueError, match="^orientation does not cover all edges$"):
+        expand_orientation(ncl, Orientation(a.dirs[:5]))
+
+
+def test_reduce_ncl_refuses_bad_slack_and_unsatisfied_orientations():
+    ncl, a, b = k4_all_blue()
+    with pytest.raises(ValueError, match="^slack must be >= 0$"):
+        reduce_ncl(ncl, a, b, s=-1)
+    starved = Orientation(("uv",) * ncl.ne)  # vertex 0 gets no incoming edge
+    with pytest.raises(ValueError, match="^orientation A does not satisfy the constraints$"):
+        reduce_ncl(ncl, starved, b, s=0)
+    with pytest.raises(ValueError, match="^orientation B does not satisfy the constraints$"):
+        reduce_ncl(ncl, a, expand_orientation(ncl, starved), s=0)
 
 
 def test_check_orientation_rejects_starved_vertices():
@@ -138,6 +176,31 @@ def test_partition_to_orientation_shape_errors():
     )
     with pytest.raises(ReductionShapeError):
         partition_to_orientation(r, broken)
+
+
+def moved(p, v, dst):
+    """p with vertex v moved into district dst; only labels are read back."""
+    return Partition(tuple(d | {v} if i == dst else d - {v} for i, d in enumerate(p.districts)))
+
+
+def test_partition_to_orientation_names_stray_connectors_and_lights():
+    ncl, a, b = k4_all_blue()
+    r = reduce_ncl(ncl, a, b, s=0)
+    labels = r.pi_a.labels
+    # A connector (prime) vertex of OR vertex 0 in vertex 1's gadget district.
+    prime = r.gadget_vertices[0]["p0"]
+    elsewhere = r.district_index[("v", 1)]
+    assert labels[prime] != elsewhere
+    with pytest.raises(ReductionShapeError,
+                       match="^OR gadget at vertex 0: connector vertices outside the gadget districts$"):
+        partition_to_orientation(r, moved(r.pi_a, prime, elsewhere))
+    # Edge 0 joins vertex 0 and its subdivision vertex 4 (edge 0 of K4);
+    # its plus-vertex in vertex 1's district lies in neither.
+    u, v, _ = r.ncl.edges[0]
+    assert elsewhere not in (r.district_index[("v", u)], r.district_index[("v", v)])
+    with pytest.raises(ReductionShapeError,
+                       match="^edge 0: its plus-vertex is in neither endpoint gadget's district$"):
+        partition_to_orientation(r, moved(r.pi_a, r.edge_map[0][0], elsewhere))
 
 
 def test_flip_pairs_are_local():

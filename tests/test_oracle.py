@@ -567,8 +567,7 @@ def masks_of(p):
 
 def record_lister_calls(monkeypatch):
     """Wrap decide_br's move lister and enumerate_moves; the returned list
-    receives the district masks and the district pairs (None for all) of
-    each call."""
+    receives the district masks and the district pair list of each call."""
     calls = []
 
     def recorded(lister, masks):
@@ -587,7 +586,7 @@ def expansions(calls, k, pairs):
     calls of one decide_br query: an expansion lists each scanned district
     pair once, so the first pair in exactly one call."""
     first = partitions._pair_list(k, pairs)[0]
-    return [p for p, listed in calls if listed is None or first in listed]
+    return [p for p, listed in calls if first in listed]
 
 
 def test_decide_br_matches_reference_rounds(monkeypatch):
@@ -698,13 +697,14 @@ def test_move_masks_toward_goal_matches_filtered_enumerate_moves():
                     want.append(every[-1])
             least = k - 2 * (bound - depth)
             goal = frozenset(map(mask, pb.districts))
-            got = _move_masks(g, masks_of(p), slack, pairs, table, goal, least)
+            scanned = partitions._pair_list(k, pairs)
+            got = _move_masks(g, masks_of(p), slack, scanned, table, goal, least)
             assert got == want
-            assert _move_masks(g, masks_of(p), slack, pairs, {}, goal, least) == want
-            assert _move_masks(g, masks_of(p), slack, pairs, table) == every
+            assert _move_masks(g, masks_of(p), slack, scanned, {}, goal, least) == want
+            assert _move_masks(g, masks_of(p), slack, scanned, table) == every
             # The goal districts each scanned pair needs in its two parts.
             have = len(frozenset(p.districts) & target)
-            for i, j in partitions._pair_list(k, pairs):
+            for i, j in scanned:
                 di, dj = p.districts[i], p.districts[j]
                 need = least - have + (di in target) + (dj in target)
                 needs[min(max(need, 0), 3)] += 1
@@ -794,6 +794,13 @@ def test_recom_walk_halts_without_moves():
     assert t == reference_recom_walk(g, 2, SlackBound(0), start, 5, 1)
 
 
+def test_recom_walk_refuses_an_invalid_start():
+    g = cycle(8)
+    start = Partition.of([[0, 2, 3, 4], [1, 5, 6, 7]])
+    with pytest.raises(ValueError, match="^invalid start partition: district 0 disconnected; "):
+        recom_walk(g, 2, SlackBound(1), start, 5, seed=1)
+
+
 def reference_recom_walk(g, k, slack, start, steps, seed):
     """The referee for recom_walk: its loop before the walk listed moves as
     masks, each step taking moves[idx] of enumerate_moves."""
@@ -856,7 +863,7 @@ def test_split_table_changes_no_moves(monkeypatch):
         assert got == _move_masks(g, masks, slack, pairs, {}, *bound)
         if bound:
             goal, least = bound
-            p = Partition(tuple(_vertex_set(d, {}) for d in masks))
+            p = Partition(tuple(map(_vertex_set, masks)))
             assert got == [(m.i, m.j, mask(m.new_i), mask(m.new_j))
                            for m in enumerate_moves(g, p, slack, pairs)
                            if sum(mask(d) in goal for d in p.replace(m.i, m.j, m.new_i, m.new_j).districts)

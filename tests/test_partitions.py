@@ -131,6 +131,11 @@ def test_validate_reports_each_violation():
     assert any("not covered" in v for v in rep.violations)
     rep = validate(g, Partition.of([list(range(6)), []]), 2, SLACK_INF)
     assert any("empty" in v for v in rep.violations)
+    # Out-of-range ids are named, never indexed, and leave the district
+    # unsearched.
+    rep = validate(g, Partition.of([[0, 1, 2], [3, 4, 5, 6, -1]]), 2, SLACK_INF)
+    assert sorted(rep.violations) == ["district 1 contains out-of-range vertex -1",
+                                      "district 1 contains out-of-range vertex 6"]
 
 
 # --- apply_move ---
@@ -528,12 +533,10 @@ def test_split_masks_in_windows_past_bit_30():
 
 
 def test_vertex_set_reads_every_set_bit():
-    shared = {}
-    for bits in ({0}, {0, 63, 64}, {3, 64, 130}, set(range(70))):
+    for bits in (set(), {0}, {0, 63, 64}, {3, 64, 130}, set(range(70))):
         mask = sum(1 << v for v in bits)
-        got = _vertex_set(mask, shared)
-        assert got == frozenset(bits)
-        assert _vertex_set(mask, shared) is got
+        got = _vertex_set(mask)
+        assert type(got) is frozenset and got == frozenset(bits)
 
 
 # --- text formats ---
@@ -544,6 +547,12 @@ def test_partition_roundtrip():
     text = format_partition(p, 5)
     assert text == "k 3\n0 1 1 0 2\n"
     assert parse_partition(text).districts == p.districts
+
+
+def test_format_partition_refuses_a_partial_cover():
+    for p in (Partition.of([[0, 1], [2]]), Partition.of([[0, 1], [2, 3, 4, 5]])):
+        with pytest.raises(ValueError, match=r"^partition does not cover 0\.\.n-1$"):
+            format_partition(p, 4)
 
 
 def test_partition_parse_errors():
