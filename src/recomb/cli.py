@@ -1,10 +1,11 @@
 """Command-line interface: validate / transform / explore / decide / gen / sample.
 
 Exit codes: 0 success, 2 validation failure (report on stderr), 1 usage or
-input errors.  Each command writes its files before it prints its result, so
-a write that fails leaves stdout empty.  A command that writes several files
-opens each of them before it writes any, so a path that cannot be opened
-leaves every one of them as it was.
+input errors.  A command only computes what to write and print; run() is the
+one place that writes and prints it.  It writes every file before it prints,
+so a write that fails leaves stdout empty, and with several files it opens
+each of them before it writes any, so a path that cannot be opened leaves
+every one of them as it was.
 """
 
 from __future__ import annotations
@@ -121,15 +122,17 @@ def _inputs(args, *names):
     return (g, *parts, slack)
 
 
-def cmd_validate(args) -> int:
+# Each cmd_* returns (files, lines, drawing): the (path, text) pairs it
+# writes, the lines it prints and the (graph, partition) that --dot renders
+# (None where the command has no --dot). run() writes and prints them.
+
+
+def cmd_validate(args):
     g, p, _ = _inputs(args, "partition")
-    if args.dot:
-        _write((args.dot, dot_export(g, p)))
-    print("OK")
-    return 0
+    return [], ["OK"], (g, p)
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args):
     g, p1, p2, slack = _inputs(args, "from", "to")
     if args.mode == "unbounded":
         if not slack.infinite:
@@ -145,112 +148,93 @@ def cmd_transform(args) -> int:
 
         cycle = _load_cycle(args.cycle, g.n)
         moves = transform_hamiltonian(g, cycle, p1, p2, slack)
-    files = [(args.out, format_moves(moves))]
-    if args.dot:
-        files.append((args.dot, dot_export(g, p2)))
-    _write(*files)
-    print(len(moves))
-    return 0
+    return [(args.out, format_moves(moves))], [str(len(moves))], (g, p2)
 
 
-def cmd_explore(args) -> int:
+def cmd_explore(args):
     g, slack = _inputs(args)
     st = space_stats(build_space(g, args.k, slack))
-    if args.dot:
-        _write((args.dot, dot_export(g)))
-    print(f"nodes {st.node_count}")
-    print(f"edges {st.edge_count}")
-    print(f"components {st.component_count}")
-    print("diameters " + " ".join(str(d) for d in st.diameters))
-    return 0
+    lines = [f"nodes {st.node_count}", f"edges {st.edge_count}",
+             f"components {st.component_count}",
+             "diameters " + " ".join(str(d) for d in st.diameters)]
+    return [], lines, (g, None)
 
 
-def cmd_decide(args) -> int:
+def cmd_decide(args):
     g, p1, p2, slack = _inputs(args, "from", "to")
     reachable, path = decide_br(g, args.k, slack, p1, p2)
-    if reachable and args.out:
-        _write((args.out, format_moves(path)))
-    print(f"REACHABLE {len(path)}" if reachable else "UNREACHABLE")
-    return 0
+    files = [(args.out, format_moves(path))] if reachable and args.out else []
+    return files, [f"REACHABLE {len(path)}" if reachable else "UNREACHABLE"], None
 
 
-# Each family's generator in recomb.instances and the options it reads (only
-# --seed has a default). negative and ncl write several files, each in a
-# branch of its own.
+def _gen_graph(gen_name: str, *values):
+    from . import instances
+
+    g = getattr(instances, gen_name)(*values)
+    return [(".graph", format_graph(g))], [f"n {g.n}"], (g, None)
+
+
+def _gen_negative(k: int, s: int):
+    from .instances import arc_partition, gen_negative
+
+    g, pa, cycle = gen_negative(k, s)
+    files = [(".graph", format_graph(g)), (".a.part", format_partition(pa, g.n)),
+             (".b.part", format_partition(arc_partition(g.n, k), g.n)),
+             (".cycle", format_cycle(cycle))]
+    return files, [f"n {g.n}"], (g, pa)
+
+
+def _gen_ncl(path: str, s: int):
+    from .ncl import format_map, parse_ncl, reduce_ncl
+
+    ncl, orients = parse_ncl(_read(path))
+    if "A" not in orients or "B" not in orients:
+        raise ValueError("NCL file must contain 'orient A' and 'orient B' blocks")
+    r = reduce_ncl(ncl, orients["A"], orients["B"], s)
+    n = r.graph.n
+    files = [(".graph", format_graph(r.graph)), (".a.part", format_partition(r.pi_a, n)),
+             (".b.part", format_partition(r.pi_b, n)), (".map.jsonl", format_map(r))]
+    return files, [f"n {n}", f"k {r.k}"], (r.graph, r.pi_a)
+
+
+# Each family's builder and the options it is called with (only --seed has a
+# default). A builder returns what a cmd_* does, each file named by the
+# suffix that cmd_gen appends to --out.
 _FAMILIES = {
-    "cycle": ("gen_cycle", ("n",)),
-    "path": ("gen_path", ("n",)),
-    "grid": ("gen_grid", ("width", "height")),
-    "random": ("gen_random_connected", ("n", "m", "seed")),
-    "negative": ("gen_negative", ("k", "s")),
-    "ncl": (None, ("ncl", "s")),
+    "cycle": (functools.partial(_gen_graph, "gen_cycle"), ("n",)),
+    "path": (functools.partial(_gen_graph, "gen_path"), ("n",)),
+    "grid": (functools.partial(_gen_graph, "gen_grid"), ("width", "height")),
+    "random": (functools.partial(_gen_graph, "gen_random_connected"), ("n", "m", "seed")),
+    "negative": (_gen_negative, ("k", "s")),
+    "ncl": (_gen_ncl, ("ncl", "s")),
 }
 
 
-def cmd_gen(args) -> int:
-    gen_name, names = _FAMILIES[args.family]
+def cmd_gen(args):
+    build, names = _FAMILIES[args.family]
     values = [getattr(args, name) for name in names]
     missing = [f"--{name}" for name, value in zip(names, values) if value is None]
     if missing:
         raise ValueError(f"--family {args.family} requires {' and '.join(missing)}")
-    prefix = args.out
-    if args.family == "ncl":
-        from .ncl import format_map, parse_ncl, reduce_ncl
-
-        ncl, orients = parse_ncl(_read(args.ncl))
-        if "A" not in orients or "B" not in orients:
-            raise ValueError("NCL file must contain 'orient A' and 'orient B' blocks")
-        r = reduce_ncl(ncl, orients["A"], orients["B"], args.s)
-        files = [(prefix + ".graph", format_graph(r.graph)),
-                 (prefix + ".a.part", format_partition(r.pi_a, r.graph.n)),
-                 (prefix + ".b.part", format_partition(r.pi_b, r.graph.n)),
-                 (prefix + ".map.jsonl", format_map(r))]
-        if args.dot:
-            files.append((args.dot, dot_export(r.graph, r.pi_a)))
-        _write(*files)
-        print(f"n {r.graph.n}")
-        print(f"k {r.k}")
-        return 0
-    from . import instances
-
-    gen = getattr(instances, gen_name)
-    if args.family == "negative":
-        g, pa, cycle = gen(*values)
-        files = [(prefix + ".graph", format_graph(g)),
-                 (prefix + ".a.part", format_partition(pa, g.n)),
-                 (prefix + ".b.part", format_partition(instances.arc_partition(g.n, args.k), g.n)),
-                 (prefix + ".cycle", format_cycle(cycle))]
-        if args.dot:
-            files.append((args.dot, dot_export(g, pa)))
-        _write(*files)
-        print(f"n {g.n}")
-        return 0
-    g = gen(*values)
-    files = [(prefix + ".graph", format_graph(g))]
-    if args.dot:
-        files.append((args.dot, dot_export(g)))
-    _write(*files)
-    print(f"n {g.n}")
-    return 0
+    files, lines, drawing = build(*values)
+    return [(args.out + suffix, text) for suffix, text in files], lines, drawing
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args):
     if args.steps < 0:
         raise ValueError("--steps must be at least 0")
     if not 0 <= args.seed < 1 << 64:
         raise ValueError(f"--seed must be in 0..{(1 << 64) - 1}")
     g, p, slack = _inputs(args, "partition")
     trace = recom_walk(g, args.k, slack, p, args.steps, args.seed)
+    files = []
     if args.out:
-        lines = []
-        for idx, key in trace.steps:
-            flat = ";".join(",".join(str(v) for v in d) for d in key)
-            lines.append(f"s {idx} {flat}")
-        _write((args.out, "\n".join(lines) + ("\n" if lines else "")))
-    print(f"seed {trace.seed}")
-    print(f"steps {len(trace.steps)}")
-    print(f"halted {'yes' if trace.halted_early else 'no'}")
-    return 0
+        steps = [f"s {idx} " + ";".join(",".join(str(v) for v in d) for d in key)
+                 for idx, key in trace.steps]
+        files.append((args.out, "".join(line + "\n" for line in steps)))
+    lines = [f"seed {trace.seed}", f"steps {len(trace.steps)}",
+             f"halted {'yes' if trace.halted_early else 'no'}"]
+    return files, lines, None
 
 
 @functools.cache
@@ -326,13 +310,18 @@ def run(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         # Looked up on each call, so a replaced cmd_* (a tracer's wrapper) is seen.
-        return globals()[f"cmd_{args.command}"](args)
+        files, lines, drawing = globals()[f"cmd_{args.command}"](args)
+        if getattr(args, "dot", None):
+            files.append((args.dot, dot_export(*drawing)))
+        _write(*files)
+        print(*lines, sep="\n")
     except _Invalid as exc:
         print(exc, file=sys.stderr)
         return 2
     except (GraphFormatError, OracleCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Optional
 
 from .graphs import Graph, complete_forest, reach
-from .partitions import Partition, RecombMove, SlackBound, apply_move, validate
+from .partitions import Partition, RecombMove, SlackBound, _require_valid, apply_move
 from .sequences import AbstractMove, inverted_abstract, labelled_move, resolve_moves
 
 
@@ -306,9 +306,7 @@ def canonicalize(g: Graph, cycle: CycleOrder, p: Partition,
     """Defragment p into a canonical partition in at most k(n-k) moves."""
     k = p.k
     _check_preconditions(g, cycle, p, p, slack)
-    rep = validate(g, p, k, slack)
-    if not rep.ok:
-        raise ValueError(f"invalid partition: {'; '.join(rep.violations)}")
+    _require_valid(g, p, k, slack, "partition")
     moves: list[RecombMove] = []
     cur = p
     frags = fragment_count(cycle, cur)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .graphs import Graph, check_vertex_count
@@ -140,30 +141,6 @@ class ReductionOutput:
     district_index: dict[tuple[str, int], int]  # ("v", x) / ("vp", x) -> label
 
 
-class _Builder:
-    def __init__(self):
-        self.next_id = 0
-        self.edges: set[tuple[int, int]] = set()
-        self.heavy: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    def vertex(self) -> int:
-        v = self.next_id
-        self.next_id += 1
-        return v
-
-    def heavy_vertex(self, weight: int) -> int:
-        check_vertex_count(self.next_id + weight)
-        base = self.vertex()
-        leaves = tuple(self.vertex() for _ in range(weight - 1))
-        for leaf in leaves:
-            self.add(base, leaf)
-        self.heavy[base] = (weight, leaves)
-        return base
-
-    def add(self, a: int, b: int) -> None:
-        self.edges.add((min(a, b), max(a, b)))
-
-
 def reduce_ncl(
     ncl: NCLInstance, a: Orientation, b: Orientation, s: int
 ) -> ReductionOutput:
@@ -184,113 +161,87 @@ def reduce_ncl(
         if not check_orientation(sub, o):
             raise ValueError(f"orientation {name} does not satisfy the constraints")
     alpha = 5 + s
-    n_or = sum(1 for kind in sub.kinds if kind == OR)
-    bld = _Builder()
     # Lights first: e+ = 2e, e- = 2e+1 for each subdivided edge.
-    edge_map: dict[int, tuple[int, int]] = {}
-    for e in range(sub.ne):
-        ep = bld.vertex()
-        em = bld.vertex()
-        edge_map[e] = (ep, em)
+    edge_map = {e: (2 * e, 2 * e + 1) for e in range(sub.ne)}
+    size = 2 * sub.ne  # vertices made so far
+    edges: list[tuple[int, int]] = []
+    heavy: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    def heavy_vertex(weight: int) -> int:
+        """A new base vertex with weight - 1 new leaves hung on it."""
+        nonlocal size
+        check_vertex_count(size + weight)
+        base, size = size, size + weight
+        heavy[base] = (weight, tuple(range(base + 1, size)))
+        edges.extend((base, leaf) for leaf in heavy[base][1])
+        return base
+
     gadget_vertices: dict[int, dict[str, int]] = {}
     for v, kind in enumerate(sub.kinds):
         inc = sub.incident(v)
-        roles: dict[str, int] = {}
+        # Each kind makes its heavy vertices. terminals maps each incident
+        # edge to the one joined to both of its lights, joins lists (e, base)
+        # for each further edge from e+ to base, and others holds the roles
+        # of an OR gadget's primes and vp.
+        others: dict[str, int] = {}
         if kind == AND:
-            reds = [e for e in inc if sub.edges[e][2] == RED]
             blue = next(e for e in inc if sub.edges[e][2] == BLUE)
-            ea, eb = sorted(reds)
-            ha = bld.heavy_vertex(alpha)
-            hb = bld.heavy_vertex(alpha)
-            hc = bld.heavy_vertex(8 * alpha - 3)
-            roles = {f"h{ea}": ha, f"h{eb}": hb, f"h{blue}": hc}
-            for e, h in ((ea, ha), (eb, hb), (blue, hc)):
-                ep, em = edge_map[e]
-                bld.add(h, ep)
-                bld.add(h, em)
-            bld.add(edge_map[blue][0], ha)
-            bld.add(edge_map[blue][0], hb)
-            bld.add(edge_map[ea][0], hc)
-            bld.add(edge_map[eb][0], hc)
+            ends = sorted(e for e in inc if e != blue) + [blue]
+            terminals = {e: heavy_vertex(w) for e, w in zip(ends, (alpha, alpha, 8 * alpha - 3))}
+            # e+ joins the terminals of the edges of the other colour.
+            joins = [(e, terminals[f]) for e in ends for f in ends if (e == blue) != (f == blue)]
         elif kind == OR:
-            ea, eb, ec = inc
-            terminals = {
-                ea: bld.heavy_vertex(alpha),
-                eb: bld.heavy_vertex(alpha),
-                ec: bld.heavy_vertex(6 * alpha - 3),
-            }
-            primes = {e: bld.heavy_vertex(alpha) for e in inc}
-            vp = bld.heavy_vertex(9 * alpha)
+            terminals = {e: heavy_vertex(w) for e, w in zip(inc, (alpha, alpha, 6 * alpha - 3))}
+            primes = {e: heavy_vertex(alpha) for e in inc}
+            vp = heavy_vertex(9 * alpha)
+            others = {**{f"p{e}": p for e, p in primes.items()}, "vp": vp}
+            # e+ joins the other edges' primes; the primes form a triangle,
+            # and each joins its edge's terminal and vp.
+            joins = [(e, primes[f]) for e in inc for f in inc if f != e]
+            edges.extend(combinations(primes.values(), 2))
             for e in inc:
-                roles[f"h{e}"] = terminals[e]
-                roles[f"p{e}"] = primes[e]
-            roles["vp"] = vp
-            for e in inc:
-                ep, em = edge_map[e]
-                bld.add(terminals[e], ep)
-                bld.add(terminals[e], em)
-                bld.add(primes[e], terminals[e])
-                bld.add(vp, primes[e])
-                for f in inc:
-                    if f != e:
-                        bld.add(ep, primes[f])
-            bld.add(primes[ea], primes[eb])
-            bld.add(primes[eb], primes[ec])
-            bld.add(primes[ea], primes[ec])
+                edges.extend(((primes[e], terminals[e]), (vp, primes[e])))
         else:  # DEG2
-            ec, ed = inc
-            qc = bld.heavy_vertex(5 * alpha - 1)
-            qd = bld.heavy_vertex(5 * alpha - 1)
-            roles = {f"h{ec}": qc, f"h{ed}": qd}
-            for e, q in ((ec, qc), (ed, qd)):
-                ep, em = edge_map[e]
-                bld.add(q, ep)
-                bld.add(q, em)
-            bld.add(edge_map[ec][0], qd)
-            bld.add(edge_map[ed][0], qc)
-        gadget_vertices[v] = roles
-    g = Graph(bld.next_id, bld.edges)
-    k = sub.nv + n_or
+            terminals = {e: heavy_vertex(5 * alpha - 1) for e in inc}
+            # e+ joins the other edge's terminal.
+            joins = [(e, terminals[f]) for e in inc for f in inc if f != e]
+        for e, h in terminals.items():
+            edges.extend((h, light) for light in edge_map[e])
+        edges.extend((edge_map[e][0], base) for e, base in joins)
+        gadget_vertices[v] = {**{f"h{e}": h for e, h in terminals.items()}, **others}
+    g = Graph(size, edges)
+    # Gadget v's district is labelled ("v", v); an OR gadget has a second
+    # district, ("vp", v), right after it.
+    district_index: dict[tuple[str, int], int] = {}
+    for v, kind in enumerate(sub.kinds):
+        district_index[("v", v)] = len(district_index)
+        if kind == OR:
+            district_index[("vp", v)] = len(district_index)
 
-    def heavy_group(base: int) -> set[int]:
-        w, leaves = bld.heavy[base]
-        return {base, *leaves}
+    def groups(bases) -> set[int]:
+        return {u for base in bases for u in (base, *heavy[base][1])}
 
-    def partition_for(x: Orientation) -> tuple[Partition, dict[tuple[str, int], int]]:
+    def partition_for(x: Orientation) -> Partition:
         districts: list[set[int]] = []
-        index: dict[tuple[str, int], int] = {}
         for v, kind in enumerate(sub.kinds):
             inc = sub.incident(v)
-            roles = gadget_vertices[v]
+            roles = dict(gadget_vertices[v])
             own_lights = {
                 edge_map[e][0] if x.toward(sub, e, v) else edge_map[e][1] for e in inc
             }
+            apart = []
             if kind == OR:
-                incoming = [e for e in inc if x.toward(sub, e, v)]
-                e1 = min(incoming)
-                dv: set[int] = set(own_lights)
-                for e in inc:
-                    dv |= heavy_group(roles[f"h{e}"])
-                    if e != e1:
-                        dv |= heavy_group(roles[f"p{e}"])
-                dvp = heavy_group(roles["vp"]) | heavy_group(roles[f"p{e1}"])
-                index[("v", v)] = len(districts)
-                districts.append(dv)
-                index[("vp", v)] = len(districts)
-                districts.append(dvp)
-            else:
-                dv = set(own_lights)
-                for role, base in roles.items():
-                    dv |= heavy_group(base)
-                index[("v", v)] = len(districts)
-                districts.append(dv)
-        return Partition.of(districts), index
+                # vp and the prime of v's lowest incoming edge form ("vp", v).
+                e1 = min(e for e in inc if x.toward(sub, e, v))
+                apart = [roles.pop("vp"), roles.pop(f"p{e1}")]
+            districts.append(own_lights | groups(roles.values()))
+            if apart:
+                districts.append(groups(apart))
+        return Partition.of(districts)
 
-    pi_a, index = partition_for(a)
-    pi_b, index_b = partition_for(b)
-    assert index_b == index
     return ReductionOutput(
-        g, k, s, alpha, pi_a, pi_b, sub, edge_map, gadget_vertices, bld.heavy, index
+        g, len(district_index), s, alpha, partition_for(a), partition_for(b), sub,
+        edge_map, gadget_vertices, heavy, district_index,
     )
 
 

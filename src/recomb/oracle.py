@@ -25,10 +25,10 @@ from .partitions import (
     _mask_order,
     _move_masks,
     _pair_list,
+    _require_valid,
     _vertex_set,
     canonical_key,
     enumerate_moves,
-    validate,
 )
 
 DEFAULT_VERTEX_CAP = 24
@@ -197,9 +197,7 @@ def decide_br(
     (ground-truth invariant checks in the test-suite hang off it).
     """
     for name, p in (("from", pa), ("to", pb)):
-        rep = validate(g, p, k, slack)
-        if not rep.ok:
-            raise ValueError(f"invalid '{name}' partition: {'; '.join(rep.violations)}")
+        _require_valid(g, p, k, slack, f"'{name}' partition")
     cap = _node_cap()
     if visit_hook:
         visit_hook(pa)
@@ -351,9 +349,7 @@ def recom_walk(
     order, picks one by SplitMix64 output modulo the move count and builds
     the district sets of that one only; a seed always gives the same trace.
     """
-    rep = validate(g, start, k, slack)
-    if not rep.ok:
-        raise ValueError(f"invalid start partition: {'; '.join(rep.violations)}")
+    _require_valid(g, start, k, slack, "start partition")
     rng = _splitmix64(seed & 0xFFFFFFFFFFFFFFFF)
     cur = start
     masks = list(map(_mask, start.districts))

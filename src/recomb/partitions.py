@@ -161,6 +161,13 @@ def validate(g: Graph, p: Partition, k: int, slack: SlackBound) -> ValidationRep
     return ValidationReport(not bad, tuple(bad))
 
 
+def _require_valid(g: Graph, p: Partition, k: int, slack: SlackBound, what: str) -> None:
+    """Raise ValueError naming `what` and each violation unless p validates."""
+    rep = validate(g, p, k, slack)
+    if not rep.ok:
+        raise ValueError(f"invalid {what}: {'; '.join(rep.violations)}")
+
+
 def apply_move(g: Graph, p: Partition, m: RecombMove, slack: SlackBound) -> Partition:
     """Apply a recombination move, checking all of its invariants."""
     if not (0 <= m.i < m.j < p.k):

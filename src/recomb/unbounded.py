@@ -17,7 +17,7 @@ from .graphs import (
     is_connected,
     spanning_tree,
 )
-from .partitions import SLACK_INF, Partition, RecombMove, validate
+from .partitions import SLACK_INF, Partition, RecombMove, _require_valid
 from .sequences import AbstractMove, inverted_abstract, resolve_moves
 
 
@@ -98,6 +98,4 @@ def _check_inputs(g: Graph, p1: Partition, p2: Partition):
     if g.n and not is_connected(g, g.vertices()):
         raise ValueError("graph not connected")
     for name, p in (("p1", p1), ("p2", p2)):
-        rep = validate(g, p, p.k, SLACK_INF)
-        if not rep.ok:
-            raise ValueError(f"invalid {name}: {'; '.join(rep.violations)}")
+        _require_valid(g, p, p.k, SLACK_INF, name)

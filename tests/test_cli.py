@@ -545,16 +545,18 @@ def test_bad_slack_exit_1(c8, capsys, slack):
     assert err == f"error: slack must be an integer >= 0 or 'inf', got '{slack}'\n"
 
 
-def test_run_looks_up_the_command_at_call_time(c8, monkeypatch):
+def test_run_looks_up_the_command_at_call_time(c8, monkeypatch, capsys):
     # The parser is built once per process, so run() finds cmd_<command> by
     # name on every call: a wrapper put in after a first run() is still used.
     _, gp, ap, bp, _ = c8
     argv = ["decide", "--graph", gp, "--from", ap, "--to", bp, "--k", "2", "--slack", "1"]
     assert run(argv) == 0
+    assert capsys.readouterr().out == "REACHABLE 1\n"
     assert cli.build_parser() is cli.build_parser()
     seen = []
-    monkeypatch.setattr(cli, "cmd_decide", lambda args: seen.append(args.to) or 2)
-    assert run(argv) == 2
+    monkeypatch.setattr(cli, "cmd_decide", lambda args: seen.append(args.to) or ([], ["stub"], None))
+    assert run(argv) == 0
+    assert capsys.readouterr() == ("stub\n", "")
     assert seen == [bp]
 
 
@@ -601,6 +603,11 @@ _PINNED = {
                 {"x.a.part": "0ff4aa4ab089e1f9", "x.b.part": "176b349914383003",
                  "x.dot": "b28a6eb9aac608b2", "x.graph": "8e0f6d959c8d179c",
                  "x.map.jsonl": "6918252ef7a51900"}),
+    "gen-ncl-and": ("gen --family ncl --ncl {and} --s 0 --out {out}/x --dot {out}/x.dot",
+                    0, "n 550\nk 11\n", "",
+                    {"x.a.part": "d8fd4598df828ccf", "x.b.part": "e320929206cd5286",
+                     "x.dot": "ced95b93b1c6327f", "x.graph": "17f298f8719aaf0b",
+                     "x.map.jsonl": "2635b0ffeae8529d"}),
     "validate-invalid": ("validate --graph {g} --partition {bad} --k 2 --slack 1 --dot {out}/v.dot",
                          2, "", _VIOLATIONS, {}),
     "sample-invalid": ("sample --graph {g} --partition {bad} --k 2 --slack 1 --steps 10 --seed 7 "
@@ -637,7 +644,7 @@ def test_cli_pinned(c8, tmp_path, capsys, case):
     _, gp, ap, bp, cp = c8
     paths = {"g": gp, "a": ap, "b": bp, "c": cp, "out": tmp_path / "out"}
     for name, text in (("bad", "k 2\n0 0 0 0 0 0 0 1\n"), ("k4", "k 4\n0 0 1 1 2 2 3 3\n"),
-                       ("ncl", _K4_NCL)):
+                       ("ncl", _K4_NCL), ("and", _AND_NCL)):
         paths[name] = tmp_path / name
         write(paths[name], text)
     os.mkdir(paths["out"])
@@ -683,6 +690,11 @@ def _k4_ncl():
 
 
 _K4_NCL = _k4_ncl()
+# K4 with a red triangle on AND vertices 0-2 and blue edges to OR vertex 3;
+# orientation B flips edge 0 of A.
+_AND_NCL = ("ncl 4 6\nv 0 AND\nv 1 AND\nv 2 AND\nv 3 OR\ne 0 0 1 red\ne 1 0 2 red\ne 2 1 2 red\n"
+            "e 3 0 3 blue\ne 4 1 3 blue\ne 5 2 3 blue\norient A\n0 uv\n1 uv\n2 uv\n3 vu\n4 vu\n5 uv\n"
+            "orient B\n0 vu\n1 uv\n2 uv\n3 vu\n4 vu\n5 uv\n")
 
 
 _TWO_DEG2 = "ncl 2 1\nv 0 DEG2\nv 1 DEG2\ne 0 0 1 blue\n"
