@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -35,17 +36,28 @@ class NCLInstance:
     def ne(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's edge ids in ascending order, a self-loop once."""
+        inc: list[list[int]] = [[] for _ in self.kinds]
+        for e, (a, b, _) in enumerate(self.edges):
+            for x in {a, b}:
+                inc[x].append(e)
+        return tuple(map(tuple, inc))
+
     def incident(self, v: int) -> list[int]:
-        return [e for e, (a, b, _) in enumerate(self.edges) if v in (a, b)]
+        return list(self._incidence[v])
 
     def check(self) -> None:
         for e, (u, v, color) in enumerate(self.edges):
             if u == v:
                 raise ValueError(f"edge {e} joins vertex {u} to itself")
+            for x in (u, v):
+                if not 0 <= x < self.nv:
+                    raise ValueError(f"edge {e} ({u},{v}) has endpoint {x}, which is not a vertex")
             if color not in (RED, BLUE):
                 raise ValueError(f"edge {e} ({u},{v}) has colour {color!r}, not {RED} or {BLUE}")
-        for v, kind in enumerate(self.kinds):
-            inc = self.incident(v)
+        for v, (kind, inc) in enumerate(zip(self.kinds, self._incidence)):
             colors = sorted(self.edges[e][2] for e in inc)
             if kind == OR:
                 if colors != [BLUE] * 3:
@@ -94,21 +106,16 @@ def subdivide_ncl(ncl: NCLInstance) -> NCLInstance:
 
 
 def check_orientation(ncl: NCLInstance, o: Orientation) -> bool:
-    """True iff the AND/OR in-weight constraints and the degree-2 incoming
-    constraint all hold."""
+    """True iff each AND/OR vertex has in-weight at least 2 and each DEG2
+    vertex at least 1, where an edge weighs 2 (blue) or 1 (red) at its head."""
     if len(o.dirs) != ncl.ne:
         raise ValueError("orientation does not cover all edges")
-    for v, kind in enumerate(ncl.kinds):
-        inc = ncl.incident(v)
-        inward = [e for e in inc if o.toward(ncl, e, v)]
-        if kind == DEG2:
-            if not inward:
-                return False
-        else:
-            weight = sum(2 if ncl.edges[e][2] == BLUE else 1 for e in inward)
-            if weight < 2:
-                return False
-    return True
+    weight = [0] * ncl.nv
+    for e, ((_, _, color), d) in enumerate(zip(ncl.edges, o.dirs)):
+        if d not in ("uv", "vu"):
+            raise ValueError(f"bad direction {d!r} on edge {e}")
+        weight[o.head(ncl, e)] += 2 if color == BLUE else 1
+    return all(w >= (1 if kind == DEG2 else 2) for kind, w in zip(ncl.kinds, weight))
 
 
 def expand_orientation(ncl: NCLInstance, o: Orientation) -> Orientation:
@@ -116,10 +123,7 @@ def expand_orientation(ncl: NCLInstance, o: Orientation) -> Orientation:
     half-edges of an edge point the same way as the edge."""
     if len(o.dirs) != ncl.ne:
         raise ValueError("orientation does not cover all edges")
-    dirs = []
-    for d in o.dirs:
-        dirs.extend([d, d])
-    return Orientation(tuple(dirs))
+    return Orientation(tuple(d for d in o.dirs for _ in range(2)))
 
 
 class ReductionShapeError(ValueError):
@@ -177,8 +181,7 @@ def reduce_ncl(
         return base
 
     gadget_vertices: dict[int, dict[str, int]] = {}
-    for v, kind in enumerate(sub.kinds):
-        inc = sub.incident(v)
+    for v, (kind, inc) in enumerate(zip(sub.kinds, sub._incidence)):
         # Each kind makes its heavy vertices. terminals maps each incident
         # edge to the one joined to both of its lights, joins lists (e, base)
         # for each further edge from e+ to base, and others holds the roles
@@ -223,8 +226,7 @@ def reduce_ncl(
 
     def partition_for(x: Orientation) -> Partition:
         districts: list[set[int]] = []
-        for v, kind in enumerate(sub.kinds):
-            inc = sub.incident(v)
+        for v, (kind, inc) in enumerate(zip(sub.kinds, sub._incidence)):
             roles = dict(gadget_vertices[v])
             own_lights = {
                 edge_map[e][0] if x.toward(sub, e, v) else edge_map[e][1] for e in inc
@@ -263,15 +265,14 @@ def partition_to_orientation(r: ReductionOutput, p: Partition) -> Orientation:
         gadget_district[v] = homes.pop()
         if kind == OR:
             vp_home = district_of[roles["vp"]]
-            prime_homes = {district_of[roles[f"p{e}"]] for e in sub.incident(v)}
+            prime_homes = {district_of[roles[f"p{e}"]] for e in sub._incidence[v]}
             if not prime_homes <= {gadget_district[v], vp_home}:
                 raise ReductionShapeError(
                     f"OR gadget at vertex {v}: connector vertices outside the gadget districts"
                 )
     dirs = []
     for e, (u, v, _) in enumerate(sub.edges):
-        ep, _em = r.edge_map[e]
-        home = district_of[ep]
+        home = district_of[r.edge_map[e][0]]
         if home == gadget_district[v]:
             dirs.append("uv")
         elif home == gadget_district[u]:
@@ -383,9 +384,7 @@ def format_map(r: ReductionOutput) -> str:
     for v in sorted(r.gadget_vertices):
         vs: list[int] = []
         for base in r.gadget_vertices[v].values():
-            w, leaves = r.heavy[base]
-            vs.append(base)
-            vs.extend(leaves)
+            vs.extend((base, *r.heavy[base][1]))
         records.append(
             {"kind": r.ncl.kinds[v].lower(), "ncl_id": v, "graph_vertices": sorted(vs)}
         )

@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recomb.graphs import is_connected
 from recomb.ncl import (
@@ -70,6 +72,45 @@ def test_check_refuses_colours_other_than_red_and_blue():
 def test_check_names_the_first_bad_vertex(kinds, edges, err):
     with pytest.raises(ValueError, match=rf"^{err}$"):
         NCLInstance(kinds, edges).check()
+
+
+@pytest.mark.parametrize("far", [9, -1])
+def test_check_refuses_endpoints_that_are_not_vertices(far):
+    # The all-OR K4 with edge (2,3) replaced by (2,far) and (3,far): every
+    # degree still checks out, and subdividing would alias vertex 9 onto the
+    # DEG2 vertex that edge 5 becomes.
+    ncl, _, _ = k4_all_blue()
+    bad = NCLInstance(ncl.kinds, ncl.edges[:5] + ((2, far, BLUE), (3, far, BLUE)))
+    err = rf"^edge 5 \(2,{far}\) has endpoint {far}, which is not a vertex$"
+    with pytest.raises(ValueError, match=err):
+        bad.check()
+    heads = Orientation(("uv",) * bad.ne)
+    with pytest.raises(ValueError, match=err):
+        reduce_ncl(bad, heads, heads, s=0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(lambda nv: st.tuples(
+    st.lists(st.sampled_from([AND, OR, DEG2]), min_size=nv, max_size=nv),
+    st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1), st.sampled_from([RED, BLUE])),
+             max_size=12))))
+def test_incident_lists_each_vertex_edges_in_order(instance):
+    # Any instance whose endpoints are vertices, self-loops included, which
+    # count once; incident reads the index the way the edge scan did.
+    kinds, edges = instance
+    ncl = NCLInstance(tuple(kinds), tuple(edges))
+    for v in range(ncl.nv):
+        assert ncl.incident(v) == [e for e, (a, b, _) in enumerate(edges) if v in (a, b)]
+
+
+def test_check_orientation_refuses_directions_other_than_uv_and_vu():
+    ncl, a, _ = k4_all_blue()
+    sub = subdivide_ncl(ncl)
+    for d in ("UV", "up", None):
+        dirs = list(a.dirs)
+        dirs[3] = d
+        with pytest.raises(ValueError, match=rf"^bad direction {d!r} on edge 3$"):
+            check_orientation(sub, Orientation(tuple(dirs)))
 
 
 def test_orientations_must_cover_every_edge():
@@ -152,6 +193,42 @@ def test_and_gadget_reduction():
         seen.update(rec["graph_vertices"])
     assert seen == set(range(r.graph.n))
     assert kinds == Counter({"edge": 12, "and": 3, "or": 1, "deg2": 6})
+
+
+def test_disjoint_copies_reduce_to_relabelled_copies():
+    # c copies of the all-blue K4 side by side: the reduction is c copies of
+    # one copy's graph, pi_a and pi_b. Copy i's original vertex x is 4i + x,
+    # its subdivided edge f is 12i + f and the DEG2 vertex of its edge e is
+    # 4c + 6i + e; its graph vertices follow through the lights and roles.
+    c = 20
+    ncl, a, b = k4_all_blue()
+    one = reduce_ncl(ncl, a, b, s=0)
+    big_ncl = NCLInstance(ncl.kinds * c, tuple(
+        (u + 4 * i, v + 4 * i, color) for i in range(c) for u, v, color in ncl.edges))
+    big = reduce_ncl(big_ncl, Orientation(a.dirs[::2] * c), Orientation(b.dirs[::2] * c), s=0)
+    assert (big.graph.n, big.k) == (c * one.graph.n, c * one.k)
+    images = []
+    for i in range(c):
+        def node(x):
+            return 4 * i + x if x < 4 else 4 * c + 6 * i + x - 4
+        phi = {}
+        for f, lights in one.edge_map.items():
+            phi.update(zip(lights, big.edge_map[12 * i + f]))
+        for x, roles in one.gadget_vertices.items():
+            for role, base in roles.items():
+                mapped = role if role == "vp" else f"{role[0]}{12 * i + int(role[1:])}"
+                big_base = big.gadget_vertices[node(x)][mapped]
+                phi[base] = big_base
+                phi.update(zip(one.heavy[base][1], big.heavy[big_base][1]))
+        assert sorted(phi) == list(range(one.graph.n))
+        images.extend(phi.values())
+        assert {tuple(sorted((phi[u], phi[v]))) for u, v in one.graph.edges} <= big.graph.edges
+        for (role, x), label in one.district_index.items():
+            big_label = big.district_index[(role, node(x))]
+            for p, q in ((one.pi_a, big.pi_a), (one.pi_b, big.pi_b)):
+                assert {phi[u] for u in p.districts[label]} == q.districts[big_label]
+    assert sorted(images) == list(range(big.graph.n))
+    assert len(big.graph.edges) == c * len(one.graph.edges)
 
 
 def test_reduction_round_trip():
