@@ -51,18 +51,19 @@ class Graph:
             raise ValueError("negative vertex count")
         check_vertex_count(n)
         norm = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
-            norm.add((min(u, v), max(u, v)))
+            e = (u, v) if u < v else (v, u)
+            if e not in norm:  # each edge joins both neighbour lists once
+                norm.add(e)
+                adj[u].append(v)
+                adj[v].append(u)
         self.n = n
         self.edges = frozenset(norm)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self._nbr = None
         self._proved = weakref.WeakSet()  # the frozensets a BFS found connected in it

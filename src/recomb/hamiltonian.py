@@ -287,10 +287,11 @@ def steps_singleton(
     return resolve_moves(g, p, shifts + [(frozenset({w}) | t_minus, target - t_minus)], slack)
 
 
-def _check_preconditions(g: Graph, cycle: CycleOrder, p1: Partition, p2: Partition, slack: SlackBound):
-    if p1.k != p2.k:
-        raise ValueError(f"mismatched k: {p1.k} vs {p2.k}")
-    k = p1.k
+def _check_preconditions(g: Graph, cycle: CycleOrder, slack: SlackBound, *partitions: Partition):
+    """The one input gate of the transform entry points: k, the cycle, n/k, then each partition."""
+    k = partitions[0].k
+    if partitions[-1].k != k:  # one partition or two
+        raise ValueError(f"mismatched k: {k} vs {partitions[-1].k}")
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
     cycle.check(g)
@@ -299,14 +300,15 @@ def _check_preconditions(g: Graph, cycle: CycleOrder, p1: Partition, p2: Partiti
         raise ValueError(f"k={k} must divide n={n} for the canonical machinery")
     if slack.s is not None and k * slack.s < n:
         raise ValueError(f"slack {slack} is below n/k = {n // k}")
+    for p in partitions:
+        _require_valid(g, p, k, slack, "partition")
 
 
 def canonicalize(g: Graph, cycle: CycleOrder, p: Partition,
                  slack: SlackBound) -> tuple[list[RecombMove], Partition]:
     """Defragment p into a canonical partition in at most k(n-k) moves."""
     k = p.k
-    _check_preconditions(g, cycle, p, p, slack)
-    _require_valid(g, p, k, slack, "partition")
+    _check_preconditions(g, cycle, slack, p)
     moves: list[RecombMove] = []
     cur = p
     frags = fragment_count(cycle, cur)
@@ -388,7 +390,7 @@ def canonical_transform(g: Graph, cycle: CycleOrder, pc1: Partition, pc2: Partit
     partitions only; returns them with the labelled partition they lead to
     from pc1 (pc1 itself when pc1 and pc2 are the same partition)."""
     k = pc1.k
-    _check_preconditions(g, cycle, pc1, pc2, slack)
+    _check_preconditions(g, cycle, slack, pc1, pc2)
     if set(pc1.districts) == set(pc2.districts):
         return [], pc1
     target = cycle.n // k
@@ -412,12 +414,11 @@ def transform_hamiltonian(
     g: Graph, cycle: CycleOrder, p1: Partition, p2: Partition, slack: SlackBound
 ) -> list[RecombMove]:
     """Transform p1 into p2 via canonical form; at most 2k(n-k) + k^2 + 1 moves."""
-    _check_preconditions(g, cycle, p1, p2, slack)
-    k, n = p1.k, g.n
-    # canonicalize validates p1, so it runs before the shortcut.
-    m1, c1 = canonicalize(g, cycle, p1, slack)
+    _check_preconditions(g, cycle, slack, p1, p2)
     if set(p1.districts) == set(p2.districts):
         return []
+    k, n = p1.k, g.n
+    m1, c1 = canonicalize(g, cycle, p1, slack)
     m2, c2 = canonicalize(g, cycle, p2, slack)
     mid, cur = canonical_transform(g, cycle, c1, c2, slack)
     # m1 and mid already carry the labels resolve_moves would give them;

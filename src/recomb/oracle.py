@@ -88,14 +88,13 @@ class WalkTrace:
 
 
 def enumerate_partitions(
-    g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_VERTEX_CAP, *, _keys=None
+    g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> list[Partition]:
     """All (k,s)-BCPs of g, one per unordered partition, sorted by key.
 
     Districts are ordered by their smallest vertex.  The search is
     partitions._connected_parts; it stops and raises OracleCapError at the
-    first partition past the node cap.  A list passed as _keys receives the
-    canonical keys, in the same order.
+    first partition past the node cap.  Equal districts are one shared frozenset.
     """
     cap = _node_cap()
     n = g.n
@@ -114,9 +113,6 @@ def enumerate_partitions(
     order = {d: _mask_order(d) for d in set(chain.from_iterable(found))}
     found.sort(key=lambda ds: tuple(map(order.__getitem__, ds)))
     sets = {d: _vertex_set(d) for d in order}
-    if _keys is not None:
-        vertex_tuples = {d: tuple(sorted(vs)) for d, vs in sets.items()}
-        _keys += [tuple(map(vertex_tuples.__getitem__, ds)) for ds in found]
     return [Partition(tuple(map(sets.__getitem__, ds))) for ds in found]
 
 
@@ -128,9 +124,11 @@ def build_space(g: Graph, k: int, slack: SlackBound, vertex_cap: int = DEFAULT_V
     districts in two ways, so each such group is a clique and each edge is in
     one.  Component ids follow the order of each component's first node.
     """
-    nodes: list[PartitionKey] = []
-    parts = enumerate_partitions(g, k, slack, vertex_cap, _keys=nodes)
-    # Districts are ordered by their smallest vertex: the kept districts are canonical.
+    parts = enumerate_partitions(g, k, slack, vertex_cap)
+    # Districts are shared frozensets ordered by their smallest vertex: a key
+    # takes one sorted tuple per distinct district, and kept districts are canonical.
+    tuples = {d: tuple(sorted(d)) for d in set(chain.from_iterable(p.districts for p in parts))}
+    nodes: list[PartitionKey] = [tuple(map(tuples.__getitem__, p.districts)) for p in parts]
     groups: defaultdict[object, list[int]] = defaultdict(list)
     if k == 2:  # every partition keeps the same empty set of districts
         groups[()] = list(range(len(parts)))

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recomb import graphs
 from recomb.graphs import (
@@ -64,6 +66,32 @@ def test_graph_rejects_bad_edges():
         Graph(3, {(1, 1)})
     with pytest.raises(ValueError, match="^negative vertex count$"):
         Graph(-1, ())
+
+
+def test_graph_errors_follow_the_input_order():
+    with pytest.raises(ValueError, match=r"^self-loop at 2$"):
+        Graph(3, [(0, 1), (2, 2), (0, 3)])
+    with pytest.raises(ValueError, match=r"^edge \(0,3\) out of range$"):
+        Graph(3, [(1, 0), (0, 3), (2, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda e: e[0] != e[1]), max_size=40),
+    st.randoms(use_true_random=False))))
+def test_graph_normalises_repeated_and_reversed_edges(case):
+    n, edges, rng = case
+    edges += [(v, u) for u, v in edges[: len(edges) // 2]] + edges[::3]  # reversed and repeated
+    g = Graph(n, edges)
+    assert g.edges == {(min(u, v), max(u, v)) for u, v in edges}
+    for v in range(n):
+        assert g.adj[v] == tuple(sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v}))
+    shuffled = list(edges)
+    rng.shuffle(shuffled)
+    h = Graph(n, shuffled)
+    assert h == g and h.adj == g.adj
 
 
 def test_empty_subsets_are_refused():

@@ -768,6 +768,33 @@ def test_preconditions_enforced_on_equal_inputs(n, order, parts, slack, match):
         transform_hamiltonian(cycle_graph(n), CycleOrder(tuple(order)), p, p, SlackBound(slack))
 
 
+@pytest.mark.parametrize("parts", [
+    [[0, 1, 2, 3], [4, 5, 6]],  # vertex 7 missing
+    [[0, 1, 2, 3], [3, 4, 5, 6, 7]],  # vertex 3 in both districts
+    [[0, 1, 2, 3], [4, 5, 6, 7, 9]],  # vertex 9 on an 8-cycle
+], ids=["missing-vertex", "vertex-in-two-districts", "vertex-outside-the-graph"])
+def test_canonical_transform_refuses_malformed_partitions(parts):
+    # It was the one transform entry point without validation: these raised
+    # AssertionError or KeyError, or returned ([], pc1) as both ends.
+    g, c, slack = cycle_graph(8), identity_cycle(8), SlackBound(4)
+    bad, good = Partition.of(parts), Partition.of([[0, 1, 2, 3], [4, 5, 6, 7]])
+    for pc1, pc2 in ((bad, good), (good, bad), (bad, bad)):
+        with pytest.raises(ValueError, match="^invalid partition: "):
+            canonical_transform(g, c, pc1, pc2, slack)
+
+
+def test_equal_partitions_need_no_canonicalization(monkeypatch):
+    g, c, slack = cycle_graph(8, chords=[(0, 4), (3, 7)]), identity_cycle(8), SlackBound(4)
+    p = Partition.of([[0, 4, 5, 6], [1, 2, 3, 7]])
+    calls = []
+    monkeypatch.setattr(hamiltonian, "canonicalize", lambda *a: calls.append(a) or canonicalize(*a))
+    assert transform_hamiltonian(g, c, p, p, slack) == []
+    assert transform_hamiltonian(g, c, p, Partition(p.districts[::-1]), slack) == []
+    assert calls == []
+    assert transform_hamiltonian(g, c, p, Partition.of([[0, 1, 2, 3], [4, 5, 6, 7]]), slack)
+    assert len(calls) == 2
+
+
 def test_step_preconditions_refused():
     # Along C9 the large district A alternates with B and C, so every
     # C-adjacent pair is A with one of them: 7 vertices, past 2n/k = 6.

@@ -180,15 +180,17 @@ def test_enumerate_partitions_oeis_a172477(n, count):
 def test_enumerate_partitions_in_canonical_key_order(g, k, s, vertex_cap):
     # Instances past brute_partitions' reach.  The partitions are sorted by
     # the order strings of their district masks; that must be the order of
-    # their canonical keys, and the keys handed out must be those keys.
-    keys = []
-    parts = enumerate_partitions(g, k, SlackBound(s), vertex_cap=vertex_cap, _keys=keys)
+    # their canonical keys.
+    parts = enumerate_partitions(g, k, SlackBound(s), vertex_cap=vertex_cap)
     assert len(parts) > 1
-    assert keys == [canonical_key(p) for p in parts]
-    assert keys == sorted(canonical_key(p) for p in parts)
+    keys = [canonical_key(p) for p in parts]
+    assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     # Districts are listed as in the key: by their smallest vertex.
     assert all(tuple(map(frozenset, key)) == p.districts for key, p in zip(keys, parts))
+    # Equal districts are one shared frozenset.
+    districts = [d for p in parts for d in p.districts]
+    assert len(set(map(id, districts))) == len(set(districts))
 
 
 def test_build_space_grid4x4_structure_pinned():
