@@ -298,8 +298,8 @@ def flip_pairs(r: ReductionOutput, e: int) -> list[tuple[int, int]]:
 
 def parse_ncl(text: str) -> tuple[NCLInstance, dict[str, Orientation]]:
     """Parse the NCL file format, including named orientation blocks."""
-    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
-    head = lines[0].split() if lines else []
+    lines = filter(None, map(str.strip, text.split("\n")))
+    head = next(lines, "").split()
     if len(head) != 3 or head[0] != "ncl" or not (head[1].isdecimal() and head[2].isdecimal()):
         raise ValueError("first line must be 'ncl <nv> <ne>'")
     nv, ne = int(head[1]), int(head[2])
@@ -310,14 +310,14 @@ def parse_ncl(text: str) -> tuple[NCLInstance, dict[str, Orientation]]:
     kinds: list[Optional[str]] = [None] * nv
     edges: list[Optional[tuple[int, int, str]]] = [None] * ne
     orients: dict[str, Orientation] = {}
-    i = 1
 
-    def fields(what: str, count: int) -> list[str]:
-        if i >= len(lines):
+    def fields(line: Optional[str], what: str, count: int, tag: Optional[str] = None) -> list[str]:
+        """The fields of line, which must be `count` long and lead with tag."""
+        if line is None:
             raise ValueError(f"unexpected end of file: expected {what}")
-        parts = lines[i].split()
-        if len(parts) != count:
-            raise ValueError(f"expected {what}, got {lines[i]!r}")
+        parts = line.split()
+        if len(parts) != count or tag is not None and parts[0] != tag:
+            raise ValueError(f"expected {what}, got {line!r}")
         return parts
 
     def ident(raw: str, size: int, what: str) -> int:
@@ -327,36 +327,25 @@ def parse_ncl(text: str) -> tuple[NCLInstance, dict[str, Orientation]]:
         return x
 
     for _ in range(nv):
-        parts = fields("vertex line", 3)
-        if parts[0] != "v":
-            raise ValueError(f"expected vertex line, got {lines[i]!r}")
-        kinds[ident(parts[1], nv, "vertex")] = parts[2]
-        i += 1
+        _, vid, kind = fields(next(lines, None), "vertex line", 3, "v")
+        kinds[ident(vid, nv, "vertex")] = kind
     for _ in range(ne):
-        parts = fields("edge line", 5)
-        if parts[0] != "e":
-            raise ValueError(f"expected edge line, got {lines[i]!r}")
-        u, v = ident(parts[2], nv, "vertex"), ident(parts[3], nv, "vertex")
-        edges[ident(parts[1], ne, "edge")] = (u, v, parts[4])
-        i += 1
-    while i < len(lines):
-        parts = fields("orient block", 2)
-        if parts[0] != "orient":
-            raise ValueError(f"expected orient block, got {lines[i]!r}")
-        name = parts[1]
+        _, eid, u, v, color = fields(next(lines, None), "edge line", 5, "e")
+        u, v = ident(u, nv, "vertex"), ident(v, nv, "vertex")
+        edges[ident(eid, ne, "edge")] = (u, v, color)
+    for line in lines:
+        _, name = fields(line, "orient block", 2, "orient")
         if name in orients:
             raise ValueError(f"orient block {name!r} appears twice")
-        i += 1
         dirs: list[Optional[str]] = [None] * ne
         for _ in range(ne):
-            eid, d = fields("direction line", 2)
+            eid, d = fields(next(lines, None), "direction line", 2)
             if d not in ("uv", "vu"):
                 raise ValueError(f"bad direction {d!r}")
             e = ident(eid, ne, "edge")
             if dirs[e] is not None:
                 raise ValueError(f"orient block {name!r} names edge {e} twice")
             dirs[e] = d
-            i += 1
         orients[name] = Orientation(tuple(dirs))
     if any(kind is None for kind in kinds) or any(e is None for e in edges):
         raise ValueError("missing vertex or edge declarations")

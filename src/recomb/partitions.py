@@ -92,15 +92,16 @@ class Partition:
 
 
 def canonical_key(p: Partition) -> PartitionKey:
-    """Canonical encoding: districts sorted by minimum element, each sorted.
+    """Canonical encoding: each district as a sorted tuple, the tuples sorted.
 
-    Equal keys iff equal as unordered families of sets.
+    Equal keys iff equal as unordered families of sets.  In a partition no
+    two districts share a least vertex, so the tuples sort by it.
     """
-    return tuple(sorted((tuple(sorted(d)) for d in p.districts), key=lambda t: t[0] if t else -1))
+    return tuple(sorted(tuple(sorted(d)) for d in p.districts))
 
 
 def partition_from_key(key: PartitionKey) -> Partition:
-    return Partition(tuple(frozenset(t) for t in key))
+    return Partition.of(key)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import math
 import random
 from collections import Counter, deque
 
-from recomb.cli import format_cycle, run
+from recomb.cli import run
 from recomb.graphs import (
     Graph,
     block_cut,
@@ -40,11 +40,10 @@ from recomb.partitions import (
     enumerate_moves,
     format_partition,
     parse_moves,
-    parse_partition,
     validate,
 )
 from recomb.sequences import replay
-from tree_reference import tree_center
+from support import brute_moves, read, tree_center, write
 
 
 def report(num, ok, detail=""):
@@ -55,22 +54,12 @@ def report(num, ok, detail=""):
     assert ok, line
 
 
-def random_partition(g, k, rng):
+def tree_cut_partition(g, k, rng):
     t = spanning_tree(g, g.vertices())
     removed = rng.sample(sorted(t), k - 1)
     kept = t - set(removed)
     comps = connected_components(Graph(g.n, kept).adj, g.vertices())
     return Partition.of([sorted(c) for c in comps])
-
-
-def write(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def read(path):
-    with open(path) as fh:
-        return fh.read()
 
 
 def test_criterion_1_unbounded_bound(tmp_path):
@@ -86,8 +75,8 @@ def test_criterion_1_unbounded_bound(tmp_path):
         mmax = min(n * (n - 1) // 2, n + 3)
         m = rng.randrange(n - 1, mmax + 1)
         g = gen_random_connected(n, m, seed=rng.randrange(1 << 30))
-        pa = random_partition(g, k, rng)
-        pb = random_partition(g, k, rng)
+        pa = tree_cut_partition(g, k, rng)
+        pb = tree_cut_partition(g, k, rng)
         write(gp, format_graph(g))
         write(ap, format_partition(pa, n))
         write(bp, format_partition(pb, n))
@@ -309,34 +298,6 @@ def test_criterion_8_flip_recomb():
     report(8, ok, "%d legal flips" % flips)
 
 
-def brute_moves(g, p, slack):
-    found = set()
-    for i in range(p.k):
-        for j in range(i + 1, p.k):
-            union = sorted(p.districts[i] | p.districts[j])
-            if not is_connected(g, union):
-                continue
-            for mask in range(1 << (len(union) - 1)):
-                side = {union[0]}
-                for t, v in enumerate(union[1:]):
-                    if mask >> t & 1:
-                        side.add(v)
-                other = set(union) - side
-                if not other:
-                    continue
-                if not slack.size_ok(g.n, p.k, len(side)):
-                    continue
-                if not slack.size_ok(g.n, p.k, len(other)):
-                    continue
-                if not is_connected(g, side) or not is_connected(g, other):
-                    continue
-                pair = frozenset((frozenset(side), frozenset(other)))
-                if pair == frozenset((p.districts[i], p.districts[j])):
-                    continue
-                found.add(pair)
-    return found
-
-
 def test_criterion_9_property_suites():
     ok = True
     rng = random.Random(99)
@@ -348,10 +309,7 @@ def test_criterion_9_property_suites():
         k = rng.randrange(2, 4)
         slack = SlackBound(rng.randrange(0, n))
         for p in enumerate_partitions(g, k, slack)[:6]:
-            got = {
-                frozenset((m_.new_i, m_.new_j))
-                for m_ in enumerate_moves(g, p, slack)
-            }
+            got = {(m_.i, m_.j, m_.new_i, m_.new_j) for m_ in enumerate_moves(g, p, slack)}
             if got != brute_moves(g, p, slack):
                 ok = False
     # block-cut tree vs brute-force cut vertices

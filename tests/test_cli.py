@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 
 import recomb
 from recomb import cli
-from recomb.cli import dot_export, format_cycle, run
+from recomb.cli import format_cycle, run
 from recomb.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
-    Graph,
     check_edge_count,
     check_vertex_count,
     format_graph,
     parse_graph,
 )
 from recomb.hamiltonian import CycleOrder
+from recomb.instances import gen_cycle, gen_grid
 from recomb.partitions import (
     Partition,
     SlackBound,
@@ -31,21 +31,12 @@ from recomb.partitions import (
     validate,
 )
 from recomb.sequences import replay
-
-
-def write(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def read(path):
-    with open(path) as fh:
-        return fh.read()
+from support import read, write
 
 
 @pytest.fixture
 def c8(tmp_path):
-    g = Graph(8, {(i, (i + 1) % 8) for i in range(8)})
+    g = gen_cycle(8)
     gp = tmp_path / "g.graph"
     write(gp, format_graph(g))
     pa = Partition.of([[0, 1, 2, 3], [4, 5, 6, 7]])
@@ -148,8 +139,7 @@ def test_transform_hamiltonian(c8, tmp_path):
 def test_transform_unbounded_refuses_finite_slack(tmp_path, capsys):
     # The unbounded transform bounds no district size: at slack 0 its first
     # move on this pair (grid 4x4, quadrants to rows) leaves one of 1 vertex.
-    write(tmp_path / "g.graph", format_graph(
-        Graph(16, {(v, v + 1) for v in range(16) if v % 4 < 3} | {(v, v + 4) for v in range(12)})))
+    write(tmp_path / "g.graph", format_graph(gen_grid(4, 4)))
     quadrants = Partition.of([[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]])
     rows = Partition.of([range(r, r + 4) for r in range(0, 16, 4)])
     write(tmp_path / "a.part", format_partition(quadrants, 16))

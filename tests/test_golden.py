@@ -15,7 +15,6 @@ import random
 import pytest
 
 from recomb.cli import run
-from recomb.graphs import Graph
 from recomb.hamiltonian import CycleOrder, transform_hamiltonian
 from recomb.instances import gen_grid, gen_random_connected
 from recomb.oracle import enumerate_partitions, recom_walk
@@ -29,6 +28,7 @@ from recomb.partitions import (
     validate,
 )
 from recomb.unbounded import transform_unbounded
+from support import random_cycle_with_chords, serpentine
 
 GRID = gen_grid(6, 4)
 # Boustrophedon over columns 1..5, back along column 0.
@@ -120,20 +120,6 @@ def test_walk_move_lists_golden():
     )
 
 
-def _serpentine(w: int, h: int) -> CycleOrder:
-    """Boustrophedon over columns 1..w-1, back along column 0 (h even)."""
-    order = [y * w + x for y in range(h) for x in (range(1, w) if y % 2 == 0 else range(w - 1, 0, -1))]
-    return CycleOrder(tuple(order + [y * w for y in range(h - 1, -1, -1)]))
-
-
-def _chorded_cycle(rng, n: int, chords: int):
-    order = list(range(n))
-    rng.shuffle(order)
-    edges = {tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)}
-    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(chords)}
-    return Graph(n, edges), CycleOrder(tuple(order))
-
-
 def _grown_partition(rng, g, k: int, slack: SlackBound) -> Partition:
     """Region growth from k random seeds, redrawn until its sizes fit slack."""
     while True:
@@ -157,9 +143,9 @@ def test_transform_hamiltonian_seeded_golden():
     for case in range(150):
         if case % 2 == 0:
             w, h = rng.choice(grids)
-            g, cycle = gen_grid(w, h), _serpentine(w, h)
+            g, cycle = gen_grid(w, h), serpentine(w, h)
         else:
-            g, cycle = _chorded_cycle(rng, rng.choice([8, 12, 15, 16, 18, 20, 24, 30]), rng.randint(0, 5))
+            g, cycle = random_cycle_with_chords(rng, rng.choice([8, 12, 15, 16, 18, 20, 24, 30]), rng.randint(0, 5))
         k = rng.choice([d for d in range(2, g.n // 2 + 1) if g.n % d == 0])
         slack = SlackBound(g.n // k + rng.randint(0, 1))
         p1, p2 = _grown_partition(rng, g, k, slack), _grown_partition(rng, g, k, slack)
@@ -176,7 +162,7 @@ def test_transform_hamiltonian_large_districts_golden():
     # About a third of the 338 light steps shed from a fragment tree that an
     # earlier shed left behind.
     rng = random.Random(2026)
-    g, cycle = gen_grid(16, 16), _serpentine(16, 16)
+    g, cycle = gen_grid(16, 16), serpentine(16, 16)
     texts = []
     for k in (4, 4, 4, 4, 4, 8, 8, 8, 8, 8):
         slack = SlackBound(g.n // k)
@@ -238,7 +224,7 @@ def test_transform_hamiltonian_benchmark_size_golden():
     # serpentine cycle, k = 5, slack n/k.  It runs 76 light steps, 9
     # average steps and one singleton walk.
     rng = random.Random(40)
-    g, cycle = gen_grid(40, 40), _serpentine(40, 40)
+    g, cycle = gen_grid(40, 40), serpentine(40, 40)
     p1, p2 = _balanced_partition(rng, g, 5), _balanced_partition(rng, g, 5)
     moves = transform_hamiltonian(g, cycle, p1, p2, SlackBound(320))
     assert len(moves) == 93

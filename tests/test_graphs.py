@@ -21,15 +21,8 @@ from recomb.graphs import (
     reach,
     spanning_tree,
 )
-from tree_reference import tree_center
-
-
-def path(n):
-    return Graph(n, {(i, i + 1) for i in range(n - 1)})
-
-
-def cycle(n):
-    return Graph(n, {(i, (i + 1) % n) for i in range(n)})
+from recomb.instances import gen_cycle, gen_path
+from support import random_connected, tree_center
 
 
 def nbrs(g):
@@ -37,26 +30,14 @@ def nbrs(g):
     return dict(enumerate(g.adj))
 
 
-def random_connected(rng, n, extra=3):
-    edges = set()
-    order = list(range(n))
-    rng.shuffle(order)
-    for i in range(1, n):
-        a, b = order[i], order[rng.randrange(i)]
-        edges.add((min(a, b), max(a, b)))
-    for _ in range(rng.randint(0, extra)):
-        a, b = rng.sample(range(n), 2)
-        edges.add((min(a, b), max(a, b)))
-    return Graph(n, edges)
-
-
 def test_graph_basics():
-    g = path(4)
+    g = gen_path(4)
     assert g.n == 4
     assert g.degree(0) == 1 and g.degree(1) == 2
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert not g.has_edge(0, 3)
     assert g.nbr == (0b0010, 0b0101, 0b1010, 0b0100)
+    assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1)"
 
 
 def test_graph_rejects_bad_edges():
@@ -95,7 +76,7 @@ def test_graph_normalises_repeated_and_reversed_edges(case):
 
 
 def test_empty_subsets_are_refused():
-    g = path(3)
+    g = gen_path(3)
     for fn in (is_connected, spanning_tree):
         for s in (set(), frozenset()):
             with pytest.raises(ValueError, match="^empty subset$"):
@@ -103,7 +84,7 @@ def test_empty_subsets_are_refused():
 
 
 def test_connectivity():
-    g = path(5)
+    g = gen_path(5)
     assert is_connected(g, {0, 1, 2})
     assert not is_connected(g, {0, 2})
     assert is_connected(g, {2})
@@ -113,9 +94,9 @@ def test_connectivity():
 
 
 def test_vertex_ids_outside_the_graph_are_refused():
-    # A negative id used to index adj from the end, so spanning_tree(path(6),
+    # A negative id used to index adj from the end, so spanning_tree(gen_path(6),
     # {-1, 4}) returned the non-edge (-1, 4); an id >= n raised IndexError.
-    g = path(6)
+    g = gen_path(6)
     for s, bad in (({-1, 4}, -1), ({-2}, -2), ({4, 6}, 6), ({0, 9}, 9), ({7}, 7)):
         for fn in (is_connected, spanning_tree):
             for within in (s, frozenset(s)):
@@ -135,7 +116,7 @@ def bfs_log(monkeypatch):
 
 def test_is_connected_searches_all_but_the_frozensets_its_graph_proved(monkeypatch):
     searched = bfs_log(monkeypatch)
-    g = path(6)
+    g = gen_path(6)
 
     def check(graph, s):
         """is_connected(graph, s) and the BFS it ran."""
@@ -148,7 +129,7 @@ def test_is_connected_searches_all_but_the_frozensets_its_graph_proved(monkeypat
     assert check(g, frozenset([3, 2, 1])) == (True, 0)  # an equal frozenset
     assert check(g, {1, 2, 3}) == (True, 1)  # a set
     assert check(g, [1, 2, 3]) == (True, 1)  # a list
-    assert check(path(6), s) == (True, 1)  # another Graph object, though equal to g
+    assert check(gen_path(6), s) == (True, 1)  # another Graph object, though equal to g
     gap = frozenset({1, 3})
     assert check(g, gap) == (False, 1) and check(g, gap) == (False, 1)  # a failed BFS proves nothing
     # spanning_tree always searches, and a set it spans is proved.
@@ -163,7 +144,7 @@ def test_is_connected_searches_all_but_the_frozensets_its_graph_proved(monkeypat
 
 
 def test_the_record_keeps_no_set_alive():
-    g = path(6)
+    g = gen_path(6)
     s, t = frozenset({1, 2, 3}), frozenset({4, 5})
     assert is_connected(g, s) and spanning_tree(g, t)
     assert set(g._proved) == {s, t}
@@ -179,7 +160,7 @@ def test_reach_stays_inside_within():
     adj = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
     assert reach(adj, 0, {0, 1, 3}) == {0: None, 1: 0}
     # Breadth first, in discovery order, each vertex mapped to its parent.
-    got = reach(path(5).adj, 2, set(range(5)))
+    got = reach(gen_path(5).adj, 2, set(range(5)))
     assert list(got.items()) == [(2, None), (1, 2), (3, 2), (0, 1), (4, 3)]
 
 
@@ -192,13 +173,13 @@ def test_complete_forest_kruskal():
 
 
 def test_block_cut_path():
-    adj = nbrs(path(3))
+    adj = nbrs(gen_path(3))
     assert block_cut(adj) == {1}
     assert sorted(adj.keys() - block_cut(adj)) == [0, 2]
 
 
 def test_block_cut_triangle():
-    adj = nbrs(cycle(3))
+    adj = nbrs(gen_cycle(3))
     assert not block_cut(adj)
     assert sorted(adj.keys() - block_cut(adj)) == [0, 1, 2]
 
@@ -229,7 +210,7 @@ def brute_cut_vertices(g):
 def test_block_cut_matches_brute_force():
     rng = random.Random(4)
     for _ in range(60):
-        g = random_connected(rng, rng.randint(2, 10))
+        g = random_connected(rng, rng.randint(2, 10), extra=3)
         cut = block_cut(nbrs(g))
         assert isinstance(cut, frozenset)
         assert cut == brute_cut_vertices(g)
@@ -238,7 +219,7 @@ def test_block_cut_matches_brute_force():
 def test_removing_block_vertex_keeps_connectivity():
     rng = random.Random(5)
     for _ in range(40):
-        g = random_connected(rng, rng.randint(3, 9))
+        g = random_connected(rng, rng.randint(3, 9), extra=3)
         v = find_low_degree_block_vertex(nbrs(g))
         assert is_connected(g, set(range(g.n)) - {v})
 
@@ -258,7 +239,7 @@ def test_low_degree_block_vertex_matches_block_cut():
         return Graph(n, random_connected(rng, n, 0).edges | random_connected(rng, n, 0).edges)
 
     rng = random.Random(7)
-    leafy = [nbrs(random_connected(rng, rng.randint(2, 14))) for _ in range(100)]
+    leafy = [nbrs(random_connected(rng, rng.randint(2, 14), extra=3)) for _ in range(100)]
     leafless = [nbrs(chorded_cycle(rng.randint(3, 14))) for _ in range(100)]
     leafless += [nbrs(two_tree_union(rng.randint(3, 14))) for _ in range(200)]
     # Two K4s joined through vertex 8, a degree-2 cut vertex.
@@ -274,7 +255,7 @@ def test_low_degree_block_vertex_matches_block_cut():
 def test_spanning_tree_shape():
     # BFS from 0 over ascending neighbours: 0 reaches 1 and 5, then 1 reaches
     # 2 and 5 reaches 4, then 2 reaches 3.
-    t = spanning_tree(cycle(6), frozenset(range(6)))
+    t = spanning_tree(gen_cycle(6), frozenset(range(6)))
     assert t == {(0, 1), (0, 5), (1, 2), (4, 5), (2, 3)}
 
 

@@ -24,32 +24,15 @@ from recomb.hamiltonian import (
     steps_singleton,
     transform_hamiltonian,
 )
-from recomb.instances import gen_grid
+from recomb.instances import gen_cycle, gen_grid
 from recomb.oracle import enumerate_partitions
 from recomb.partitions import Partition, SlackBound, apply_move, canonical_key, validate
 from recomb.sequences import labelled_move, replay, resolve_moves
-from tree_reference import tree_center
-
-
-def cycle_graph(n, chords=()):
-    edges = {(i, (i + 1) % n) for i in range(n)}
-    edges |= {(min(a, b), max(a, b)) for a, b in chords}
-    return Graph(n, edges)
+from support import cycle_graph, random_cycle_with_chords, random_partition, serpentine, tree_center
 
 
 def identity_cycle(n):
     return CycleOrder(tuple(range(n)))
-
-
-def serpentine(w, h):
-    """Hamilton cycle of the w x h grid (vertex y*w+x, h even): boustrophedon
-    over columns 1..w-1, back along column 0."""
-    order = []
-    for y in range(h):
-        xs = range(1, w) if y % 2 == 0 else range(w - 1, 0, -1)
-        order.extend(y * w + x for x in xs)
-    order.extend(y * w for y in range(h - 1, -1, -1))
-    return CycleOrder(tuple(order))
 
 
 def light_vertices(tree, v):
@@ -58,44 +41,8 @@ def light_vertices(tree, v):
     return None if cut is None else cut[0]
 
 
-def random_partition(rng, g, k, slack, tries=400):
-    for _ in range(tries):
-        seeds = rng.sample(range(g.n), k)
-        assign = {v: i for i, v in enumerate(seeds)}
-        frontier = list(seeds)
-        while len(assign) < g.n:
-            grow = [v for v in frontier for w in g.adj[v] if w not in assign]
-            if not grow:
-                break
-            v = rng.choice(grow)
-            w = rng.choice([x for x in g.adj[v] if x not in assign])
-            assign[w] = assign[v]
-            frontier.append(w)
-        if len(assign) < g.n:
-            continue
-        p = Partition.of([[v for v in range(g.n) if assign[v] == i] for i in range(k)])
-        if validate(g, p, k, slack).ok:
-            return p
-    raise RuntimeError("could not sample a partition")
-
-
-def random_cycle_with_chords(rng, n, chords=3):
-    order = list(range(n))
-    rng.shuffle(order)
-    extra = set()
-    for _ in range(chords):
-        a, b = rng.sample(range(n), 2)
-        extra.add((a, b))
-    edges = {
-        (min(order[i], order[(i + 1) % n]), max(order[i], order[(i + 1) % n]))
-        for i in range(n)
-    }
-    edges |= {(min(a, b), max(a, b)) for a, b in extra}
-    return Graph(n, edges), CycleOrder(tuple(order))
-
-
 def test_cycle_order_check():
-    g = cycle_graph(5)
+    g = gen_cycle(5)
     identity_cycle(5).check(g)
     with pytest.raises(ValueError):
         CycleOrder((0, 1, 2, 3)).check(g)
@@ -245,7 +192,7 @@ def test_fragment_tree_matches_vertex_level_rule():
         else:
             g, c = random_cycle_with_chords(rng, rng.randint(8, 40), rng.randint(2, 12))
         k = rng.randint(2, min(6, g.n // 2))
-        p = random_partition(rng, g, k, SlackBound(g.n))
+        p = random_partition(rng, g, k, SlackBound(g.n), tries=400)
         for members in p.districts:
             tree = _fragment_tree(g, c, members)
             want = reference_light_subtrees(g, c, members)
@@ -304,7 +251,7 @@ def test_derived_fragment_trees_match_fresh_ones(monkeypatch):
             g, c = random_cycle_with_chords(rng, rng.choice([24, 30, 36, 48]), rng.randint(2, 10))
         k = rng.choice([d for d in (2, 3, 4, 6, 8) if g.n % d == 0])
         slack = SlackBound(g.n // k)
-        moves, _ = canonicalize(g, c, random_partition(rng, g, k, slack), slack)
+        moves, _ = canonicalize(g, c, random_partition(rng, g, k, slack, tries=400), slack)
         for members, (graph, tree) in c._trees.items():
             assert graph is g
             assert tree == _fragment_tree(g, CycleOrder(c.order), members)
@@ -337,7 +284,7 @@ def test_cycle_maps_let_go_of_dropped_districts():
     g, c = gen_grid(6, 4), serpentine(6, 4)
     slack = SlackBound(6)
     rng = random.Random(37)
-    p1, p2 = random_partition(rng, g, 4, slack), random_partition(rng, g, 4, slack)
+    p1, p2 = (random_partition(rng, g, 4, slack, tries=400) for _ in range(2))
     moves = transform_hamiltonian(g, c, p1, p2, slack)
     held = (len(moves), len(c._starts), len(c._trees))
     assert min(held) > 0
@@ -356,7 +303,7 @@ def test_shared_cycle_holds_no_dropped_graph():
     runs = []
     for i in range(6):
         g = Graph(36, grid.edges | {(0, 7 + i)})
-        p1, p2 = random_partition(rng, g, 4, slack), random_partition(rng, g, 4, slack)
+        p1, p2 = (random_partition(rng, g, 4, slack, tries=400) for _ in range(2))
         runs.append((g, p1, p2, transform_hamiltonian(g, c, p1, p2, slack)))
     graphs = [weakref.ref(run[0]) for run in runs]
     assert all(moves for *_, moves in runs)
@@ -384,7 +331,7 @@ def test_shared_cycle_gives_the_moves_of_fresh_copies():
     pairs = []
     for g, c, k in cases:
         slack = SlackBound(g.n // k)
-        parts = [random_partition(rng, g, k, slack) for _ in range(5)]
+        parts = [random_partition(rng, g, k, slack, tries=400) for _ in range(5)]
         pairs += [(g, c, a, b, slack) for a in parts for b in parts]
     want = [transform_hamiltonian(Graph(g.n, g.edges), CycleOrder(c.order), a, b, slack)
             for g, c, a, b, slack in pairs]
@@ -413,9 +360,9 @@ def test_step_average_branches(shape, order, forward):
     # the first district boundary along C from order[0].
     c = CycleOrder(order)
     if shape == "cover":
-        g, parts, slack = cycle_graph(12), [range(6), range(6, 12)], SlackBound(6)
+        g, parts, slack = gen_cycle(12), [range(6), range(6, 12)], SlackBound(6)
     elif shape == "chain":
-        g, parts, slack = cycle_graph(12), [range(3), range(3, 6), range(6, 12)], SlackBound(5)
+        g, parts, slack = gen_cycle(12), [range(3), range(3, 6), range(6, 12)], SlackBound(5)
     else:
         g = cycle_graph(12, chords=[(2, 6)])
         parts, slack = [[0, 1, 2, 6, 7, 8], range(3, 6), range(9, 12)], SlackBound(5)
@@ -461,7 +408,7 @@ def test_canonicalize_reaches_canonical_form():
         k = rng.choice([d for d in (2, 3, 4) if n % d == 0])
         g, c = random_cycle_with_chords(rng, n, rng.randint(0, 4))
         slack = SlackBound(n // k + rng.randint(0, 2))
-        p = random_partition(rng, g, k, slack)
+        p = random_partition(rng, g, k, slack, tries=400)
         moves, canon = canonicalize(g, c, p, slack)
         assert fragment_count(c, canon) == k
         assert replay(g, p, moves, slack).districts == canon.districts
@@ -480,7 +427,7 @@ def test_canonicalize_moves_carry_resolved_labels():
             g, c = random_cycle_with_chords(rng, rng.choice([8, 12, 16]), rng.randint(0, 4))
         k = rng.choice([d for d in (2, 3, 4, 8) if g.n % d == 0 and d < g.n])
         slack = SlackBound(g.n // k + rng.randint(0, 1))
-        p = random_partition(rng, g, k, slack)
+        p = random_partition(rng, g, k, slack, tries=400)
         moves, _ = canonicalize(g, c, p, slack)
         assert resolve_moves(g, p, [(m.new_i, m.new_j) for m in moves], slack)[0] == moves
 
@@ -492,8 +439,7 @@ def test_canonical_transform_stays_canonical():
         k = rng.choice([d for d in (2, 3, 4) if n % d == 0])
         g, c = random_cycle_with_chords(rng, n, rng.randint(0, 3))
         slack = SlackBound(n // k)
-        p1 = random_partition(rng, g, k, slack)
-        p2 = random_partition(rng, g, k, slack)
+        p1, p2 = (random_partition(rng, g, k, slack, tries=400) for _ in range(2))
         _, c1 = canonicalize(g, c, p1, slack)
         _, c2 = canonicalize(g, c, p2, slack)
         moves, end = canonical_transform(g, c, c1, c2, slack)
@@ -557,8 +503,7 @@ def test_transform_hamiltonian_end_to_end():
         k = rng.choice([d for d in (2, 3, 4) if n % d == 0])
         g, c = random_cycle_with_chords(rng, n, rng.randint(0, 4))
         slack = SlackBound(n // k + rng.randint(0, 1))
-        p1 = random_partition(rng, g, k, slack)
-        p2 = random_partition(rng, g, k, slack)
+        p1, p2 = (random_partition(rng, g, k, slack, tries=400) for _ in range(2))
         moves = transform_hamiltonian(g, c, p1, p2, slack)
         assert len(moves) <= 2 * k * (n - k) + k * k + 1
         cur = p1
@@ -579,7 +524,7 @@ def test_transform_hamiltonian_scans_the_cycle_once_per_graph(monkeypatch):
         k = rng.choice([d for d in (2, 3, 4) if n % d == 0])
         g, c = random_cycle_with_chords(rng, n, rng.randint(0, 4))
         slack = SlackBound(n // k)
-        p1, p2 = random_partition(rng, g, k, slack), random_partition(rng, g, k, slack)
+        p1, p2 = (random_partition(rng, g, k, slack, tries=400) for _ in range(2))
         steps.clear()
         lengths.append(len(transform_hamiltonian(g, c, p1, p2, slack)))
         assert len(steps) == n
@@ -610,7 +555,8 @@ def hamiltonian_instances(draw):
         g, c = random_cycle_with_chords(rng, n, draw(st.integers(0, 4)))
     k = draw(st.sampled_from([d for d in range(2, g.n // 2 + 1) if g.n % d == 0]))
     slack = SlackBound(g.n // k + draw(st.integers(0, 1)))
-    return g, c, random_partition(rng, g, k, slack), random_partition(rng, g, k, slack), slack
+    p1, p2 = (random_partition(rng, g, k, slack, tries=400) for _ in range(2))
+    return g, c, p1, p2, slack
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -736,7 +682,7 @@ def test_steps_singleton_matches_label_tracking_walk():
 
 
 def test_preconditions_enforced():
-    g = cycle_graph(6)
+    g = gen_cycle(6)
     c = identity_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
     with pytest.raises(ValueError):
@@ -744,7 +690,7 @@ def test_preconditions_enforced():
     q = Partition.of([[1, 2, 3], [4, 5, 0]])
     with pytest.raises(ValueError):
         transform_hamiltonian(g, c, p, q, SlackBound(2))  # slack below n/k
-    g7 = cycle_graph(7)
+    g7 = gen_cycle(7)
     with pytest.raises(ValueError):
         canonicalize(
             g7, identity_cycle(7), Partition.of([[0, 1, 2], [3, 4, 5, 6]]), SlackBound(4)
@@ -765,7 +711,7 @@ def test_preconditions_enforced_on_equal_inputs(n, order, parts, slack, match):
     # Equal inputs need no moves, but they must meet the preconditions too.
     p = Partition.of(parts)
     with pytest.raises(ValueError, match=match):
-        transform_hamiltonian(cycle_graph(n), CycleOrder(tuple(order)), p, p, SlackBound(slack))
+        transform_hamiltonian(gen_cycle(n), CycleOrder(tuple(order)), p, p, SlackBound(slack))
 
 
 @pytest.mark.parametrize("parts", [
@@ -776,7 +722,7 @@ def test_preconditions_enforced_on_equal_inputs(n, order, parts, slack, match):
 def test_canonical_transform_refuses_malformed_partitions(parts):
     # It was the one transform entry point without validation: these raised
     # AssertionError or KeyError, or returned ([], pc1) as both ends.
-    g, c, slack = cycle_graph(8), identity_cycle(8), SlackBound(4)
+    g, c, slack = gen_cycle(8), identity_cycle(8), SlackBound(4)
     bad, good = Partition.of(parts), Partition.of([[0, 1, 2, 3], [4, 5, 6, 7]])
     for pc1, pc2 in ((bad, good), (good, bad), (bad, bad)):
         with pytest.raises(ValueError, match="^invalid partition: "):
@@ -803,7 +749,7 @@ def test_step_preconditions_refused():
     p = Partition.of([[v for v in range(9) if labels[v] == x] for x in "ABC"])
     with pytest.raises(ValueError, match="^no pair found$"):
         hamiltonian.find_small_adjacent_pair(c, p)
-    g, c = cycle_graph(6), identity_cycle(6)
+    g, c = gen_cycle(6), identity_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4], [5]])
     with pytest.raises(ValueError, match=r"^combined district size exceeds n/k \+ s$"):
         step_average(g, c, p, 0, 1, SlackBound(2))  # 5 vertices, n/k + s = 4
@@ -826,7 +772,7 @@ def test_zero_districts_refused(n, slack):
 def test_mismatched_k_refused():
     # canonical_transform checked pc1's k only, and unequal k reached an
     # IndexError.
-    g, c = cycle_graph(12), identity_cycle(12)
+    g, c = gen_cycle(12), identity_cycle(12)
     p2 = Partition.of([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]])
     p3 = Partition.of([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
     for call in (canonical_transform, transform_hamiltonian):

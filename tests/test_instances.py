@@ -9,7 +9,7 @@ from recomb.instances import (
     gen_path,
     gen_random_connected,
 )
-from recomb.partitions import SLACK_INF, SlackBound, validate
+from recomb.partitions import SlackBound, validate
 
 
 def test_gen_cycle():

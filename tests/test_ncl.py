@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recomb.graphs import is_connected
 from recomb.ncl import (
     AND,
     BLUE,

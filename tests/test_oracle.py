@@ -1,17 +1,15 @@
 import hashlib
 import itertools
-import os
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_partitions import brute_moves
 
 from recomb import oracle, partitions
 from recomb.graphs import Graph, find, is_connected
-from recomb.instances import gen_negative
+from recomb.instances import gen_cycle, gen_grid, gen_negative, gen_path
 from recomb.oracle import (
     OracleCapError,
     SpaceStats,
@@ -32,19 +30,7 @@ from recomb.partitions import (
     enumerate_moves,
     validate,
 )
-
-
-def cycle(n):
-    return Graph(n, {(i, (i + 1) % n) for i in range(n)})
-
-
-def path(n):
-    return Graph(n, {(i, i + 1) for i in range(n - 1)})
-
-
-def grid(w, h):
-    return Graph(w * h, {(v, v + 1) for v in range(w * h) if v % w < w - 1}
-                 | {(v, v + w) for v in range(w * (h - 1))})
+from support import brute_moves, cycle_graph
 
 
 def mask(district):
@@ -68,15 +54,15 @@ def brute_partitions(g, k, slack):
 
 def test_enumerate_matches_brute_force():
     cases = [
-        (cycle(6), 2, SlackBound(1)),
-        (cycle(6), 3, SLACK_INF),
-        (path(6), 2, SlackBound(0)),
-        (path(5), 3, SLACK_INF),
+        (gen_cycle(6), 2, SlackBound(1)),
+        (gen_cycle(6), 3, SLACK_INF),
+        (gen_path(6), 2, SlackBound(0)),
+        (gen_path(5), 3, SLACK_INF),
         (Graph(5, {(0, 1), (0, 2), (0, 3), (0, 4)}), 2, SLACK_INF),
         # Finite slack with k >= 3: remainder-fit pruning and per-level
         # pendant contraction.  In the star every leaf part is too small.
         (Graph(7, {(0, v) for v in range(1, 7)}), 3, SlackBound(1)),
-        (grid(3, 3), 3, SlackBound(0)),
+        (gen_grid(3, 3), 3, SlackBound(0)),
         (Graph(7, {(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)}), 3, SlackBound(1)),
         # Pendant contraction folds this whole tree into one group of 6
         # vertices, heavier than a district of 3: there is no partition.
@@ -128,20 +114,20 @@ def test_enumerate_known_counts():
 
     for n in range(2, 9):
         for k in range(1, min(n, 5) + 1):
-            got = len(enumerate_partitions(path(n), k, SLACK_INF))
+            got = len(enumerate_partitions(gen_path(n), k, SLACK_INF))
             assert got == math.comb(n - 1, k - 1)
     # A cycle has C(n, k) for k >= 2 (choose the k cut edges... n ways).
     for n in range(3, 9):
         for k in range(2, min(n, 4) + 1):
-            got = len(enumerate_partitions(cycle(n), k, SLACK_INF))
+            got = len(enumerate_partitions(gen_cycle(n), k, SLACK_INF))
             assert got == math.comb(n, k)
 
 
 def test_vertex_cap():
     with pytest.raises(OracleCapError):
-        enumerate_partitions(cycle(30), 2, SLACK_INF)
+        enumerate_partitions(gen_cycle(30), 2, SLACK_INF)
     # cap is adjustable
-    assert enumerate_partitions(cycle(30), 2, SLACK_INF, vertex_cap=30)
+    assert enumerate_partitions(gen_cycle(30), 2, SLACK_INF, vertex_cap=30)
 
 
 def test_node_cap_env(monkeypatch):
@@ -155,27 +141,27 @@ def test_node_cap_env(monkeypatch):
     monkeypatch.setattr(oracle, "_connected_parts", counted)
     monkeypatch.setenv("BCP_NODE_CAP", "3")
     with pytest.raises(OracleCapError, match="node cap exceeded"):
-        build_space(cycle(8), 2, SLACK_INF)
+        build_space(gen_cycle(8), 2, SLACK_INF)
     # C8 has C(8,2) = 28 two-partitions; the search stops at the fourth.
     assert len(found) == 4
     monkeypatch.setenv("BCP_NODE_CAP", "28")
-    assert len(enumerate_partitions(cycle(8), 2, SLACK_INF)) == 28
+    assert len(enumerate_partitions(gen_cycle(8), 2, SLACK_INF)) == 28
     monkeypatch.delenv("BCP_NODE_CAP")
-    build_space(cycle(8), 2, SlackBound(1))
+    build_space(gen_cycle(8), 2, SlackBound(1))
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 10), (4, 117), (5, 4006)])
 def test_enumerate_partitions_oeis_a172477(n, count):
     # OEIS A172477: the n x n grid cut into n connected parts of n cells each.
-    assert len(enumerate_partitions(grid(n, n), n, SlackBound(0), vertex_cap=25)) == count
+    assert len(enumerate_partitions(gen_grid(n, n), n, SlackBound(0), vertex_cap=25)) == count
 
 
 @pytest.mark.parametrize("g, k, s, vertex_cap", [
-    (grid(5, 5), 5, 0, 25),
-    (grid(4, 4), 4, 1, 24),
-    (cycle(20), 4, 2, 24),
-    (grid(4, 3), 2, 1, 24),
-    (grid(5, 3), 3, 1, 24),
+    (gen_grid(5, 5), 5, 0, 25),
+    (gen_grid(4, 4), 4, 1, 24),
+    (gen_cycle(20), 4, 2, 24),
+    (gen_grid(4, 3), 2, 1, 24),
+    (gen_grid(5, 3), 3, 1, 24),
 ])
 def test_enumerate_partitions_in_canonical_key_order(g, k, s, vertex_cap):
     # Instances past brute_partitions' reach.  The partitions are sorted by
@@ -197,7 +183,7 @@ def test_build_space_grid4x4_structure_pinned():
     # The sha256 of the nodes, the cliques in list order and the component
     # ids, computed when enumerate_partitions sorted by canonical_key and
     # build_space keyed its groups by tuple slices.
-    cg = build_space(grid(4, 4), 4, SlackBound(1))
+    cg = build_space(gen_grid(4, 4), 4, SlackBound(1))
     assert (len(cg.nodes), len(cg.cliques)) == (1953, 2344)
     text = repr((cg.nodes, cg.cliques, cg.component))
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -206,7 +192,7 @@ def test_build_space_grid4x4_structure_pinned():
 
 
 def test_build_space_cycle():
-    g = cycle(6)
+    g = gen_cycle(6)
     cg = build_space(g, 2, SlackBound(0))
     # C6 with exact halves: 3 opposite cut-edge pairs
     assert len(cg.nodes) == 3
@@ -252,8 +238,8 @@ SEVERAL_COMPONENTS = {
     "negative-s0": (gen_negative(4, 1)[0], 4, 0),
     # Chorded cycles whose components the union-find roots would number
     # out of first-node order.
-    "cycle8-chord": (Graph(8, {(i, (i + 1) % 8) for i in range(8)} | {(1, 6)}), 4, 0),
-    "cycle9-chords": (Graph(9, {(i, (i + 1) % 9) for i in range(9)} | {(0, 7), (2, 8)}), 3, 0),
+    "cycle8-chord": (cycle_graph(8, [(1, 6)]), 4, 0),
+    "cycle9-chords": (cycle_graph(9, [(0, 7), (2, 8)]), 3, 0),
 }
 
 
@@ -307,11 +293,11 @@ def test_space_stats_matches_reference(instance):
 
 @pytest.mark.parametrize("g, k, s, want, batches", [
     # k > n: no partition, so no component.
-    (cycle(4), 5, None, SpaceStats(0, 0, 0, ()), (1, 3, 7)),
+    (gen_cycle(4), 5, None, SpaceStats(0, 0, 0, ()), (1, 3, 7)),
     # C6 cut into three pairs at s=0: two partitions, neither has a move.
-    (cycle(6), 3, 0, SpaceStats(2, 0, 2, (0, 0)), (1, 3, 7)),
+    (gen_cycle(6), 3, 0, SpaceStats(2, 0, 2, (0, 0)), (1, 3, 7)),
     (gen_negative(4, 1)[0], 4, 0, SpaceStats(58, 186, 2, (5, 2)), (1, 3, 7)),
-    (grid(4, 4), 4, 0, SpaceStats(117, 372, 1, (6,)), (1, 3, 7)),
+    (gen_grid(4, 4), 4, 0, SpaceStats(117, 372, 1, (6,)), (1, 3, 7)),
     (gen_negative(4, 1)[0], 4, 1, SpaceStats(1115, 10510, 1, (10,)), (100,)),
 ], ids=["k-above-n", "isolated", "negative-s0", "grid4x4-s0", "negative-s1"])
 def test_space_stats_fixed_spaces(g, k, s, want, batches):
@@ -332,7 +318,7 @@ def test_space_stats_counts_each_clique_edge_once():
 
 
 def test_decide_br_path_and_validation():
-    g = cycle(6)
+    g = gen_cycle(6)
     slack = SlackBound(1)
     pa = Partition.of([[0, 1, 2], [3, 4, 5]])
     pb = Partition.of([[1, 2, 3], [4, 5, 0]])
@@ -356,7 +342,7 @@ def test_decide_br_unreachable():
     # Two triangles joined by one edge, s=0: the only balanced partition per
     # side is frozen, and a second partition does not exist; use a 4-path with
     # k=2, s=0 instead, which has exactly one balanced cut.
-    g = path(4)
+    g = gen_path(4)
     slack = SlackBound(0)
     pa = Partition.of([[0, 1], [2, 3]])
     ok, moves = decide_br(g, 2, slack, pa, pa)
@@ -375,7 +361,7 @@ def test_decide_br_unreachable():
 
 
 def test_decide_br_agrees_with_space_components():
-    g = cycle(8)
+    g = gen_cycle(8)
     slack = SlackBound(1)
     cg = build_space(g, 2, slack)
     parts = enumerate_partitions(g, 2, slack)
@@ -390,7 +376,7 @@ def test_decide_br_agrees_with_space_components():
 
 
 def test_decide_br_max_depth_and_hook():
-    g = cycle(8)
+    g = gen_cycle(8)
     slack = SlackBound(1)
     pa = Partition.of([[0, 1, 2, 3], [4, 5, 6, 7]])
     pb = Partition.of([[2, 3, 4, 5], [6, 7, 0, 1]])
@@ -404,7 +390,7 @@ def test_decide_br_max_depth_and_hook():
 
 
 def test_decide_br_pairs_keeps_labels():
-    g = cycle(9)
+    g = gen_cycle(9)
     slack = SlackBound(1)
     pa = Partition.of([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
     pb = Partition.of([[0, 1, 2], [3, 4, 5, 6], [7, 8]])
@@ -425,7 +411,7 @@ def test_decide_br_pairs_keeps_labels():
 def test_decide_br_refuses_bad_pairs(pair, equal):
     # With (0, 0) the search used to hook "states" that drop vertices, and
     # with pa == pb it answered (True, []) without reading the pairs.
-    g = path(6)
+    g = gen_path(6)
     pa = Partition.of([[0, 1, 2], [3, 4, 5]])
     pb = pa if equal else Partition.of([[0, 1], [2, 3, 4, 5]])
     seen = []
@@ -470,14 +456,11 @@ def plain_bfs_decide(g, k, slack, pa, pb, pairs=None, max_depth=None):
     return False, None
 
 
-def chorded_cycle12():
-    return Graph(12, {(i, (i + 1) % 12) for i in range(12)} | {(0, 5), (3, 9), (6, 11)})
-
-
 DIFFERENTIAL = [
-    (grid(4, 3), 3, 0), (grid(4, 3), 4, 1), (grid(4, 4), 4, 0), (grid(5, 3), 3, 0),
-    (grid(5, 3), 5, 0), (grid(6, 2), 4, 0), (grid(6, 2), 3, 1), (grid(5, 4), 4, 0),
-    (chorded_cycle12(), 4, 0), (chorded_cycle12(), 3, 1),
+    (gen_grid(4, 3), 3, 0), (gen_grid(4, 3), 4, 1), (gen_grid(4, 4), 4, 0), (gen_grid(5, 3), 3, 0),
+    (gen_grid(5, 3), 5, 0), (gen_grid(6, 2), 4, 0), (gen_grid(6, 2), 3, 1), (gen_grid(5, 4), 4, 0),
+    (cycle_graph(12, [(0, 5), (3, 9), (6, 11)]), 4, 0),
+    (cycle_graph(12, [(0, 5), (3, 9), (6, 11)]), 3, 1),
     # Spaces of several components, for unreachable pairs.
     SEVERAL_COMPONENTS["negative-s0"], SEVERAL_COMPONENTS["cycle9-chords"],
 ]
@@ -651,7 +634,7 @@ def test_decide_br_lists_pa_pair_by_pair_until_the_first_drop(monkeypatch):
 
     monkeypatch.setattr(partitions, "_connected_parts", counted_parts)
     monkeypatch.setattr(oracle, "_move_masks", counted_masks)
-    g = grid(6, 5)
+    g = gen_grid(6, 5)
     pa = Partition.of([[v for v in range(30) if v % 6 == c] for c in range(6)])
     # Columns 0-1 and 3-4 re-split into top and bottom halves, then the top
     # of columns 0-1 and column 2 re-split: three moves.
@@ -773,7 +756,7 @@ def test_decide_br_node_cap(negative, s, size, monkeypatch):
 
 
 def test_recom_walk_deterministic():
-    g = cycle(8)
+    g = gen_cycle(8)
     slack = SlackBound(1)
     start = Partition.of([[0, 1, 2, 3], [4, 5, 6, 7]])
     t1 = recom_walk(g, 2, slack, start, 20, seed=7)
@@ -789,7 +772,7 @@ def test_recom_walk_deterministic():
 
 
 def test_recom_walk_halts_without_moves():
-    g = path(4)
+    g = gen_path(4)
     start = Partition.of([[0, 1], [2, 3]])
     t = recom_walk(g, 2, SlackBound(0), start, 5, seed=1)
     assert t.halted_early and len(t.steps) == 0
@@ -797,7 +780,7 @@ def test_recom_walk_halts_without_moves():
 
 
 def test_recom_walk_refuses_an_invalid_start():
-    g = cycle(8)
+    g = gen_cycle(8)
     start = Partition.of([[0, 2, 3, 4], [1, 5, 6, 7]])
     with pytest.raises(ValueError, match="^invalid start partition: district 0 disconnected; "):
         recom_walk(g, 2, SlackBound(1), start, 5, seed=1)
@@ -845,7 +828,7 @@ def blocks8x8(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_recom_walk_matches_reference_on_grid8x8(seed):
-    g, slack = grid(8, 8), SlackBound(1)
+    g, slack = gen_grid(8, 8), SlackBound(1)
     want = reference_recom_walk(g, 8, slack, blocks8x8(seed), 10, seed)
     assert len(want.steps) == 10
     assert recom_walk(g, 8, slack, blocks8x8(seed), 10, seed) == want
@@ -882,13 +865,13 @@ def test_split_table_changes_no_moves(monkeypatch):
 
     monkeypatch.setattr(oracle, "_move_masks", checked_masks)
     monkeypatch.setattr(oracle, "enumerate_moves", checked)
-    g = grid(8, 8)
+    g = gen_grid(8, 8)
     for seed in range(3):
         tables.clear()
         trace = recom_walk(g, 8, SlackBound(1), blocks8x8(seed), 6, seed)
         assert len(trace.steps) == 6
         assert len(tables) == 6 and all(t is tables[0] for t in tables)
-    g = grid(6, 5)
+    g = gen_grid(6, 5)
     pa = Partition.of([[v for v in range(30) if v % 6 == c] for c in range(6)])
     # Columns 0-1 and 3-4 re-split into top and bottom halves: two moves.
     pb = Partition.of([[0, 1, 6, 7, 12], [13, 18, 19, 24, 25], [2, 8, 14, 20, 26],
@@ -902,7 +885,7 @@ def test_split_table_changes_no_moves(monkeypatch):
 def test_build_space_grid4x4_pinned():
     # Nodes, edges and the sha256 of the edge list, computed with the
     # frozenset search that the mask search and its split tables replace.
-    cg = build_space(grid(4, 4), 4, SlackBound(1))
+    cg = build_space(gen_grid(4, 4), 4, SlackBound(1))
     assert (len(cg.nodes), len(cg.edges)) == (1953, 19858)
     text = "\n".join(f"{a} {b}" for a, b in cg.edges)
     assert hashlib.sha256(text.encode()).hexdigest() == (

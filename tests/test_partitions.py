@@ -6,7 +6,7 @@ import pytest
 
 from recomb import graphs, partitions
 from recomb.graphs import Graph, is_connected
-from recomb.instances import gen_grid
+from recomb.instances import gen_cycle, gen_grid, gen_path
 from recomb.partitions import (
     MoveError,
     Partition,
@@ -27,23 +27,7 @@ from recomb.partitions import (
     partition_from_key,
     validate,
 )
-
-
-def cycle(n):
-    return Graph(n, {(i, (i + 1) % n) for i in range(n)})
-
-
-def random_connected(rng, n, extra=4):
-    edges = set()
-    order = list(range(n))
-    rng.shuffle(order)
-    for i in range(1, n):
-        a, b = order[i], order[rng.randrange(i)]
-        edges.add((min(a, b), max(a, b)))
-    for _ in range(rng.randint(0, extra)):
-        a, b = rng.sample(range(n), 2)
-        edges.add((min(a, b), max(a, b)))
-    return Graph(n, edges)
+from support import brute_moves, random_connected, random_partition
 
 
 # --- slack bounds ---
@@ -98,6 +82,10 @@ def test_canonical_key_is_label_invariant():
         frozenset({0, 1}),
         frozenset({2, 3}),
     )
+    # Districts that share a least vertex, as no partition's do, get one key
+    # in either order too.
+    overlap = [{0, 1}, {0, 2}]
+    assert canonical_key(Partition.of(overlap)) == canonical_key(Partition.of(overlap[::-1])) == ((0, 1), (0, 2))
 
 
 def test_district_of():
@@ -111,14 +99,14 @@ def test_district_of():
 
 
 def test_validate_accepts_good_partition():
-    g = cycle(6)
+    g = gen_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
     rep = validate(g, p, 2, SlackBound(0))
     assert rep.ok and not rep.violations
 
 
 def test_validate_reports_each_violation():
-    g = cycle(6)
+    g = gen_cycle(6)
     rep = validate(g, Partition.of([[0, 1, 2], [3, 4, 5]]), 3, SlackBound(0))
     assert not rep.ok and any("expected 3 districts" in v for v in rep.violations)
     rep = validate(g, Partition.of([[0, 2], [1, 3, 4, 5]]), 2, SLACK_INF)
@@ -142,7 +130,7 @@ def test_validate_reports_each_violation():
 
 
 def test_apply_move_good():
-    g = cycle(6)
+    g = gen_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
     m = RecombMove(0, 1, frozenset({0, 1}), frozenset({2, 3, 4, 5}))
     q = apply_move(g, p, m, SlackBound(1))
@@ -150,7 +138,7 @@ def test_apply_move_good():
 
 
 def test_apply_move_error_codes():
-    g = cycle(6)
+    g = gen_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
 
     def code(m, slack=SLACK_INF):
@@ -177,7 +165,7 @@ def test_apply_move_runs_every_check_on_parts_its_graph_proved(monkeypatch):
 
     def proved(*sets):
         """A fresh 6-cycle after is_connected has searched each of sets."""
-        g = cycle(6)
+        g = gen_cycle(6)
         for s in sets:
             is_connected(g, s)
         return g
@@ -218,60 +206,12 @@ def test_apply_move_runs_every_check_on_parts_its_graph_proved(monkeypatch):
         searched.clear()
         q = apply_move(g, p, good, SLACK_INF)
         assert searched == want
-        assert q == apply_move(cycle(6), p, good, SLACK_INF)
+        assert q == apply_move(gen_cycle(6), p, good, SLACK_INF)
         searched.clear()
         assert apply_move(g, p, good, SLACK_INF) == q and searched == []
 
 
 # --- enumerate_moves against brute force ---
-
-
-def brute_moves(g, p, slack):
-    """Reference enumeration: split every connected union every possible way."""
-    results = set()
-    k = p.k
-    for i, j in itertools.combinations(range(k), 2):
-        union = p.districts[i] | p.districts[j]
-        if not is_connected(g, union):
-            continue
-        verts = sorted(union)
-        for r in range(1, len(verts)):
-            for sub in itertools.combinations(verts, r):
-                a = frozenset(sub)
-                b = union - a
-                if min(union) not in a:
-                    continue
-                if not (is_connected(g, a) and is_connected(g, b)):
-                    continue
-                if not (slack.size_ok(g.n, k, len(a)) and slack.size_ok(g.n, k, len(b))):
-                    continue
-                if {a, b} == {p.districts[i], p.districts[j]}:
-                    continue
-                results.add((i, j, a, b))
-    return results
-
-
-def random_partition(rng, g, k, slack, tries=300):
-    for _ in range(tries):
-        seeds = rng.sample(range(g.n), k)
-        assign = {v: i for i, v in enumerate(seeds)}
-        frontier = list(seeds)
-        while len(assign) < g.n:
-            grow = [v for v in frontier for w in g.adj[v] if w not in assign]
-            if not grow:
-                break
-            v = rng.choice(grow)
-            w = rng.choice([x for x in g.adj[v] if x not in assign])
-            assign[w] = assign[v]
-            frontier.append(w)
-        if len(assign) < g.n:
-            continue
-        p = Partition.of(
-            [[v for v in range(g.n) if assign[v] == i] for i in range(k)]
-        )
-        if validate(g, p, k, slack).ok:
-            return p
-    return None
 
 
 def test_enumerate_moves_matches_brute_force():
@@ -292,7 +232,7 @@ def test_enumerate_moves_matches_brute_force():
 
 
 def test_enumerate_moves_deterministic_order():
-    g = cycle(8)
+    g = gen_cycle(8)
     p = Partition.of([[0, 1, 2, 3], [4, 5, 6, 7]])
     a = enumerate_moves(g, p, SlackBound(2))
     b = enumerate_moves(g, p, SlackBound(2))
@@ -301,7 +241,7 @@ def test_enumerate_moves_deterministic_order():
 
 
 def test_enumerate_moves_pairs_restriction():
-    g = cycle(9)
+    g = gen_cycle(9)
     p = Partition.of([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
     restricted = enumerate_moves(g, p, SlackBound(1), pairs=[(0, 1)])
     assert restricted
@@ -315,7 +255,7 @@ def test_enumerate_moves_pairs_restriction():
 def test_enumerate_moves_refuses_bad_pairs(pair):
     # (0, 0) used to split district 0 in two, (-1, 1) to give moves that
     # apply_move refuses as bad-labels, and (0, 5) to raise a bare IndexError.
-    g = Graph(6, {(v, v + 1) for v in range(5)})
+    g = gen_path(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
     named = rf"district pair \({min(pair)}, {max(pair)}\)"
     with pytest.raises(ValueError, match=named):

@@ -5,7 +5,7 @@ import pytest
 from recomb import graphs, hamiltonian, unbounded
 from recomb.graphs import Graph, is_connected
 from recomb.hamiltonian import CycleOrder, transform_hamiltonian
-from recomb.instances import gen_grid
+from recomb.instances import gen_cycle, gen_grid
 from recomb.oracle import enumerate_partitions, recom_walk
 from recomb.partitions import (
     MoveError,
@@ -17,14 +17,11 @@ from recomb.partitions import (
 )
 from recomb.sequences import inverted_abstract, replay, resolve_moves
 from recomb.unbounded import transform_unbounded
-
-
-def cycle(n, chords=()):
-    return Graph(n, {(i, (i + 1) % n) for i in range(n)} | set(chords))
+from support import cycle_graph
 
 
 def test_resolve_moves_matches_labels():
-    g = cycle(6)
+    g = gen_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
     abstract = [(frozenset({0, 1}), frozenset({2, 3, 4, 5}))]
     moves, final = resolve_moves(g, p, abstract, SLACK_INF)
@@ -34,7 +31,7 @@ def test_resolve_moves_matches_labels():
 
 def test_resolve_moves_picks_districts_by_content():
     # Same abstract move, districts listed with swapped labels.
-    g = cycle(6)
+    g = gen_cycle(6)
     p = Partition.of([[3, 4, 5], [0, 1, 2]])
     abstract = [(frozenset({0, 1}), frozenset({2, 3, 4, 5}))]
     moves, final = resolve_moves(g, p, abstract, SLACK_INF)
@@ -44,7 +41,7 @@ def test_resolve_moves_picks_districts_by_content():
 
 
 def test_resolve_moves_rejects_bad_unions():
-    g = cycle(6)
+    g = gen_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
     with pytest.raises(ValueError):
         resolve_moves(g, p, [(frozenset({0, 1}), frozenset({2}))], SLACK_INF)
@@ -59,7 +56,7 @@ def test_resolve_moves_rejects_bad_unions():
 
 
 def test_replay_and_inversion_roundtrip():
-    g = cycle(8)
+    g = gen_cycle(8)
     p = Partition.of([[0, 1, 2, 3], [4, 5, 6, 7]])
     slack = SlackBound(2)
     moves = [
@@ -98,7 +95,7 @@ def forward_sequences(source):
     if source == "unbounded":
         g, slack = gen_grid(3, 3), SLACK_INF
     else:
-        g, slack = cycle(12, [(0, 5), (3, 9), (6, 11)]), SlackBound(4)
+        g, slack = cycle_graph(12, [(0, 5), (3, 9), (6, 11)]), SlackBound(4)
     parts = enumerate_partitions(g, 3, slack)
     for _ in range(12):
         p1, p2 = rng.choice(parts), rng.choice(parts)
@@ -145,7 +142,7 @@ def logged_reach(monkeypatch, log):
 def test_resolve_moves_searches_the_parts_its_graph_has_not_proved(monkeypatch):
     searched = []
     logged_reach(monkeypatch, lambda adj, within, parent: searched.append(within))
-    g = cycle(6)
+    g = gen_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
     # A disconnected split is refused, whatever the graph proved before.
     split = (frozenset({0, 1, 3}), frozenset({2, 4, 5}))
@@ -156,7 +153,7 @@ def test_resolve_moves_searches_the_parts_its_graph_has_not_proved(monkeypatch):
     assert exc.value.code == "disconnected-part"
     # Each part is searched once per Graph object: an equal graph shares no proofs.
     good = (frozenset({0, 1}), frozenset({2, 3, 4, 5}))
-    for graph, want in ((g, list(good)), (g, []), (cycle(6), list(good))):
+    for graph, want in ((g, list(good)), (g, []), (gen_cycle(6), list(good))):
         searched.clear()
         moves, final = resolve_moves(graph, p, [good], SLACK_INF)
         assert (moves, final) == ([RecombMove(0, 1, *good)], Partition(good))
@@ -168,7 +165,7 @@ def transform_cases():
     balanced partitions of a grid and of a chorded cycle."""
     rng = random.Random(23)
     instances = [(gen_grid(4, 4), 4, (0, 1, 2, 3, 7, 6, 5, 9, 10, 11, 15, 14, 13, 12, 8, 4)),
-                 (cycle(15, [(0, 7), (3, 11), (5, 13)]), 3, tuple(range(15)))]
+                 (cycle_graph(15, [(0, 7), (3, 11), (5, 13)]), 3, tuple(range(15)))]
     for g, k, order in instances:
         parts = enumerate_partitions(g, k, SlackBound(0))
         for _ in range(25):

@@ -11,7 +11,6 @@ from recomb.graphs import (
     complete_forest,
     edge_adjacency,
     find_low_degree_block_vertex,
-    is_connected,
 )
 from recomb.instances import gen_cycle, gen_grid, gen_path, gen_random_connected
 from recomb.partitions import (
@@ -22,54 +21,18 @@ from recomb.partitions import (
 )
 from recomb.sequences import replay, resolve_moves
 from recomb.unbounded import _make_singleton, _spanning_union_edges, transform_unbounded
-
-
-def cycle(n):
-    return Graph(n, {(i, (i + 1) % n) for i in range(n)})
-
-
-def random_connected(rng, n, extra=4):
-    edges = set()
-    order = list(range(n))
-    rng.shuffle(order)
-    for i in range(1, n):
-        a, b = order[i], order[rng.randrange(i)]
-        edges.add((min(a, b), max(a, b)))
-    for _ in range(rng.randint(0, extra)):
-        a, b = rng.sample(range(n), 2)
-        edges.add((min(a, b), max(a, b)))
-    return Graph(n, edges)
-
-
-def random_partition(rng, g, k, tries=300):
-    for _ in range(tries):
-        seeds = rng.sample(range(g.n), k)
-        assign = {v: i for i, v in enumerate(seeds)}
-        frontier = list(seeds)
-        while len(assign) < g.n:
-            grow = [v for v in frontier for w in g.adj[v] if w not in assign]
-            if not grow:
-                break
-            v = rng.choice(grow)
-            w = rng.choice([x for x in g.adj[v] if x not in assign])
-            assign[w] = assign[v]
-            frontier.append(w)
-        if len(assign) == g.n:
-            return Partition.of(
-                [[v for v in range(g.n) if assign[v] == i] for i in range(k)]
-            )
-    raise RuntimeError("could not sample a partition")
+from support import random_connected, random_partition
 
 
 def test_identity_needs_no_moves():
-    g = cycle(6)
+    g = gen_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
     q = Partition.of([[3, 4, 5], [0, 1, 2]])  # same unordered partition
     assert transform_unbounded(g, p, q) == []
 
 
 def test_simple_pair():
-    g = cycle(6)
+    g = gen_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
     q = Partition.of([[1, 2, 3], [4, 5, 0]])
     moves = replay_checked(g, p, q)
@@ -118,7 +81,7 @@ def test_random_instances_within_move_bound():
 
 
 def test_rejects_bad_inputs():
-    g = cycle(6)
+    g = gen_cycle(6)
     p = Partition.of([[0, 1, 2], [3, 4, 5]])
     with pytest.raises(ValueError):
         transform_unbounded(g, p, Partition.of([[0, 1], [2, 3], [4, 5]]))
@@ -131,7 +94,7 @@ def test_rejects_bad_inputs():
         )
 
 
-@pytest.mark.parametrize("g", [Graph(0, []), cycle(3)], ids=["empty-graph", "c3"])
+@pytest.mark.parametrize("g", [Graph(0, []), gen_cycle(3)], ids=["empty-graph", "c3"])
 def test_rejects_zero_districts(g):
     with pytest.raises(ValueError, match="k=0 must be at least 1"):
         transform_unbounded(g, Partition(()), Partition(()))
