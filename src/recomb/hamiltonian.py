@@ -60,21 +60,18 @@ class CycleOrder:
         return weakref.WeakKeyDictionary()  # district -> (graph, its _FragmentTree there)
 
 
-def _fragment_starts(cycle: CycleOrder, p: Partition) -> list[int]:
+def _fragment_starts(cycle: CycleOrder, d: frozenset[int]) -> int:
     """The one scan of C for district boundaries, bit-parallel over cycle
-    positions: per district, the mask of the positions that begin one of its
-    fragments, kept in the cycle's map."""
-    n, pos, known = cycle.n, cycle.positions, cycle._starts
-    out = []
-    for d in p.districts:
-        if (m := known.get(d)) is None:
-            bits = bytearray(b"0") * n
-            for v in d:
-                bits[n - 1 - pos[v]] = 49  # "1"; the string's last digit is position 0
-            m = int(bits, 2)
-            m = known[d] = m & ~(m << 1 | m >> (n - 1))  # in d, with position t - 1 not
-        out.append(m)
-    return out
+    positions: the mask of the positions that begin one of d's fragments,
+    kept in the cycle's map."""
+    if (m := cycle._starts.get(d)) is None:
+        n, pos = cycle.n, cycle.positions
+        bits = bytearray(b"0") * n
+        for v in d:
+            bits[n - 1 - pos[v]] = 49  # "1"; the string's last digit is position 0
+        m = int(bits, 2)
+        m = cycle._starts[d] = m & ~(m << 1 | m >> (n - 1))  # in d, with position t - 1 not
+    return m
 
 
 def _boundaries(cycle: CycleOrder, p: Partition) -> list[tuple]:
@@ -82,7 +79,8 @@ def _boundaries(cycle: CycleOrder, p: Partition) -> list[tuple]:
     du != dw, in the order of u's position; each w starts a fragment, and u
     ends the one that starts before it."""
     found = []
-    for i, starts in enumerate(_fragment_starts(cycle, p)):
+    for i, d in enumerate(p.districts):
+        starts = _fragment_starts(cycle, d)
         while starts:
             t = starts.bit_length() - 1
             found.append((t, i))
@@ -95,7 +93,7 @@ def _boundaries(cycle: CycleOrder, p: Partition) -> list[tuple]:
 
 
 def fragment_count(cycle: CycleOrder, p: Partition) -> int:
-    return sum(starts.bit_count() for starts in _fragment_starts(cycle, p)) or 1
+    return sum(_fragment_starts(cycle, d).bit_count() for d in p.districts) or 1
 
 
 @dataclass(frozen=True)
@@ -155,19 +153,21 @@ def _rooted(size, links, label) -> _FragmentTree:
 
 def _fragment_tree(g: Graph, cycle: CycleOrder, members: frozenset[int]) -> _FragmentTree:
     """The district's fragment tree in g, kept in the cycle's map with g: each
-    fragment labelled by walking it once along C, then joined by Kruskal over
-    the sorted induced edges between fragments, so each link is the
-    lexicographically least chord it can be."""
+    fragment labelled by one walk along C from its bit in the district's
+    start mask, then joined by Kruskal over the sorted induced edges between
+    fragments, so each link is the lexicographically least chord it can be."""
     if (hit := cycle._trees.get(members)) is not None and hit[0] is g:
         return hit[1]
-    order, n, pos = cycle.order, cycle.n, cycle.positions
+    order, n = cycle.order, cycle.n
     label: dict[int, int] = {}
-    for v in members:
-        if order[pos[v] - 1] not in members:
-            t = pos[v]
-            while (w := order[t % n]) in members:
-                label[w] = v
-                t += 1
+    starts = _fragment_starts(cycle, members)
+    while starts:
+        t = starts.bit_length() - 1
+        starts ^= 1 << t
+        v = order[t]
+        while (w := order[t % n]) in members:
+            label[w] = v
+            t += 1
     candidates = sorted((v, w) for v in members for w in g.adj[v]
                         if v < w and w in members and label[v] != label[w])
     links: dict[int, dict[int, tuple[int, int]]] = {f: {} for f in label.values()}
@@ -198,51 +198,39 @@ def step_light(g: Graph, cycle: CycleOrder, p: Partition) -> Optional[RecombMove
     return None
 
 
-def find_small_adjacent_pair(cycle: CycleOrder, p: Partition) -> tuple[int, int]:
-    """First pair of districts adjacent along C with combined size <= 2n/k."""
+def find_small_adjacent_pair(cycle: CycleOrder, p: Partition) -> tuple[int, int, int, int]:
+    """The first boundary (u, w, du, dw) along C whose districts du and dw
+    have combined size <= 2n/k."""
     n, k = cycle.n, p.k
-    for _, _, du, dw in _boundaries(cycle, p):
+    for u, w, du, dw in _boundaries(cycle, p):
         if k * (len(p.districts[du]) + len(p.districts[dw])) <= 2 * n:
-            return du, dw
+            return u, w, du, dw
     raise ValueError("no pair found")
 
 
-def step_average(
-    g: Graph, cycle: CycleOrder, p: Partition, i: int, j: int, slack: SlackBound
-) -> RecombMove:
-    """Recombine two C-adjacent districts of combined size <= n/k + s; either
-    the fragment count drops or a singleton district is created."""
-    n, k = cycle.n, p.k
-    vi, vj = p.districts[i], p.districts[j]
+def step_average(g: Graph, cycle: CycleOrder, p: Partition, u: int, w: int, du: int, dw: int) -> RecombMove:
+    """Recombine districts du and dw across their boundary (u, w) along C;
+    either the fragment count drops or a singleton district is created."""
+    vi, vj = p.districts[du], p.districts[dw]
     union = vi | vj
-    if slack.s is not None and k * len(union) > n + k * slack.s:
-        raise ValueError("combined district size exceeds n/k + s")
     ti, tj = _fragment_tree(g, cycle, vi), _fragment_tree(g, cycle, vj)
-    order, pos = cycle.order, cycle.positions
-    # Fragments that follow the other district along C; the first along C
-    # bridges the two trees.
-    keys = [*ti.size, *tj.size]
-    joined = [f for f in keys if order[pos[f] - 1] in union]
-    if not joined:
-        raise ValueError("districts not adjacent along C")
     if chords := ti.chords + tj.chords:
+        # The cycle step (u, w) bridges the two trees; w starts a fragment.
         label = {**ti.label, **tj.label}
-        w = min(joined, key=lambda f: (pos[f] - 1) % n)
-        bridge = (order[pos[w] - 1], w)
-        u = label[bridge[0]]
+        f = label[u]
         links = {**ti.links, **tj.links}
-        links[u] = {**links[u], w: bridge}
-        links[w] = {**links[w], u: bridge}
+        links[f] = {**links[f], w: (u, w)}
+        links[w] = {**links[w], f: (u, w)}
         a, b = (label[v] for v in min(chords))
         side = _side(links, a, a, b)
         part_a = frozenset(v for v in union if label[v] in side)
         part_b = union - part_a
         assert part_b, "removing a tree edge must split the spanning tree"
-        return labelled_move(i, j, part_a, part_b)
-    # Both districts are single arcs: the union is a chain along C, starting
-    # at the arc not joined to its predecessor, or it covers C (k = 2).
-    start = next((f for f in keys if f not in joined), order[0])
-    return labelled_move(i, j, frozenset({start}), union - {start})
+        return labelled_move(du, dw, part_a, part_b)
+    # Both districts are single arcs: the union is a chain along C from u's
+    # arc into w's, or it covers C (k = 2).
+    start = cycle.order[0] if len(union) == cycle.n else ti.label[u]
+    return labelled_move(du, dw, frozenset({start}), union - {start})
 
 
 def steps_singleton(
@@ -315,7 +303,7 @@ def canonicalize(g: Graph, cycle: CycleOrder, p: Partition,
     while frags > k:
         m = step_light(g, cycle, cur)
         if m is None and all(len(d) > 1 for d in cur.districts):
-            m = step_average(g, cycle, cur, *find_small_adjacent_pair(cycle, cur), slack)
+            m = step_average(g, cycle, cur, *find_small_adjacent_pair(cycle, cur))
         if m is not None:
             cur = apply_move(g, cur, m, slack)
             moves.append(m)

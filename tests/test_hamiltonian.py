@@ -140,6 +140,46 @@ def test_fragment_count_single_district():
     assert fragment_count(c, Partition.of([[0, 1, 2, 3]])) == 1
 
 
+def reference_fragment_labels(c, members):
+    """The predecessor scan the start masks replaced: each member whose
+    predecessor along C lies outside the district starts a fragment and
+    labels the members up to the next outsider."""
+    order, n, pos = c.order, c.n, c.positions
+    label = {}
+    for v in members:
+        if order[pos[v] - 1] not in members:
+            t = pos[v]
+            while (w := order[t % n]) in members:
+                label[w] = v
+                t += 1
+    return label
+
+
+def test_fragment_tree_labels_match_predecessor_scan(monkeypatch):
+    rng = random.Random(38)
+    on_demand = kept = 0
+    for _ in range(150):
+        g, c = random_cycle_with_chords(rng, rng.randint(4, 40), rng.randint(1, 12))
+        p = random_partition(rng, g, rng.randint(2, min(6, g.n // 2)), SlackBound(g.n), tries=400)
+        if rng.random() < 0.5:
+            _boundaries(c, p)  # the masks are kept before any tree is built
+        for members in p.districts:
+            if members in c._starts:
+                kept += 1
+            else:
+                on_demand += 1
+            assert _fragment_tree(g, c, members).label == reference_fragment_labels(c, members)
+            assert members in c._starts
+    assert on_demand > 100 and kept > 100
+    # A district covering C starts no fragment, so it gets no labels.  Its
+    # tree has no fragment to root at, so a spy on _rooted returns the labels,
+    # and the graph has no edges for the chord scan to look up.
+    monkeypatch.setattr(hamiltonian, "_rooted", lambda size, links, label: label)
+    c, members = identity_cycle(8), frozenset(range(8))
+    assert _fragment_tree(Graph(8, ()), c, members) == {} == reference_fragment_labels(c, members)
+    assert c._starts[members] == 0
+
+
 def test_fragment_tree_weights():
     # District 0 split as {0,1} and {4,5} around district 1's {2,3}; chord 1-4
     g = cycle_graph(8, chords=[(1, 4)])
@@ -360,12 +400,11 @@ def test_step_average_branches(shape, order, forward):
     # the first district boundary along C from order[0].
     c = CycleOrder(order)
     if shape == "cover":
-        g, parts, slack = gen_cycle(12), [range(6), range(6, 12)], SlackBound(6)
+        g, parts = gen_cycle(12), [range(6), range(6, 12)]
     elif shape == "chain":
-        g, parts, slack = gen_cycle(12), [range(3), range(3, 6), range(6, 12)], SlackBound(5)
+        g, parts = gen_cycle(12), [range(3), range(3, 6), range(6, 12)]
     else:
-        g = cycle_graph(12, chords=[(2, 6)])
-        parts, slack = [[0, 1, 2, 6, 7, 8], range(3, 6), range(9, 12)], SlackBound(5)
+        g, parts = cycle_graph(12, chords=[(2, 6)]), [[0, 1, 2, 6, 7, 8], range(3, 6), range(9, 12)]
     p = Partition.of(parts)
     union = p.districts[0] | p.districts[1]
     if shape == "cover":
@@ -376,17 +415,31 @@ def test_step_average_branches(shape, order, forward):
         steps = ({order[t], order[(t + 1) % 12]} for t in range(12))
         first = next(e for e in steps if e in ({2, 3}, {5, 6}))
         part_a = frozenset(range(6) if first == {2, 3} else range(3))
-    assert step_average(g, c, p, 0, 1, slack) == labelled_move(0, 1, part_a, union - part_a)
+    # The step recombines across the first boundary between districts 0 and
+    # 1 along C, in either direction, as find_small_adjacent_pair gives it.
+    u, w, du, dw = next(b for b in _boundaries(c, p) if {b[2], b[3]} == {0, 1})
+    assert step_average(g, c, p, u, w, du, dw) == labelled_move(0, 1, part_a, union - part_a)
 
 
-@pytest.mark.parametrize("order", [order for order, _ in rotations_and_reflections(12)[::5]])
-@pytest.mark.parametrize("chords", [(), ((1, 7),)])
-def test_step_average_refuses_districts_apart_on_c(order, chords):
-    # Arcs {0,1,2} and {6,7,8} of C12 are not adjacent along C, even when a
-    # chord joins them.
-    p = Partition.of([range(3), range(3, 6), range(6, 9), range(9, 12)])
-    with pytest.raises(ValueError, match="not adjacent along C"):
-        step_average(cycle_graph(12, chords), CycleOrder(order), p, 0, 2, SlackBound(3))
+def test_small_adjacent_pair_is_the_first_boundary_that_fits():
+    # On seeded partitions of chorded cycles: the first boundary along C whose
+    # two districts hold at most 2n/k vertices together, or ValueError.
+    rng = random.Random(39)
+    found = missed = 0
+    for _ in range(300):
+        g, c = random_cycle_with_chords(rng, rng.randint(6, 30), rng.randint(1, 8))
+        k = rng.randint(2, min(6, g.n // 2))
+        p = random_partition(rng, g, k, SlackBound(g.n), tries=400)
+        want = next((b for b in _boundaries(c, p)
+                     if k * (len(p.districts[b[2]]) + len(p.districts[b[3]])) <= 2 * g.n), None)
+        if want is None:
+            missed += 1
+            with pytest.raises(ValueError, match="^no pair found$"):
+                hamiltonian.find_small_adjacent_pair(c, p)
+        else:
+            found += 1
+            assert hamiltonian.find_small_adjacent_pair(c, p) == want
+    assert found > 150 and missed > 10
 
 
 def test_step_light_reduces_fragments():
@@ -750,9 +803,6 @@ def test_step_preconditions_refused():
     with pytest.raises(ValueError, match="^no pair found$"):
         hamiltonian.find_small_adjacent_pair(c, p)
     g, c = gen_cycle(6), identity_cycle(6)
-    p = Partition.of([[0, 1, 2], [3, 4], [5]])
-    with pytest.raises(ValueError, match=r"^combined district size exceeds n/k \+ s$"):
-        step_average(g, c, p, 0, 1, SlackBound(2))  # 5 vertices, n/k + s = 4
     with pytest.raises(ValueError, match="^no singleton present$"):
         steps_singleton(g, c, Partition.of([[0, 1, 2], [3, 4, 5]]), SlackBound(3))
 
